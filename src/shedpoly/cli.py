@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -35,6 +34,7 @@ from .exactgeom import GeometryError
 from .fileio import (
     ParseError,
     TriangulationFile,
+    _int,
     disk_from_facets,
     export_obj,
     export_off,
@@ -63,7 +63,7 @@ from .triangulation import (
     InvalidTriangulation,
     PlaneTriangulation,
     SheddingSequence,
-    deletion_trace,
+    rot_min_first,
     shedding_sequence,
 )
 from .verify import (
@@ -105,18 +105,16 @@ def _sequence_for(tf: TriangulationFile) -> SheddingSequence:
     return shedding_sequence(tf.G, tf.G.boundary[0], tf.G.boundary[1])
 
 
-def _prefix_convexity(
-    G: PlaneTriangulation, coords, a: SheddingSequence
-) -> Certificate:
-    """One certificate summarizing check_projectively_convex over all prefixes."""
-    trace = deletion_trace(G, a)
+def _prefix_convexity(coords, a: SheddingSequence) -> Certificate:
+    """One certificate summarizing check_projectively_convex over all prefix
+    boundaries that the sequence recorded."""
     base = (coords[a.order[0]], coords[a.order[1]])
-    for i in range(3, G.n + 1):
-        cert = check_projectively_convex([coords[v] for v in trace.boundary(i)], base)
+    for i in range(3, a.n + 1):
+        cert = check_projectively_convex([coords[v] for v in a.boundary(i)], base)
         if not cert.passed:
             return Certificate(cert.kind, False, cert.witness, f"prefix {i}: {cert.detail}")
     return Certificate(
-        "projectively-convex", True, None, f"all {G.n - 2} prefix boundaries convex"
+        "projectively-convex", True, None, f"all {a.n - 2} prefix boundaries convex"
     )
 
 
@@ -165,7 +163,7 @@ def cmd_embed(args) -> int:
     if args.audit:
         certs = [
             check_face_isomorphic(drawn, emb.coords),
-            _prefix_convexity(tf.G, emb.coords, a),
+            _prefix_convexity(emb.coords, a),
             check_grid_bounds(emb, tf.G.n),
         ]
         return _emit_report(certs, sys.stderr)
@@ -223,12 +221,7 @@ def _off_comment(comments: list[str], tag: str) -> Optional[tuple[int, ...]]:
         return None
     if len(hits) > 1:
         raise ParseError(f"more than one '{tag}' comment")
-    return tuple(int(tok) for tok in hits[0].split()[1:])
-
-
-def _rot_min(t: tuple[int, ...]) -> tuple[int, ...]:
-    j = t.index(min(t))
-    return t[j:] + t[:j]
+    return tuple(_int(tok, f"'{tag}' comment") for tok in hits[0].split()[1:])
 
 
 def _verify_off(text: str) -> list[Certificate]:
@@ -238,7 +231,7 @@ def _verify_off(text: str) -> list[Certificate]:
     if top is None:
         disk = disk_from_facets(facets)
     else:
-        match = [t for t in facets if _rot_min(t) == _rot_min(top)]
+        match = [t for t in facets if rot_min_first(t) == rot_min_first(top)]
         if len(match) != 1:
             raise ParseError(f"'top' comment names a missing face {top}")
         top = match[0]
@@ -273,7 +266,7 @@ def _verify_off(text: str) -> list[Certificate]:
         )
         xy = {i: (p.x, p.y) for i, p in points.items()}
         certs.append(check_face_isomorphic(disk, xy))
-        certs.append(_prefix_convexity(disk, xy, seq))
+        certs.append(_prefix_convexity(xy, seq))
         certs.append(check_grid_bounds(replace(P, sequence=seq), disk.n))
     return certs
 
@@ -295,7 +288,7 @@ def _verify_triangulation(text: str) -> list[Certificate]:
         certs.append(check_face_isomorphic(G, G.coords))
         certs.append(check_grid_bounds(G.coords, G.n))
         if seq is not None:
-            certs.append(_prefix_convexity(G, G.coords, seq))
+            certs.append(_prefix_convexity(G.coords, seq))
     return certs
 
 
@@ -350,9 +343,8 @@ def cmd_bench(args) -> int:
             )
     if not jobs:
         raise UsageError(f"--max-n {args.max_n} leaves nothing to benchmark")
-    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        for row in pool.map(lambda job: job(), jobs):
-            print(row)
+    for job in jobs:
+        print(job())
     return EXIT_OK
 
 

@@ -13,9 +13,12 @@ Two constructions over a shedding sequence, both exact:
   edge, slope drifts from the template by at most i, and every prefix stays
   face-correct and projectively convex.
 
-Left and right are read off the boundary-cycle orientation, never from vertex
-labels, so the only normalization ever needed is mirroring the instance when
-its contracted tree is left-heavy (and negating x afterward).
+Both read the links and prefix boundary cycles that the SheddingSequence
+carries; neither deletes a vertex.  Left and right are read off the
+boundary-cycle orientation, never from vertex labels, so the only
+normalization ever needed is mirroring the instance when its contracted tree
+is left-heavy (and negating x afterward).  The mirrored sequence is the same
+history with every link and cycle reversed.
 """
 
 from __future__ import annotations
@@ -40,12 +43,10 @@ from .reduction import (
     reduce_trees,
 )
 from .triangulation import (
-    DeletionTrace,
     PlaneTriangulation,
     SheddingSequence,
-    deletion_trace,
     edge_key,
-    mirror,
+    peeled_from,
 )
 
 
@@ -215,16 +216,9 @@ def _chain_of_cycle(cyc: tuple[int, ...], lb: int) -> tuple[int, ...]:
     return (rot[0],) + tuple(reversed(rot[2:])) + (rot[1],)
 
 
-def _pipeline(work: PlaneTriangulation, a: SheddingSequence):
-    trace = deletion_trace(work, a)
-    trees = build_shedding_trees(work, a, trace)
-    rs = reduce_trees(trees, a)
-    return trace, rs
-
-
-def _base_lr(trace: DeletionTrace, a: SheddingSequence) -> tuple[int, int]:
+def _base_lr(a: SheddingSequence) -> tuple[int, int]:
     a1, a2 = a.order[0], a.order[1]
-    cyc3 = trace.base_boundary
+    cyc3 = a.boundary(3)
     succ3 = {cyc3[j]: cyc3[(j + 1) % 3] for j in range(3)}
     if succ3[a1] == a2:
         return a1, a2
@@ -272,30 +266,30 @@ def grid_embed(
     4n^3 x 8n^5 grid with (0,0) on the base edge.
     """
     n = G.n
-    work = G
-    mirrored = False
-    trace, rs = _pipeline(work, a)
+    a = peeled_from(G, a)
+    rs = reduce_trees(build_shedding_trees(G, a), a)
     m, mp = rs.internal_counts()
-    if m > mp:
-        work = mirror(G)
-        mirrored = True
-        trace, rs = _pipeline(work, a)
+    mirrored = m > mp
+    # the sequence in the construction frame: over mirror(G) when mirrored
+    work = a.mirrored() if mirrored else a
+    if mirrored:
+        rs = reduce_trees(build_shedding_trees(work.G, work), work)
         m, mp = rs.internal_counts()
         assert m <= mp
     rt = build_reduced_triangulation(rs)
     tpl = make_template(rt, n)
     zmap = {key: rt.psi[rs.rep[key]] for key in rs.store.by_key}
 
-    lb, rb = _base_lr(trace, a)
+    lb, rb = _base_lr(work)
     a3 = a.order[2]
     coords: dict[int, IntPoint] = {lb: tpl.z[0], rb: tpl.z[1], a3: tpl.z[2]}
     records: list[AuditRecord] = [AuditRecord(3, "base", tpl.z[2])]
     if audit:
-        _audit_grid_step(3, coords, trace.base_boundary, lb, zmap, tpl)
+        _audit_grid_step(3, coords, work.boundary(3), lb, zmap, tpl)
 
     for i in range(4, n + 1):
-        ai = trace.order[i - 1]
-        ws = trace.link(i)
+        ai = a.order[i - 1]
+        ws = work.link(i)
         wpts = [coords[w] for w in ws]
         if len(ws) > 2:
             pt = place_high_degree(wpts)
@@ -318,7 +312,7 @@ def grid_embed(
         coords[ai] = pt
         records.append(AuditRecord(i, case, pt))
         if audit:
-            _audit_grid_step(i, coords, trace.boundary(i), lb, zmap, tpl)
+            _audit_grid_step(i, coords, work.boundary(i), lb, zmap, tpl)
 
     # frame-independent final invariants
     xs = [p[0] for p in coords.values()]
@@ -402,18 +396,18 @@ def rational_embed(
     The base endpoint that is leftmost is the one the boundary orientation
     says; the drawing always has the interior in the upper half-plane.
     """
-    trace = deletion_trace(G, a)
-    lb, rb = _base_lr(trace, a)
+    a = peeled_from(G, a)
+    lb, rb = _base_lr(a)
     a3 = a.order[2]
     coords: dict[int, Point2] = {
         lb: Point2(Fraction(0), Fraction(0)),
         rb: Point2(Fraction(2), Fraction(0)),
         a3: Point2(Fraction(1), Fraction(1)),
     }
-    for i in range(4, trace.n + 1):
-        ai = trace.order[i - 1]
-        ws = trace.link(i)
-        prev_cyc = trace.boundary(i - 1)
+    for i in range(4, a.n + 1):
+        ai = a.order[i - 1]
+        ws = a.link(i)
+        prev_cyc = a.boundary(i - 1)
         bprev = len(prev_cyc)
         succ_prev = {prev_cyc[j]: prev_cyc[(j + 1) % bprev] for j in range(bprev)}
         pred_prev = {s: p for p, s in succ_prev.items()}
@@ -437,7 +431,7 @@ def rational_embed(
                 raise EmptyRegion(f"step {i}: chosen point not above covered edge {w_a}-{w_b}")
         coords[ai] = pt
         if audit:
-            chain = _chain_of_cycle(trace.boundary(i), lb)
+            chain = _chain_of_cycle(a.boundary(i), lb)
             slopes = [slope(coords[x], coords[y]) for x, y in zip(chain, chain[1:])]
             if not all(sa > sb for sa, sb in zip(slopes, slopes[1:])):
                 raise EmptyRegion(f"step {i}: prefix chain lost strict convexity")

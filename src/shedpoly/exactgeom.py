@@ -58,11 +58,6 @@ def orient2d(p: Point2, q: Point2, r: Point2) -> int:
     return sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
 
 
-def cross2(p: Point2, q: Point2, r: Point2) -> Scalar:
-    """Twice the signed area of pqr (exact)."""
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
 def slope(p: Point2, q: Point2) -> Fraction:
     """Slope of segment pq.  Raises VerticalEdge when x(p) == x(q).
 
@@ -110,14 +105,6 @@ def intersect_lines(p: Point2, s: Fraction, q: Point2, u: Fraction) -> Point2:
     x = (Fraction(q[1]) - Fraction(p[1]) + s * p[0] - u * q[0]) / (s - u)
     y = Fraction(p[1]) + s * (x - p[0])
     return Point2(x, y)
-
-
-def line_side(a: Point2, b: Point2, p: Point2) -> int:
-    """+1 if p is strictly left of the directed line a->b, -1 right, 0 on it.
-
-    For a,b with x(a) < x(b), "left" is "strictly above".
-    """
-    return orient2d(a, b, p)
 
 
 def floor_fraction(v: Scalar) -> int:

@@ -34,12 +34,11 @@ from .exactgeom import Point3
 from .lifting import LiftedPolyhedron
 from .triangulation import (
     InvalidTriangulation,
-    NotBoundary,
     PlaneTriangulation,
     SheddingSequence,
-    delete_boundary_vertex,
     edge_key,
-    is_shedding_vertex,
+    peel_order,
+    rot_min_first,
     validate,
 )
 
@@ -59,11 +58,6 @@ class TriangulationFile:
     @property
     def text(self) -> str:
         return write_triangulation(self.G, self.order, self.grid)
-
-
-def _rot_min_first(t: Sequence[int]) -> tuple[int, ...]:
-    j = t.index(min(t))
-    return tuple(t[j:]) + tuple(t[:j])
 
 
 def _significant_lines(text: str) -> list[list[str]]:
@@ -171,17 +165,17 @@ def write_triangulation(
         for v in G.vertices:
             x, y = G.coords[v]
             lines.append(f"v {v} {x} {y}")
-    for t in sorted(_rot_min_first(t) for t in G.triangles):
+    for t in sorted(rot_min_first(t) for t in G.triangles):
         lines.append(f"t {t[0]} {t[1]} {t[2]}")
-    lines.append("b " + " ".join(str(v) for v in _rot_min_first(G.boundary)))
+    lines.append("b " + " ".join(str(v) for v in rot_min_first(G.boundary)))
     if order is not None:
         lines.append("a " + " ".join(str(v) for v in order))
     return "\n".join(lines) + "\n"
 
 
 def sequence_from_order(G: PlaneTriangulation, order: Sequence[int]) -> SheddingSequence:
-    """Replay a vertex order into a SheddingSequence, computing the per-step
-    degrees and checking the shedding invariant at every deletion."""
+    """Peel G along a vertex order, checking the shedding invariant at every
+    deletion."""
     order = tuple(order)
     if sorted(order) != list(G.vertices):
         raise InvalidTriangulation("order is not a permutation of the vertices")
@@ -189,20 +183,10 @@ def sequence_from_order(G: PlaneTriangulation, order: Sequence[int]) -> Shedding
         raise InvalidTriangulation(
             f"({order[0]},{order[1]}) is not a boundary edge of the triangulation"
         )
-    H = G
-    degs_rev: list[int] = []
-    for i in range(len(order), 3, -1):
-        w = order[i - 1]
-        try:
-            ok = is_shedding_vertex(H, w)
-        except NotBoundary:
-            ok = False
-        if not ok:
-            raise InvalidTriangulation(f"a_{i} = {w} is not a shedding vertex of its prefix")
-        H, link = delete_boundary_vertex(H, w)
-        degs_rev.append(len(link))
-    return SheddingSequence(
-        order, (0, 1, 2) + tuple(reversed(degs_rev)), (order[0], order[1])
+    return peel_order(
+        G,
+        order,
+        lambda i, w: InvalidTriangulation(f"a_{i} = {w} is not a shedding vertex of its prefix"),
     )
 
 

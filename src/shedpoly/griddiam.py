@@ -18,11 +18,14 @@ from typing import Optional
 
 from .exactgeom import Point2, orient2d
 from .triangulation import (
+    Peel,
     PlaneTriangulation,
     SheddingSequence,
     delete_boundary_vertex,
     edge_key,
     is_shedding_vertex,
+    peel_order,
+    rot_min_first,
     split_by_diagonal,
     validate,
 )
@@ -61,13 +64,17 @@ class TauProfile:
 
 def tau_profile(G: PlaneTriangulation, a: SheddingSequence) -> TauProfile:
     """Depths: depth(a_1) = 1, else 1 + max depth over earlier neighbors."""
-    pos = a.position()
+    return _profile(G, a.order)
+
+
+def _profile(G: PlaneTriangulation, order: tuple[int, ...]) -> TauProfile:
+    pos = {v: i for i, v in enumerate(order, start=1)}
     adj = G.adjacency()
     depth: dict[int, int] = {}
-    for i, v in enumerate(a.order, start=1):
+    for i, v in enumerate(order, start=1):
         preds = [u for u in adj[v] if pos[u] < i]
         depth[v] = 1 + max((depth[u] for u in preds), default=0)
-    return TauProfile(a.order, depth, max(depth.values()))
+    return TauProfile(order, depth, max(depth.values()))
 
 
 def min_tau_exhaustive(G: PlaneTriangulation, limit: int = 9) -> tuple[int, SheddingSequence]:
@@ -75,40 +82,38 @@ def min_tau_exhaustive(G: PlaneTriangulation, limit: int = 9) -> tuple[int, Shed
 
     Brute force over every deletion order and every admissible base triple;
     the (depth, order) pair is minimized lexicographically, so the witness is
-    deterministic.  Refuses instances with more than ``limit`` vertices.
+    deterministic.  Only the winning order is peeled into a sequence.
+    Refuses instances with more than ``limit`` vertices.
     """
     if G.n > limit:
         raise TooLarge(f"n={G.n} exceeds the exhaustive-search limit {limit}")
     base_edges = G.boundary_edges()
-    best: Optional[tuple[int, tuple[int, ...], SheddingSequence]] = None
+    best: Optional[tuple[int, tuple[int, ...]]] = None
 
-    def close(H: PlaneTriangulation, suffix: list[int], degs: list[int]) -> None:
+    def close(H: PlaneTriangulation, suffix: list[int]) -> None:
         nonlocal best
         for x, y, z in sorted(permutations(sorted(H.vertices))):
             if edge_key(x, y) not in base_edges:
                 continue
             order = (x, y, z) + tuple(reversed(suffix))
-            seq = SheddingSequence(order, (0, 1, 2) + tuple(reversed(degs)), (x, y))
-            t = tau_profile(G, seq).tau
-            if best is None or (t, order) < (best[0], best[1]):
-                best = (t, order, seq)
+            t = _profile(G, order).tau
+            if best is None or (t, order) < best:
+                best = (t, order)
 
-    def search(H: PlaneTriangulation, suffix: list[int], degs: list[int]) -> None:
+    def search(H: PlaneTriangulation, suffix: list[int]) -> None:
         if H.n == 3:
-            close(H, suffix, degs)
+            close(H, suffix)
             return
         for w in sorted(H.boundary):
             if is_shedding_vertex(H, w):
-                H2, link = delete_boundary_vertex(H, w)
+                H2, _ = delete_boundary_vertex(H, w)
                 suffix.append(w)
-                degs.append(len(link))
-                search(H2, suffix, degs)
+                search(H2, suffix)
                 suffix.pop()
-                degs.pop()
 
-    search(G, [], [])
+    search(G, [])
     assert best is not None
-    return best[0], best[2]
+    return best[0], peel_order(G, best[1])
 
 
 # -- lattice grid triangulations ------------------------------------------------
@@ -145,15 +150,6 @@ def _rect_boundary(p: int, q: int) -> tuple[int, ...]:
     return tuple(cyc)
 
 
-def _canon(t: tuple[int, int, int]) -> tuple[int, int, int]:
-    a, b, c = t
-    if a <= b and a <= c:
-        return (a, b, c)
-    if b <= a and b <= c:
-        return (b, c, a)
-    return (c, a, b)
-
-
 def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTriangulation:
     """Random triangulation of the p x q lattice with edges inside ell x ell.
 
@@ -176,7 +172,7 @@ def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTrian
     third: dict[tuple[int, int], int] = {}
 
     def add(t: tuple[int, int, int]) -> None:
-        t = _canon(t)
+        t = rot_min_first(t)
         tris.add(t)
         a, b, c = t
         third[(a, b)] = c
@@ -184,7 +180,7 @@ def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTrian
         third[(c, a)] = b
 
     def drop(t: tuple[int, int, int]) -> None:
-        t = _canon(t)
+        t = rot_min_first(t)
         tris.remove(t)
         a, b, c = t
         del third[(a, b)], third[(b, c)], third[(c, a)]
@@ -252,8 +248,8 @@ def uniform_grid_triangulation(p: int, q: int) -> GridTriangulation:
         for cx in range(1, p):
             a, b = vid(cx, cy), vid(cx + 1, cy)
             c, d = vid(cx + 1, cy + 1), vid(cx, cy + 1)
-            tris.append(_canon((a, b, c)))
-            tris.append(_canon((a, c, d)))
+            tris.append(rot_min_first((a, b, c)))
+            tris.append(rot_min_first((a, c, d)))
     T = PlaneTriangulation(
         range(p * q),
         sorted(tris),
@@ -332,19 +328,21 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         c for i in range(1, imax + 1) if i % 4 == 3 for c in group_cols[i]
     )
 
-    H = T
-    deleted: list[int] = []
-    degs: list[int] = []
+    peel = Peel(T)
     batches_del_order: list[frozenset[int]] = []
     stage_of: dict[int, int] = {}
 
+    def stopped(i: int, w: int) -> Exception:
+        return InvariantViolation(f"batch member {w} stopped shedding")
+
     def greatest_shedding_in(region: set[int]) -> int:
+        H = peel.H
         cands = [w for w in region if H.is_boundary_vertex(w) and is_shedding_vertex(H, w)]
         if not cands:
             raise InvariantViolation("carve region contains no shedding vertex")
         return max(cands, key=lambda v: (y_of(v), x_of(v)))
 
-    def run_stage(blocks: list[frozenset[int]], ymin: int, cand_ok, region_ok, label: int) -> None:
+    def run_stage(blocks: list[frozenset[int]], ymin: int, cand_ok, region_ok, label: int):
         """One deletion per active block per round; a block finishes its carve
         region before consulting its top vertex again.
 
@@ -352,11 +350,12 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         the diagonal argument is applied to is the greatest *admissible* one
         (cand_ok); the block top itself can be tucked under a rim edge that
         enters the block from the side, and an interior vertex meets no
-        diagonal.
+        diagonal.  A generator: yields the round's batch members, which the
+        peel loop deletes.
         """
-        nonlocal H
         regions: list[set[int]] = [set() for _ in blocks]
         while True:
+            H = peel.H
             batch: list[int] = []
             for k, cols in enumerate(blocks):
                 regions[k] &= set(H.vertices)
@@ -397,23 +396,19 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                             f"batch members {batch[ia]}, {batch[ib]} are adjacent"
                         )
             for w in reversed(batch):
-                if not is_shedding_vertex(H, w):
-                    raise InvariantViolation(f"batch member {w} stopped shedding")
-                H, link = delete_boundary_vertex(H, w)
-                deleted.append(w)
-                degs.append(len(link))
                 stage_of[w] = label
+                yield w
             batches_del_order.append(frozenset(batch))
 
     def stage1_ok(S) -> bool:
         return all(y_of(w) > 1 and x_of(w) not in far_cols for w in S)
 
     def stage1_cand(v) -> bool:
-        return y_of(v) > 1 and H.is_boundary_vertex(v)
+        return y_of(v) > 1 and peel.H.is_boundary_vertex(v)
 
     stage1_blocks = [group_cols[i] for i in range(1, imax + 1) if i % 4 == 1]
-    run_stage(stage1_blocks, ell, stage1_cand, stage1_ok, 1)
-
+    peel.run(run_stage(stage1_blocks, ell, stage1_cand, stage1_ok, 1), stopped)
+    H = peel.H
     for v in T.vertices:
         if x_of(v) in far_cols and v not in H.vertices:
             raise InvariantViolation(f"far-column vertex {v} deleted in stage 1")
@@ -456,22 +451,25 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
     def stage2_cand(v) -> bool:
         return y_of(v) > 2 * ell
 
-    run_stage(stage2_blocks, 2 * ell, stage2_cand, stage2_ok, 2)
-
+    peel.run(run_stage(stage2_blocks, 2 * ell, stage2_cand, stage2_ok, 2), stopped)
+    H = peel.H
     for v in H.vertices:
         if y_of(v) > 2 * ell:
             raise InvariantViolation(f"vertex {v} above row 2*ell after stage 2")
 
-    while H.n > 3:
-        cands = [w for w in H.boundary if is_shedding_vertex(H, w)]
-        if not cands:
-            raise InvariantViolation("no shedding vertex in stage 3")
-        w = max(cands, key=lambda v: (y_of(v), x_of(v)))
-        H, link = delete_boundary_vertex(H, w)
-        deleted.append(w)
-        degs.append(len(link))
-        stage_of[w] = 3
-        batches_del_order.append(frozenset((w,)))
+    def stage3():
+        while peel.H.n > 3:
+            H = peel.H
+            cands = [w for w in H.boundary if is_shedding_vertex(H, w)]
+            if not cands:
+                raise InvariantViolation("no shedding vertex in stage 3")
+            w = max(cands, key=lambda v: (y_of(v), x_of(v)))
+            stage_of[w] = 3
+            batches_del_order.append(frozenset((w,)))
+            yield w
+
+    peel.run(stage3(), stopped)
+    H = peel.H
 
     base_edges = T.boundary_edges()
     final = sorted(H.vertices, key=lambda v: (y_of(v), x_of(v)))
@@ -488,9 +486,8 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
     for v in order:
         stage_of[v] = 0
 
-    full = order + tuple(reversed(deleted))
-    seq = SheddingSequence(full, (0, 1, 2) + tuple(reversed(degs)), (order[0], order[1]))
-    labels = [stage_of[v] for v in full[3:]]
+    seq = peel.sequence(order)
+    labels = [stage_of[v] for v in seq.order[3:]]
     if any(la < lb for la, lb in zip(labels, labels[1:])):
         raise InvariantViolation("stage labels increase along the sequence")
 

@@ -9,7 +9,8 @@ greedy minimal height and *assert* the closed-form ceilings (499*n^8*m_i + 1
 per step, (500*n^8)^depth per vertex) instead of constructing with them.
 
 Heights are exact Python ints; they can grow to thousands of bits on deep
-instances, which is fine.
+instances, which is fine.  The links and prefix boundary cycles come from the
+SheddingSequence itself, so lifting deletes no vertex.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from .exactgeom import (
     slope,
 )
 from .griddiam import tau_profile
-from .triangulation import (
-    DeletionTrace,
-    PlaneTriangulation,
-    SheddingSequence,
-    deletion_trace,
-)
+from .triangulation import SheddingSequence, peeled_from, rot_min_first
 
 
 class NotSequentiallyConvex(Exception):
@@ -77,14 +73,12 @@ class LiftedPolyhedron:
         return max(h.bit_length() for h in self.heights.values())
 
 
-def _check_sequentially_convex(
-    coords: dict[int, tuple], a: SheddingSequence, trace: DeletionTrace
-) -> None:
+def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) -> None:
     """Every prefix boundary must be a strictly convex x-monotone chain over
     the base edge.  Raises NotSequentiallyConvex with the offending step."""
     a1, a2 = a.order[0], a.order[1]
-    for i in range(3, trace.n + 1):
-        cyc = trace.boundary(i)
+    for i in range(3, a.n + 1):
+        cyc = a.boundary(i)
         succ = {cyc[j]: cyc[(j + 1) % len(cyc)] for j in range(len(cyc))}
         if succ.get(a1) == a2:
             lb = a1
@@ -108,20 +102,20 @@ def _check_sequentially_convex(
             prev = s
 
 
-def lift(emb: GridEmbedding, a: SheddingSequence, check_bounds: bool = True) -> LiftedPolyhedron:
+def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
     """Greedy minimal convex lift of a sequentially convex drawing.
 
     For each i >= 4 the height of a_i is the smallest integer strictly above
     the planes of all faces of the previous prefix that touch a neighbor of
-    a_i.  The per-step and per-chain height ceilings are asserted (disable
-    with check_bounds=False when timing raw construction).
+    a_i; those neighbors are the link that the sequence recorded when it was
+    peeled.  The per-step and per-chain height ceilings are asserted.
     """
     G = emb.G
     coords = emb.coords
-    trace = deletion_trace(G, a)
-    _check_sequentially_convex(coords, a, trace)
+    a = peeled_from(G, a)
+    _check_sequentially_convex(coords, a)
 
-    pos = trace.position()
+    pos = a.position()
     birth = {t: max(pos[w] for w in t) for t in G.triangles}
     by_vertex: dict[int, list[tuple[int, int, int]]] = {v: [] for v in G.vertices}
     for t in G.triangles:
@@ -132,7 +126,7 @@ def lift(emb: GridEmbedding, a: SheddingSequence, check_bounds: bool = True) -> 
     heights = {a.order[0]: 0, a.order[1]: 0, a.order[2]: 0}
     m = {a.order[0]: 0, a.order[1]: 0, a.order[2]: 0}
     planes: dict[tuple[int, int, int], Plane] = {}
-    profile = tau_profile(G, a) if check_bounds else None
+    profile = tau_profile(G, a)
 
     def plane_of(t: tuple[int, int, int]) -> Plane:
         pl = planes.get(t)
@@ -146,7 +140,7 @@ def lift(emb: GridEmbedding, a: SheddingSequence, check_bounds: bool = True) -> 
 
     for i in range(4, n + 1):
         v = a.order[i - 1]
-        link = trace.link(i)
+        link = a.link(i)
         x, y = coords[v]
         best: Optional[Fraction] = None
         seen: set[tuple[int, int, int]] = set()
@@ -161,16 +155,14 @@ def lift(emb: GridEmbedding, a: SheddingSequence, check_bounds: bool = True) -> 
         hv = floor_fraction(best) + 1
         heights[v] = hv
         m[v] = max(heights[u] for u in link)
-        if check_bounds:
-            assert hv <= height_bound(n, m[v]), (
-                f"height {hv} of vertex {v} exceeds 499*n^8*m+1 with m={m[v]}"
-            )
-            assert hv <= (500 * n**8) ** profile.depth[v], (
-                f"height of vertex {v} exceeds (500n^8)^depth"
-            )
+        assert hv <= height_bound(n, m[v]), (
+            f"height {hv} of vertex {v} exceeds 499*n^8*m+1 with m={m[v]}"
+        )
+        assert hv <= (500 * n**8) ** profile.depth[v], (
+            f"height of vertex {v} exceeds (500n^8)^depth"
+        )
 
-    if check_bounds:
-        assert max(heights.values()) <= (500 * n**8) ** profile.tau
+    assert max(heights.values()) <= (500 * n**8) ** profile.tau
 
     points = {
         w: Point3(coords[w][0], coords[w][1], heights[w]) for w in G.vertices
@@ -182,11 +174,6 @@ def lift(emb: GridEmbedding, a: SheddingSequence, check_bounds: bool = True) -> 
         m=m,
         sequence=a,
     )
-
-
-def _rot_min_first(t: tuple[int, int, int]) -> tuple[int, int, int]:
-    j = t.index(min(t))
-    return t[j:] + t[:j]
 
 
 def truncate_to_polytope(P: LiftedPolyhedron, emb: GridEmbedding) -> LiftedPolyhedron:
@@ -217,6 +204,6 @@ def truncate_to_polytope(P: LiftedPolyhedron, emb: GridEmbedding) -> LiftedPolyh
         assert P.points[v][2] < ceiling, (
             f"vertex {v} does not lie strictly below the closing plane"
         )
-    lower = tuple(_rot_min_first((t[2], t[1], t[0])) for t in P.facets)
-    top = _rot_min_first((b1, b2, b3))
+    lower = tuple(rot_min_first((t[2], t[1], t[0])) for t in P.facets)
+    top = rot_min_first((b1, b2, b3))
     return replace(P, facets=lower + (top,), truncated=top)

@@ -17,11 +17,10 @@ from math import comb
 from typing import Optional
 
 from .triangulation import (
-    DeletionTrace,
     PlaneTriangulation,
     SheddingSequence,
-    deletion_trace,
     edge_key,
+    peeled_from,
 )
 
 EdgeKey = tuple[int, int]
@@ -111,23 +110,24 @@ class SheddingTree:
 def build_shedding_trees(
     G: PlaneTriangulation,
     a: SheddingSequence,
-    trace: Optional[DeletionTrace] = None,
+    trace: Optional[SheddingSequence] = None,
 ) -> tuple[SheddingTree, ...]:
     """The trees T_2..T_n of (G, a).
 
     T_i records the boundary-edge history of the prefix G_i; node identity is
     the undirected edge.  Left/right is combinatorial (from the boundary-cycle
-    orientation), so no embedding is needed.
+    orientation), so no embedding is needed.  The links and cycles are read
+    from trace, by default a itself when a was peeled from G.
     """
     if trace is None:
-        trace = deletion_trace(G, a)
+        trace = peeled_from(G, a)
     n = trace.n
     a1, a2, a3 = trace.order[0], trace.order[1], trace.order[2]
     store = TreeStore(edge_key(a1, a2))
     for i in range(3, n + 1):
         ai = trace.order[i - 1]
         if i == 3:
-            cyc = trace.base_boundary
+            cyc = trace.boundary(3)
             j = cyc.index(a3)
             link = (cyc[(j + 1) % 3], cyc[(j + 2) % 3])
         else:
@@ -202,19 +202,20 @@ class ReducedStructure:
 
     def _internal_inorder(self) -> list[EdgeKey]:
         """Keys of internal nodes of T*_n, in in-order (left subtree, node, right)."""
-        parents = {pk for pk, _, _ in self.pairs.values()}
+        kids = {pk: (lk, rk) for pk, lk, rk in self.pairs.values()}
         out: list[EdgeKey] = []
-
-        def walk(key: EdgeKey):
-            lk, rk = self.reduced_children(key, self.n)
-            if lk is not None:
-                walk(lk)
-            if key in parents:
+        stack: list[EdgeKey] = []
+        key: Optional[EdgeKey] = self.store.root.key
+        while stack or key is not None:
+            while key is not None:
+                stack.append(key)
+                key = kids[key][0] if key in kids else None
+            key = stack.pop()
+            if key in kids:
                 out.append(key)
-            if rk is not None:
-                walk(rk)
-
-        walk(self.store.root.key)
+                key = kids[key][1]
+            else:
+                key = None
         return out
 
 
@@ -281,13 +282,12 @@ class ReducedTriangulation:
     """The template G*: a convex triangulation on a lattice parabola whose
     shedding trees are exactly the contracted trees of the instance.
 
-    Vertex id q-1 plays the role of the q-th template vertex; astar is its
-    (all-degree-2) shedding sequence.  psi maps every surviving tree node to
-    the template edge it stands for.
+    Vertex id q-1 plays the role of the q-th template vertex, so 0, 1, ..., R-1
+    is its (all-degree-2) shedding order.  psi maps every surviving tree node
+    to the template edge it stands for.
     """
 
     Gstar: PlaneTriangulation
-    astar: SheddingSequence
     m: int
     mprime: int
     omega: dict[int, int]
@@ -359,16 +359,13 @@ def build_reduced_triangulation(rs: ReducedStructure) -> ReducedTriangulation:
     chain = sorted(range(3, Rn + 1), key=lambda q: -omega[q])
     boundary = (0, 1) + tuple(q - 1 for q in chain)
     Gstar = PlaneTriangulation(range(Rn), tris, boundary, coords)
-    astar = SheddingSequence(
-        tuple(range(Rn)), (0, 1) + (2,) * (Rn - 2), (0, 1)
-    )
 
     psi: dict[EdgeKey, tuple[int, int]] = {rs.store.root.key: (0, 1)}
     for q, (_, lk, rk) in rs.pairs.items():
         psi[lk] = (q - 1, f[q] - 1)
         psi[rk] = (q - 1, g[q] - 1)
 
-    return ReducedTriangulation(Gstar, astar, m, mprime, omega, f, g, psi, rs)
+    return ReducedTriangulation(Gstar, m, mprime, omega, f, g, psi, rs)
 
 
 def template_edge(rt: ReducedTriangulation, key: EdgeKey) -> tuple[int, int]:

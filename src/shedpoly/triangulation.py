@@ -10,12 +10,18 @@ Vertex ids are arbitrary distinct non-negative ints.  Freshly generated or
 file-loaded instances use dense ids 0..n-1, but deleting a boundary vertex
 (the basic move of a shedding sequence) produces a sub-triangulation that keeps
 the surviving ids, so the data model must allow gaps.
+
+A SheddingSequence is its own deletion history: besides the order it holds
+the disk, the link of every deleted vertex and the boundary cycle of every
+prefix.  All sequences come out of one peel loop (Peel.run), and the
+downstream constructions read that history instead of deleting again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class InvalidTriangulation(Exception):
@@ -41,6 +47,12 @@ class Violation(NamedTuple):
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def rot_min_first(t: Sequence[int]) -> tuple[int, ...]:
+    """The cyclic rotation of t that starts at its smallest entry."""
+    j = t.index(min(t))
+    return tuple(t[j:]) + tuple(t[:j])
 
 
 class PlaneTriangulation:
@@ -394,16 +406,27 @@ def is_shedding_vertex(G: PlaneTriangulation, v: int, definitional: bool = False
 
 @dataclass(frozen=True)
 class SheddingSequence:
-    """Vertex order a_1..a_n with per-step degrees d_i(a_i) and the base edge.
+    """A shedding sequence a_1..a_n of G together with its deletion history.
 
-    Invariants: (a_1, a_2) is a boundary edge of the triangulation the
-    sequence belongs to, and for every i >= 4 the vertex a_i is a shedding
-    vertex of the prefix triangulation on {a_1..a_i}.
+    Deleting a_n, a_{n-1}, ..., a_4 peels G down to the triangle a_1 a_2 a_3
+    through the prefix triangulations G_i on {a_1..a_i}.  ``links[i - 4]`` is
+    the ordered link of a_i in G_i (see link_of_boundary_vertex) and
+    ``cycles[i - 3]`` the ccw boundary cycle of G_i.  The per-step degrees
+    d_i(a_i) and the base edge (a_1, a_2) are read off these.
+
+    Invariants: (a_1, a_2) is a boundary edge of G, and for every i >= 4 the
+    vertex a_i is a shedding vertex of G_i.  Every sequence is built by the
+    one peel loop, Peel.run, which enforces both.
     """
 
+    G: PlaneTriangulation
     order: tuple[int, ...]
-    degrees: tuple[int, ...]
-    base_edge: tuple[int, int]
+    links: tuple[tuple[int, ...], ...]
+    cycles: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.order)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -411,9 +434,99 @@ class SheddingSequence:
     def __iter__(self) -> Iterator[int]:
         return iter(self.order)
 
+    @property
+    def base_edge(self) -> tuple[int, int]:
+        return (self.order[0], self.order[1])
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """d_i(a_i) for i = 1..n: 0, 1, 2, then the link sizes."""
+        return (0, 1, 2) + tuple(len(link) for link in self.links)
+
+    def degree(self, i: int) -> int:
+        return self.degrees[i - 1]
+
     def position(self) -> dict[int, int]:
         """Map vertex id -> 1-based index in the order."""
         return {v: i + 1 for i, v in enumerate(self.order)}
+
+    def link(self, i: int) -> tuple[int, ...]:
+        return self.links[i - 4]
+
+    def boundary(self, i: int) -> tuple[int, ...]:
+        return self.cycles[i - 3]
+
+    def mirrored(self) -> "SheddingSequence":
+        """The same order over mirror(G).  Reflection reverses every link and
+        every prefix boundary cycle, and nothing else changes."""
+        return SheddingSequence(
+            mirror(self.G),
+            self.order,
+            tuple(link[::-1] for link in self.links),
+            tuple(cyc[::-1] for cyc in self.cycles),
+        )
+
+
+def _not_shedding(i: int, v: int) -> Exception:
+    return InvalidTriangulation(f"a_{i}={v} is not a shedding vertex of G_{i}")
+
+
+class Peel:
+    """The deletion loop behind every SheddingSequence.
+
+    ``run`` deletes the vertices it is fed from the current prefix ``H``.
+    Before each deletion it checks that the vertex is a shedding vertex of
+    ``H``, and it records the vertex's link and the boundary cycle of ``H``.
+    A chooser that depends on the current prefix is a generator that reads
+    ``peel.H``: the loop asks for the next vertex only after the previous
+    one is gone.
+    """
+
+    def __init__(self, G: PlaneTriangulation):
+        self.G = G
+        self.H = G
+        self._removed: list[int] = []
+        self._links: list[tuple[int, ...]] = []
+        self._cycles: list[tuple[int, ...]] = []
+
+    def run(
+        self,
+        victims: Iterable[int],
+        refuse: Callable[[int, int], Exception] = _not_shedding,
+    ) -> "Peel":
+        """Delete every vertex of ``victims`` in turn.  A vertex that is not
+        a shedding vertex of the current prefix G_i raises refuse(i, v)."""
+        for v in victims:
+            H = self.H
+            if not (H.n > 3 and H.is_boundary_vertex(v) and is_shedding_vertex(H, v)):
+                raise refuse(H.n, v)
+            self._cycles.append(H.boundary)
+            self.H, link = delete_boundary_vertex(H, v)
+            self._removed.append(v)
+            self._links.append(link)
+        return self
+
+    def sequence(self, base: Sequence[int]) -> SheddingSequence:
+        """The finished sequence with a_1, a_2, a_3 = base, the vertices of
+        the remaining triangle."""
+        if validate(self.H) or set(base) != set(self.H.vertices):
+            raise InvalidTriangulation("prefix G_3 is not a triangle")
+        return SheddingSequence(
+            self.G,
+            tuple(base) + tuple(reversed(self._removed)),
+            tuple(reversed(self._links)),
+            (self.H.boundary,) + tuple(reversed(self._cycles)),
+        )
+
+
+def peel_order(
+    G: PlaneTriangulation,
+    order: Sequence[int],
+    refuse: Callable[[int, int], Exception] = _not_shedding,
+) -> SheddingSequence:
+    """Peel G along a fixed order: delete a_n first, a_4 last."""
+    order = tuple(order)
+    return Peel(G).run(reversed(order[3:]), refuse).sequence(order[:3])
 
 
 def shedding_sequence(G: PlaneTriangulation, u: int, v: int) -> SheddingSequence:
@@ -426,111 +539,51 @@ def shedding_sequence(G: PlaneTriangulation, u: int, v: int) -> SheddingSequence
     """
     if edge_key(u, v) not in G.boundary_edges():
         raise InvalidTriangulation(f"({u},{v}) is not a boundary edge")
-    rev: list[int] = []
-    degs_rev: list[int] = []
-    H = G
-    while H.n > 3:
-        picked = -1
-        for w in H.boundary:
-            if w == u or w == v:
-                continue
-            if (picked < 0 or w < picked) and is_shedding_vertex(H, w):
-                picked = w
-        if picked < 0:
-            raise NoSheddingVertex(f"no shedding vertex at n={H.n}")
-        H, link = delete_boundary_vertex(H, picked)
-        rev.append(picked)
-        degs_rev.append(len(link))
-    (w3,) = [w for w in H.vertices if w != u and w != v]
-    order = (u, v, w3) + tuple(reversed(rev))
-    degrees = (0, 1, 2) + tuple(reversed(degs_rev))
-    return SheddingSequence(order, degrees, (u, v))
+    peel = Peel(G)
+
+    def greedy() -> Iterator[int]:
+        while peel.H.n > 3:
+            H = peel.H
+            picked = next(
+                (w for w in sorted(H.boundary) if w != u and w != v and is_shedding_vertex(H, w)),
+                None,
+            )
+            if picked is None:
+                raise NoSheddingVertex(f"no shedding vertex at n={H.n}")
+            yield picked
+
+    peel.run(greedy())
+    (w3,) = [w for w in peel.H.vertices if w != u and w != v]
+    return peel.sequence((u, v, w3))
 
 
-# -- deletion traces ----------------------------------------------------------
-
-
-class DeletionStep(NamedTuple):
-    i: int
-    vertex: int
-    link: tuple[int, ...]
-    boundary: tuple[int, ...]  # boundary cycle of G_i (before deleting vertex)
-
-
-@dataclass(frozen=True)
-class DeletionTrace:
-    """Everything the downstream constructions need about the deletion history.
-
-    steps[j] describes step i = j + 4 (ascending).  boundary(i) is the ccw
-    boundary cycle of the prefix triangulation G_i, link(i) the ordered link
-    of a_i in G_i.
-    """
-
-    G: PlaneTriangulation
-    order: tuple[int, ...]
-    steps: tuple[DeletionStep, ...]
-    base_boundary: tuple[int, ...]  # boundary cycle of G_3
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    def position(self) -> dict[int, int]:
-        return {v: i + 1 for i, v in enumerate(self.order)}
-
-    def step(self, i: int) -> DeletionStep:
-        return self.steps[i - 4]
-
-    def link(self, i: int) -> tuple[int, ...]:
-        return self.steps[i - 4].link
-
-    def boundary(self, i: int) -> tuple[int, ...]:
-        if i == 3:
-            return self.base_boundary
-        return self.steps[i - 4].boundary
-
-    def degree(self, i: int) -> int:
-        if i <= 3:
-            return i - 1
-        return len(self.steps[i - 4].link)
-
-
-def deletion_trace(G: PlaneTriangulation, a: SheddingSequence, check: bool = True) -> DeletionTrace:
-    """Replay deleting a_n..a_4 and record links and boundary cycles.
-
-    With check=True (default) each deleted vertex is verified to be a shedding
-    vertex of its prefix, i.e. the sequence's own invariant is enforced.
-    """
+def deletion_trace(G: PlaneTriangulation, a: SheddingSequence) -> SheddingSequence:
+    """Re-check a against G: peel G along a.order, verifying that every
+    deleted vertex is a shedding vertex of its prefix.  Returns the sequence
+    over G (a may come from another disk with the same vertex ids)."""
     if set(a.order) != set(G.vertices) or len(a.order) != G.n:
         raise InvalidTriangulation("sequence is not a permutation of the vertices")
     if edge_key(*a.base_edge) not in G.boundary_edges():
         raise InvalidTriangulation("base edge of the sequence is not a boundary edge")
-    steps: list[DeletionStep] = []
-    H = G
-    for i in range(G.n, 3, -1):
-        v = a.order[i - 1]
-        if check and not is_shedding_vertex(H, v):
-            raise InvalidTriangulation(f"a_{i}={v} is not a shedding vertex of G_{i}")
-        bnd = H.boundary
-        H, link = delete_boundary_vertex(H, v)
-        steps.append(DeletionStep(i, v, link, bnd))
-    steps.reverse()
-    if check and validate(H):
-        raise InvalidTriangulation("prefix G_3 is not a triangle")
-    return DeletionTrace(G, a.order, tuple(steps), H.boundary)
+    return peel_order(G, a.order)
 
 
-def prefix_triangulation(trace: DeletionTrace, i: int) -> PlaneTriangulation:
+def peeled_from(G: PlaneTriangulation, a: SheddingSequence) -> SheddingSequence:
+    """a itself when it was peeled from this very G, else deletion_trace(G, a)."""
+    return a if a.G is G else deletion_trace(G, a)
+
+
+def prefix_triangulation(a: SheddingSequence, i: int) -> PlaneTriangulation:
     """The prefix G_i as a standalone value (induced on a_1..a_i)."""
-    if not 3 <= i <= trace.n:
+    if not 3 <= i <= a.n:
         raise ValueError(f"prefix index {i} out of range")
-    pos = trace.position()
-    keep = set(trace.order[:i])
-    tris = [t for t in trace.G.triangles if max(pos[x] for x in t) <= i]
+    pos = a.position()
+    keep = set(a.order[:i])
+    tris = [t for t in a.G.triangles if max(pos[x] for x in t) <= i]
     coords = None
-    if trace.G.coords is not None:
-        coords = {u: xy for u, xy in trace.G.coords.items() if u in keep}
-    return PlaneTriangulation(keep, tris, trace.boundary(i), coords)
+    if a.G.coords is not None:
+        coords = {u: xy for u, xy in a.G.coords.items() if u in keep}
+    return PlaneTriangulation(keep, tris, a.boundary(i), coords)
 
 
 # -- diagonals and regions ----------------------------------------------------

@@ -38,7 +38,6 @@ from shedpoly.griddiam import (
 )
 from shedpoly.lifting import LiftedPolyhedron, height_bound, lift
 from shedpoly.triangulation import (
-    DeletionTrace,
     PlaneTriangulation,
     SheddingSequence,
     deletion_trace,
@@ -73,7 +72,7 @@ class Item:
     a: SheddingSequence
     emb: GridEmbedding
     P: LiftedPolyhedron
-    trace: DeletionTrace
+    trace: SheddingSequence
     grid: Optional[tuple[int, int, int]] = None
     plan: Optional[SheddingPlan] = None
 
@@ -211,7 +210,7 @@ def test_criterion_4_grid_schedule_depth_and_batch_bounds():
         p, q, ell = item.grid
         plan = item.plan
         T, a = item.G, plan.sequence
-        deletion_trace(T, a, check=True)  # raises unless a genuine sequence
+        deletion_trace(T, a)  # raises unless a genuine sequence
         tau = tau_profile(T, a).tau
         assert tau == plan.tau <= 6 * ell * (p + q) == plan.tau_bound, item.label
         batches = plan.antichains

@@ -18,6 +18,7 @@ from shedpoly.cli import (
 from shedpoly.corpus import gen_stacked, split_square, triangle
 from shedpoly.fileio import read_triangulation, sequence_from_order, write_triangulation
 from shedpoly.griddiam import GridTriangulation, grid_shedding, min_tau_exhaustive
+from shedpoly.triangulation import PlaneTriangulation
 
 
 def run(argv, stdin_text=""):
@@ -187,6 +188,50 @@ def test_parse_errors_exit_3():
     assert run(["verify"], "not a document\n")[0] == EXIT_PARSE
     assert run(["embed"], "triangulation n=2\nt 0 1 1\nb 0 1\n")[0] == EXIT_PARSE
     assert run(["verify"], "OFF\nbad counts\n")[0] == EXIT_PARSE
+
+
+def test_bad_off_comment_tokens_exit_3():
+    off = run(["lift"], write_triangulation(gen_stacked(6, 0)))[1]
+    lines = [l for l in off.splitlines() if not l.startswith("# a ")]
+    bad_a = "\n".join(lines[:1] + ["# a 0 1 x"] + lines[1:]) + "\n"
+    code, _, err = run(["verify"], bad_a)
+    assert code == EXIT_PARSE
+    assert "'a' comment" in err
+    bad_top = "\n".join(lines[:1] + ["# top 0 1 y"] + lines[1:]) + "\n"
+    assert run(["verify"], bad_top)[0] == EXIT_PARSE
+
+
+def test_each_command_peels_once(monkeypatch):
+    import shedpoly.triangulation as tri
+
+    calls = []
+    real = tri.delete_boundary_vertex
+
+    def counting(G, v):
+        calls.append(v)
+        return real(G, v)
+
+    monkeypatch.setattr(tri, "delete_boundary_vertex", counting)
+    fan = PlaneTriangulation(range(30), [(0, i, i + 1) for i in range(1, 29)], range(30))
+    docs = [
+        write_triangulation(gen_stacked(60, 0)),  # greedy order from the CLI
+        write_triangulation(fan),  # left-heavy: the drawing is mirrored
+        run(["gen-grid", "5", "5", "3", "--seed", "0"])[1],  # order from the file
+    ]
+    for doc in docs:
+        n = read_triangulation(doc).G.n
+        drawn = run(["embed"], doc)[1]
+        off = run(["lift"], doc)[1]
+        for argv, text in (
+            (["embed"], doc),
+            (["embed", "--audit"], doc),
+            (["lift", "--truncate"], doc),
+            (["verify"], off),
+            (["verify"], drawn),
+        ):
+            calls.clear()
+            run(argv, text)
+            assert len(calls) == n - 3, (argv, n, len(calls))
 
 
 def test_domain_errors_exit_5():

@@ -17,7 +17,8 @@ from shedpoly.embedding import (
     rational_embed,
 )
 from shedpoly.exactgeom import Point2, orient2d, slope
-from shedpoly.triangulation import shedding_sequence
+from shedpoly.triangulation import PlaneTriangulation, shedding_sequence
+from shedpoly.verify import check_grid_bounds
 
 
 def instances():
@@ -169,6 +170,15 @@ def test_grid_corpus_certified():
                 s = slope(Point2(*emb.coords[u]), Point2(*emb.coords[v]))
                 if tuple(sorted((u, v))) in emb.correspondence:
                     assert abs(s) <= emb.template.M + n <= 2 * n * n + n
+
+
+def test_long_fan_embeds_without_recursion():
+    # apex 0 over the path 1..1099: the contracted tree is a 1000-level chain
+    n = 1100
+    G = PlaneTriangulation(range(n), [(0, i, i + 1) for i in range(1, n - 1)], range(n))
+    a = shedding_sequence(G, G.boundary[0], G.boundary[1])
+    emb = grid_embed(G, a, audit=False)
+    assert check_grid_bounds(emb, n).passed
 
 
 def test_grid_embed_deterministic():

@@ -20,6 +20,7 @@ from shedpoly.triangulation import (
     deletion_trace,
     edge_key,
     mirror,
+    peel_order,
     shedding_sequence,
     validate,
 )
@@ -85,11 +86,10 @@ def test_tree_matches_prefix_trees():
     G = gen_stacked(12, 99)
     a, trees, _ = pipeline(G)
     trace = deletion_trace(G, a)
-    from shedpoly.triangulation import SheddingSequence
 
     for i in (5, 8, 12):
         P = prefix_triangulation(trace, i)
-        pref = SheddingSequence(a.order[:i], a.degrees[:i], a.base_edge)
+        pref = peel_order(P, a.order[:i])
         ptrees = build_shedding_trees(P, pref)
         assert ptrees[-1].shape() == trees[i - 2].shape()
 
@@ -212,10 +212,10 @@ def test_reduced_triangulation_properties():
         assert all(s1 > s2 for s1, s2 in zip(slopes, slopes[1:]))
         if rt.m <= rt.mprime:
             assert slopes[0] == Fraction(rt.m + rt.mprime + 2, 2) >= rt.m + 1
-        # astar really is a shedding sequence of Gstar
-        deletion_trace(Gs, rt.astar, check=True)
+        # 0, 1, ..., R-1 really is a shedding sequence of Gstar
+        peel_order(Gs, range(R))
         if R <= 7:
-            assert oracles.is_shedding_sequence(Gs, rt.astar.order)
+            assert oracles.is_shedding_sequence(Gs, tuple(range(R)))
 
 
 def test_template_tree_isomorphism():
@@ -223,7 +223,8 @@ def test_template_tree_isomorphism():
     for G in instances():
         rt = rt_for(G)
         rs = rt.rs
-        star_trees = build_shedding_trees(rt.Gstar, rt.astar)
+        astar = peel_order(rt.Gstar, range(rt.size))
+        star_trees = build_shedding_trees(rt.Gstar, astar)
         for i in range(2, rs.n + 1):
             h = rs.h_of(i) if i >= 3 else 1
             if i == 2:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import oracles
@@ -197,10 +199,24 @@ def test_trace_and_prefixes():
             assert dbl[k : k + len(P.boundary)] == P.boundary
 
 
+def test_sequence_carries_its_trace():
+    for G in sample_instances():
+        seq = shedding_sequence(G, G.boundary[0], G.boundary[1])
+        assert seq.G is G
+        assert deletion_trace(G, seq) == seq
+
+
+def test_mirrored_sequence_matches_fresh_peel_of_mirror():
+    for n in (10, 40, 160):
+        G = gen_stacked(n, n)
+        a = shedding_sequence(G, 0, 1)
+        assert a.mirrored() == deletion_trace(mirror(G), a)
+
+
 def test_trace_rejects_bad_sequence():
     G = stacked_k4()
     bad = shedding_sequence(G, 0, 1)
-    tampered = type(bad)(order=(0, 1, 2, 3), degrees=bad.degrees, base_edge=(0, 1))
+    tampered = replace(bad, order=(0, 1, 2, 3))
     with pytest.raises(InvalidTriangulation):
         deletion_trace(G, tampered)
 
