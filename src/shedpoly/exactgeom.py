@@ -1,9 +1,11 @@
 """Exact arithmetic geometry primitives.
 
 Everything in this package runs on Python ints and fractions.Fraction; there is
-deliberately no float code path.  Fraction keeps values canonical (reduced,
-positive denominator), which is exactly the contract the rest of the pipeline
-relies on when it compares slopes or floors plane values.
+deliberately no float code path.  Fraction keeps slopes and line intersections
+canonical (reduced, positive denominator) where the drawing code needs them.
+Planes are pure-integer: a plane is stored as (det, A, B, D) with det > 0, and
+the lift and its certificates compare and floor plane heights with integer
+products and floor division only, never building a Fraction.
 """
 
 from __future__ import annotations
@@ -38,11 +40,16 @@ class Point3(NamedTuple):
 
 
 class Plane(NamedTuple):
-    """Non-vertical plane z = c1*x + c2*y + c3."""
+    """Non-vertical plane det*z = A*x + B*y + D, all integers, det > 0.
 
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
+    The tuple is not reduced by the gcd of its entries, but it is the same for
+    every ordering of the three points plane_through was given.
+    """
+
+    det: int
+    A: int
+    B: int
+    D: int
 
 
 def sign(v: Scalar) -> int:
@@ -71,10 +78,11 @@ def slope(p: Point2, q: Point2) -> Fraction:
 
 
 def plane_through(p1: Point3, p2: Point3, p3: Point3) -> Plane:
-    """The unique non-vertical plane through three lifted points.
+    """The unique non-vertical plane through three lifted integer points.
 
-    Solves c1*x + c2*y + c3 = z by Cramer's rule.  Raises DegenerateFace when
-    the xy-projections are collinear (no such plane / not unique).
+    Solves det*z = A*x + B*y + D by integer Cramer's rule, with the sign
+    flipped so that det > 0.  Raises DegenerateFace when the xy-projections
+    are collinear (no such plane / not unique).
     """
     x1, y1, z1 = p1
     x2, y2, z2 = p2
@@ -82,15 +90,25 @@ def plane_through(p1: Point3, p2: Point3, p3: Point3) -> Plane:
     det = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
     if det == 0:
         raise DegenerateFace(f"collinear projections: {p1}, {p2}, {p3}")
-    c1 = Fraction((z2 - z1) * (y3 - y1) - (y2 - y1) * (z3 - z1), det)
-    c2 = Fraction((x2 - x1) * (z3 - z1) - (z2 - z1) * (x3 - x1), det)
-    c3 = Fraction(z1, 1) - c1 * x1 - c2 * y1
-    return Plane(c1, c2, c3)
+    A = (z2 - z1) * (y3 - y1) - (y2 - y1) * (z3 - z1)
+    B = (x2 - x1) * (z3 - z1) - (z2 - z1) * (x3 - x1)
+    D = det * z1 - A * x1 - B * y1
+    if det < 0:
+        return Plane(-det, -A, -B, -D)
+    return Plane(det, A, B, D)
 
 
-def eval_plane(plane: Plane, x: Scalar, y: Scalar) -> Fraction:
-    """Exact height of ``plane`` above (x, y)."""
-    return plane.c1 * x + plane.c2 * y + plane.c3
+def above_plane(plane: Plane, x: int, y: int, z: int) -> int:
+    """det*z - (A*x + B*y + D): an integer with the sign of z minus the
+    plane's height above (x, y), zero exactly on the plane."""
+    det, A, B, D = plane
+    return det * z - A * x - B * y - D
+
+
+def floor_plane(plane: Plane, x: int, y: int) -> int:
+    """Largest integer <= the plane's height above (x, y), exact."""
+    det, A, B, D = plane
+    return (A * x + B * y + D) // det
 
 
 def intersect_lines(p: Point2, s: Fraction, q: Point2, u: Fraction) -> Point2:

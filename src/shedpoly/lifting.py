@@ -16,19 +16,10 @@ SheddingSequence itself, so lifting deletes no vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 from .embedding import GridEmbedding, _chain_of_cycle
-from .exactgeom import (
-    Plane,
-    Point2,
-    Point3,
-    eval_plane,
-    floor_fraction,
-    plane_through,
-    slope,
-)
+from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
 from .triangulation import SheddingSequence, peeled_from, rot_min_first
 
@@ -87,19 +78,20 @@ def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) ->
         else:
             raise NotSequentiallyConvex(f"base edge missing from prefix {i} boundary")
         chain = _chain_of_cycle(cyc, lb)
-        prev = None
+        prev = None  # (dx, dy) of the previous chain edge, dx > 0
         for u, v in zip(chain, chain[1:]):
             pu, pv = coords[u], coords[v]
-            if not pu[0] < pv[0]:
+            dx, dy = pv[0] - pu[0], pv[1] - pu[1]
+            if not dx > 0:
                 raise NotSequentiallyConvex(
                     f"prefix {i}: chain x not increasing at {u}-{v}"
                 )
-            s = slope(Point2(pu[0], pu[1]), Point2(pv[0], pv[1]))
-            if prev is not None and not s < prev:
+            # dy/dx < pdy/pdx, cross-multiplied over the positive dx * pdx
+            if prev is not None and not dy * prev[0] < prev[1] * dx:
                 raise NotSequentiallyConvex(
                     f"prefix {i}: chain slopes not strictly decreasing at {u}-{v}"
                 )
-            prev = s
+            prev = (dx, dy)
 
 
 def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
@@ -142,17 +134,18 @@ def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
         v = a.order[i - 1]
         link = a.link(i)
         x, y = coords[v]
-        best: Optional[Fraction] = None
+        # floor is monotone, so the floor of the highest plane is the highest floor
+        best: Optional[int] = None
         seen: set[tuple[int, int, int]] = set()
         for u in link:
             for t in by_vertex[u]:
                 if birth[t] <= i - 1 and t not in seen:
                     seen.add(t)
-                    val = eval_plane(plane_of(t), x, y)
+                    val = floor_plane(plane_of(t), x, y)
                     if best is None or val > best:
                         best = val
         assert best is not None, "link of a shedding vertex bounds no face"
-        hv = floor_fraction(best) + 1
+        hv = best + 1
         heights[v] = hv
         m[v] = max(heights[u] for u in link)
         assert hv <= height_bound(n, m[v]), (
@@ -200,8 +193,7 @@ def truncate_to_polytope(P: LiftedPolyhedron, emb: GridEmbedding) -> LiftedPolyh
     for v in G.vertices:
         if v in (b1, b2, b3):
             continue
-        ceiling = eval_plane(top_plane, P.points[v][0], P.points[v][1])
-        assert P.points[v][2] < ceiling, (
+        assert above_plane(top_plane, *P.points[v]) < 0, (
             f"vertex {v} does not lie strictly below the closing plane"
         )
     lower = tuple(rot_min_first((t[2], t[1], t[0])) for t in P.facets)

@@ -97,14 +97,26 @@ class SheddingTree:
 
     def shape(self, node: Optional[TreeNode] = None):
         """Canonical nested-tuple form (left, right), None for an absent child."""
-        if node is None:
-            node = self.root
-        l = self.child(node, "L")
-        r = self.child(node, "R")
-        return (
-            self.shape(l) if l is not None else None,
-            self.shape(r) if r is not None else None,
+        return _shape(
+            self.root if node is None else node,
+            lambda nd: (self.child(nd, "L"), self.child(nd, "R")),
         )
+
+
+def _shape(root, children):
+    """Nested (left, right) tuples of the binary tree under root, built
+    bottom-up with an explicit stack so deep trees do not recurse."""
+    done: dict = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kids = children(node)
+        if expanded:
+            done[node] = tuple(None if c is None else done.pop(c) for c in kids)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in kids if c is not None)
+    return done[root]
 
 
 def build_shedding_trees(
@@ -177,20 +189,16 @@ class ReducedStructure:
             1 for nd in self.store.by_key.values() if nd.step <= i and nd.step in rset
         )
 
-    def reduced_children(self, key: EdgeKey, i: int) -> tuple[Optional[EdgeKey], Optional[EdgeKey]]:
-        """Left/right child keys of a surviving node in the contracted tree T*_i."""
-        for q, (pk, lk, rk) in self.pairs.items():
-            if pk == key and self.original_step(q) <= i:
-                return lk, rk
-        return None, None
-
     def reduced_shape(self, i: int, key: Optional[EdgeKey] = None):
-        if key is None:
-            key = self.store.root.key
-        lk, rk = self.reduced_children(key, i)
-        return (
-            self.reduced_shape(i, lk) if lk is not None else None,
-            self.reduced_shape(i, rk) if rk is not None else None,
+        """Nested-tuple form of the contracted tree T*_i, as SheddingTree.shape."""
+        kids = {
+            pk: (lk, rk)
+            for q, (pk, lk, rk) in self.pairs.items()
+            if self.original_step(q) <= i
+        }
+        return _shape(
+            self.store.root.key if key is None else key,
+            lambda k: kids.get(k, (None, None)),
         )
 
     def internal_counts(self) -> tuple[int, int]:
@@ -377,15 +385,12 @@ def template_edge(rt: ReducedTriangulation, key: EdgeKey) -> tuple[int, int]:
 def dump_tree(tree: SheddingTree) -> str:
     """Stable indented text form of a tree, for debugging."""
     lines: list[str] = []
-
-    def walk(node: TreeNode, depth: int, tag: str):
+    stack = [(tree.root, 0, "")]
+    while stack:
+        node, depth, tag = stack.pop()
         lines.append(f"{'  ' * depth}{tag}{node.key} @{node.step}")
-        l = tree.child(node, "L")
-        r = tree.child(node, "R")
-        if l is not None:
-            walk(l, depth + 1, "L ")
-        if r is not None:
-            walk(r, depth + 1, "R ")
-
-    walk(tree.root, 0, "")
+        for side in ("R", "L"):  # left is popped, so printed, first
+            c = tree.child(node, side)
+            if c is not None:
+                stack.append((c, depth + 1, side + " "))
     return "\n".join(lines)

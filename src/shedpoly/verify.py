@@ -18,14 +18,13 @@ drawing to be a plane embedding whose bounded faces are exactly the triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .embedding import GridEmbedding
 from .exactgeom import (
     DegenerateFace,
     Point2,
-    eval_plane,
+    above_plane,
     orient2d,
     plane_through,
 )
@@ -197,14 +196,15 @@ def check_projectively_convex(
     if rot[1] != rb:
         return _fail(kind, (tuple(lb), tuple(rb)), "base edge not traversed lb->rb on the ccw cycle")
     chain = [lb] + rot[:1:-1] + [rb]
-    prev_slope: Optional[Fraction] = None
+    prev = None  # (dx, dy) of the previous chain edge, dx > 0
     for u, v in zip(chain, chain[1:]):
         if v.x <= u.x:
             return _fail(kind, (tuple(u), tuple(v)), "chain not strictly x-monotone")
-        s = Fraction(v.y - u.y, v.x - u.x)
-        if prev_slope is not None and s >= prev_slope:
+        dx, dy = v.x - u.x, v.y - u.y
+        # dy/dx >= pdy/pdx, cross-multiplied over the positive dx * pdx
+        if prev is not None and dy * prev[0] >= prev[1] * dx:
             return _fail(kind, (tuple(u), tuple(v)), "edge slopes not strictly decreasing")
-        prev_slope = s
+        prev = (dx, dy)
     return Certificate(kind, True, None, f"{len(chain) - 1} chain edges, slopes strictly decreasing")
 
 
@@ -248,26 +248,27 @@ def check_lift_convex(P: LiftedPolyhedron) -> Certificate:
             t, pl, side = facets[i]
             other = facets[j][0]
             (w,) = set(other) - set(e)
-            p = P.points[w]
-            if side * (p.z - eval_plane(pl, p.x, p.y)) <= 0:
+            if side * above_plane(pl, *P.points[w]) <= 0:
                 return _fail(kind, e, f"facets {t} and {other} not strictly convex across it")
     return Certificate(kind, True, None, f"{len(wings)} edges, all shared ones strictly convex")
 
 
 def lift_convex_globally(P: LiftedPolyhedron) -> Certificate:
     """Every vertex against every facet plane: incident ones exactly on it,
-    all others strictly on its inner side.  Quadratic but exact; the local
-    certificate must agree with this one (they are equivalent for lifts of a
-    disk, and the test suite checks that on every instance it builds)."""
+    all others strictly on its inner side.  Quadratic but exact, and pure
+    integer: d = det*z - A*x - B*y - D has the sign of the vertex's height
+    over the plane because det > 0.  The local certificate must agree with
+    this one (they are equivalent for lifts of a disk, and the test suite
+    checks that on every instance it builds)."""
     kind = "lift-convex-global"
     try:
         facets = _facet_data(P)
     except DegenerateFace as exc:
         return _fail(kind, str(exc), "degenerate facet")
-    for t, pl, side in facets:
-        for v in sorted(P.points):
-            p = P.points[v]
-            d = p.z - eval_plane(pl, p.x, p.y)
+    pts = [(v, *P.points[v]) for v in sorted(P.points)]
+    for t, (det, A, B, D), side in facets:
+        for v, x, y, z in pts:
+            d = det * z - A * x - B * y - D
             if v in t:
                 if d != 0:
                     return _fail(kind, (t, v), "facet vertex off its own plane")

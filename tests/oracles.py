@@ -19,6 +19,7 @@ from shedpoly.triangulation import (
     edge_key,
     validate,
 )
+from shedpoly.verify import Certificate
 
 
 def induced_disk(G: PlaneTriangulation, ids) -> PlaneTriangulation | None:
@@ -202,6 +203,58 @@ def lift_globally_convex(P) -> bool:
             elif not z > val:
                 return False
     return True
+
+
+def _inner_side(P, t) -> int:
+    """+1 (above) for surface facets, -1 (below) for a truncated lift's top."""
+    return -1 if P.truncated is not None and t == P.truncated else 1
+
+
+def lift_convex_local_certificate(P) -> Certificate:
+    """Fraction reference for verify.check_lift_convex: the same scan order,
+    witness and text, with every plane as three Fractions from _plane3."""
+    kind = "lift-convex-local"
+    planes = _facet_planes(P)
+    wings = {}
+    for t in P.facets:
+        for e in (edge_key(t[0], t[1]), edge_key(t[1], t[2]), edge_key(t[0], t[2])):
+            wings.setdefault(e, []).append(t)
+    for e in sorted(wings):
+        inc = wings[e]
+        if len(inc) == 1:
+            continue
+        if len(inc) > 2:
+            return Certificate(kind, False, e, f"edge on {len(inc)} facets")
+        for t, other in ((inc[0], inc[1]), (inc[1], inc[0])):
+            c1, c2, c3 = planes[t]
+            (w,) = set(other) - set(e)
+            x, y, z = P.points[w]
+            if _inner_side(P, t) * (z - (c1 * x + c2 * y + c3)) <= 0:
+                return Certificate(
+                    kind, False, e, f"facets {t} and {other} not strictly convex across it"
+                )
+    return Certificate(kind, True, None, f"{len(wings)} edges, all shared ones strictly convex")
+
+
+def lift_convex_global_certificate(P) -> Certificate:
+    """Fraction reference for verify.lift_convex_globally: every vertex
+    against every facet plane, in the same scan order, with the same witness
+    and text."""
+    kind = "lift-convex-global"
+    planes = _facet_planes(P)
+    for t in P.facets:
+        c1, c2, c3 = planes[t]
+        for v in sorted(P.points):
+            x, y, z = P.points[v]
+            d = z - (c1 * x + c2 * y + c3)
+            if v in t:
+                if d != 0:
+                    return Certificate(kind, False, (t, v), "facet vertex off its own plane")
+            elif _inner_side(P, t) * d <= 0:
+                return Certificate(kind, False, (t, v), "vertex not strictly inside facet plane")
+    return Certificate(
+        kind, True, None, f"{len(P.facets)} facets support all {len(P.points)} vertices"
+    )
 
 
 def _seg_overlap_1d(a, b, c, d):

@@ -4,16 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from oracles import _plane3
 from shedpoly.exactgeom import (
     DegenerateFace,
     Plane,
     Point2,
     Point3,
     VerticalEdge,
+    above_plane,
     ceil_fraction,
-    eval_plane,
     floor_fraction,
+    floor_plane,
     intersect_lines,
     orient2d,
     plane_through,
@@ -59,14 +63,19 @@ def test_slope_translation_invariant_random():
 
 
 def test_plane_through_examples():
+    # z = y, z = 5 and z = x + y, as det*z = A*x + B*y + D with det > 0
     assert plane_through(Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 1)) == Plane(
-        0, 1, 0
+        1, 0, 1, 0
     )
     assert plane_through(Point3(0, 0, 5), Point3(1, 0, 5), Point3(0, 1, 5)) == Plane(
-        0, 0, 5
+        1, 0, 0, 5
     )
     assert plane_through(Point3(0, 0, 0), Point3(2, 0, 2), Point3(0, 3, 3)) == Plane(
-        1, 1, 0
+        6, 6, 6, 0
+    )
+    # the clockwise order gives the same normalised plane
+    assert plane_through(Point3(0, 0, 0), Point3(0, 3, 3), Point3(2, 0, 2)) == Plane(
+        6, 6, 6, 0
     )
 
 
@@ -87,15 +96,47 @@ def test_plane_interpolates_random():
             pl = plane_through(*pts)
         except DegenerateFace:
             continue
+        assert pl.det > 0
         for p in pts:
-            assert eval_plane(pl, p.x, p.y) == p.z
+            assert above_plane(pl, *p) == 0
+            assert floor_plane(pl, p.x, p.y) == p.z
         done += 1
 
 
-def test_eval_plane_examples():
-    assert eval_plane(Plane(0, 1, 0), 7, 3) == 3
-    assert eval_plane(Plane(0, 0, 5), -4, 9) == 5
-    assert eval_plane(Plane(1, 1, 0), 2, 3) == 5
+coord = st.integers(-10**6, 10**6)
+height = st.integers(-(2**4000), 2**4000)
+point3 = st.builds(Point3, coord, coord, height)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point3, point3, point3, coord, coord, height)
+@example(Point3(0, 0, 3**2500), Point3(7, 1, -(5**1700)), Point3(2, 9, 1), 4, -3, 2**3999)
+def test_integer_plane_agrees_with_fraction_plane(p1, p2, p3, x, y, z):
+    assume(orient2d(p1, p2, p3) != 0)
+    pl = plane_through(p1, p2, p3)
+    assert pl.det > 0
+    assert plane_through(p1, p3, p2) == pl  # the other orientation
+    assert plane_through(p2, p3, p1) == pl
+    c1, c2, c3 = _plane3(p1, p2, p3)
+    h = c1 * x + c2 * y + c3
+    assert floor_plane(pl, x, y) == h.numerator // h.denominator
+    for zz in (z, floor_plane(pl, x, y), floor_plane(pl, x, y) + 1):
+        d = above_plane(pl, x, y, zz)
+        assert (d > 0) - (d < 0) == (zz > h) - (zz < h)
+
+
+def test_above_and_floor_plane_examples():
+    z_is_y, z_is_5, z_is_x_plus_y = Plane(1, 0, 1, 0), Plane(1, 0, 0, 5), Plane(6, 6, 6, 0)
+    assert floor_plane(z_is_y, 7, 3) == 3
+    assert floor_plane(z_is_5, -4, 9) == 5
+    assert floor_plane(z_is_x_plus_y, 2, 3) == 5
+    assert above_plane(z_is_x_plus_y, 2, 3, 5) == 0
+    assert above_plane(z_is_x_plus_y, 2, 3, 6) > 0 > above_plane(z_is_x_plus_y, 2, 3, 4)
+    # 2z = x + y + 1 at (1, 1) is 3/2, and at (-2, 0) it is -1/2
+    half = Plane(2, 1, 1, 1)
+    assert floor_plane(half, 1, 1) == 1
+    assert floor_plane(half, -2, 0) == -1
+    assert above_plane(half, 1, 1, 2) > 0 > above_plane(half, 1, 1, 1)
 
 
 def test_intersect_lines():

@@ -127,6 +127,12 @@ def test_rejects_non_convex_drawing():
     bad[v4] = (emb.coords[v4][0], max(1, emb.coords[v4][1] // 6))
     with pytest.raises(NotSequentiallyConvex):
         lift(replace(emb, coords=bad), a)
+    # a_4 on the segment between its link ends: two equal chain slopes
+    u, w = (emb.coords[x] for x in a.link(4))
+    assert (u[0] + w[0]) % 2 == 0 == (u[1] + w[1]) % 2
+    bad[v4] = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
+    with pytest.raises(NotSequentiallyConvex, match="slopes not strictly decreasing"):
+        lift(replace(emb, coords=bad), a)
 
 
 def test_truncate_stacked_k4():

@@ -17,6 +17,7 @@ from shedpoly.reduction import (
     template_edge,
 )
 from shedpoly.triangulation import (
+    PlaneTriangulation,
     deletion_trace,
     edge_key,
     mirror,
@@ -242,3 +243,33 @@ def test_template_edge_lookup():
     # contracted step-4 edges inherit their ancestors' template edges
     assert template_edge(rt, (0, 2)) == (2, 0)
     assert template_edge(rt, (1, 2)) == (2, 1)
+
+
+def _preorder(shape) -> list[int]:
+    """A nested (left, right) shape as a flat preorder list, 1 for a node and
+    0 for an absent child, walked with a stack: comparing deep nested tuples
+    directly would itself recurse."""
+    out, stack = [], [shape]
+    while stack:
+        s = stack.pop()
+        if s is None:
+            out.append(0)
+        else:
+            out.append(1)
+            stack += (s[1], s[0])
+    return out
+
+
+def test_long_fan_trees_without_recursion():
+    # apex 0 over the path 1..1099: every step has degree 2, and the trees
+    # are chains about a thousand levels deep
+    n = 1100
+    G = PlaneTriangulation(range(n), [(0, i, i + 1) for i in range(1, n - 1)], range(n))
+    a, trees, rs = pipeline(G)
+    T = trees[-1]
+    flat = _preorder(T.shape())
+    assert flat.count(1) == T.node_count()
+    assert _preorder(rs.reduced_shape(n)) == flat
+    lines = dump_tree(T).splitlines()
+    assert len(lines) == T.node_count()
+    assert max(len(ln) - len(ln.lstrip()) for ln in lines) // 2 >= 1000

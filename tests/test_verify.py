@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -283,6 +284,43 @@ def test_local_matches_global_on_small_lifts():
         assert local == glob
         assert local == oracles.lift_locally_convex(P)
         assert glob == oracles.lift_globally_convex(P)
+
+
+def _with_height(P, v, z):
+    pts = dict(P.points)
+    pts[v] = Point3(pts[v].x, pts[v].y, z)
+    return replace(P, heights={**P.heights, v: z}, points=pts)
+
+
+def tampered_lifts():
+    """Stacked n=40 lifts, plain and truncated, and a lattice-grid lift, each
+    as built and with one height moved by +-1, +-10^6, or set to 0."""
+    lifts = []
+    for seed in (1, 2):
+        emb, a = embed_of(gen_stacked(40, seed))
+        P = lift(emb, a)
+        lifts += [P, truncate_to_polytope(P, emb)]
+    gt = gen_grid_triangulation(5, 5, 3, 7)
+    a = grid_shedding(gt).sequence
+    lifts.append(lift(grid_embed(gt.T, a), a))
+    rng = random.Random(20261018)
+    for P in lifts:
+        yield P
+        for v in rng.sample(sorted(P.points), 5):
+            z = P.points[v].z
+            for new in (z + 1, z - 1, z + 10**6, z - 10**6, 0):
+                yield _with_height(P, v, new)
+
+
+def test_lift_certificates_equal_fraction_reference_on_tampered_lifts():
+    verdicts = set()
+    for P in tampered_lifts():
+        local = check_lift_convex(P)
+        glob = lift_convex_globally(P)
+        assert local == oracles.lift_convex_local_certificate(P)
+        assert glob == oracles.lift_convex_global_certificate(P)
+        verdicts.add((local.passed, glob.passed))
+    assert verdicts == {(True, True), (False, False)}
 
 
 # -- grid bounds -----------------------------------------------------------------
