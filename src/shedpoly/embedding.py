@@ -8,10 +8,11 @@ Two constructions over a shedding sequence, both exact:
 * :func:`grid_embed` -- integer coordinates on a 4n^3 x 8n^5 grid.  It tracks
   a scaled copy of the reduced template triangulation: high-degree steps round
   the support-line intersection outward, degree-2 steps copy (scale, translate,
-  shear, round) the matching template triangle.  Three per-step audits are
-  enforced with exact arithmetic: horizontal extent dominates the template
-  edge, slope drifts from the template by at most i, and every prefix stays
-  face-correct and projectively convex.
+  shear, round) the matching template triangle.  Three per-step properties are
+  audited in integer arithmetic: horizontal extent dominates the template
+  edge, slope drifts from the template by at most i, and the upper chain of
+  every prefix is strictly convex.  The audit is incremental: it costs O(1)
+  per step plus a splice of the link into the tracked upper chain.
 
 Both read the links and prefix boundary cycles that the SheddingSequence
 carries; neither deletes a vertex.  Left and right are read off the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .exactgeom import (
@@ -81,13 +83,6 @@ class ScaledTemplate:
     rt: ReducedTriangulation
     z: dict[int, IntPoint]
     M: Fraction  # max |boundary slope| of the full template
-
-    def slope_of(self, pair: tuple[int, int]) -> Fraction:
-        p, q = self.z[pair[0]], self.z[pair[1]]
-        return slope(Point2(*p), Point2(*q))
-
-    def xspan(self, pair: tuple[int, int]) -> int:
-        return abs(self.z[pair[0]][0] - self.z[pair[1]][0])
 
     def prefix_chain(self, j: int) -> list[int]:
         """Template ids present in Z_j, left to right."""
@@ -226,34 +221,110 @@ def _base_lr(a: SheddingSequence) -> tuple[int, int]:
     return a2, a1
 
 
+class UpperChain:
+    """The upper chain of a drawing prefix, as left/right neighbour maps.
+
+    It starts as the base triangle's chain lb, a_3, rb.  Adding a_i turns
+    the chain of G_{i-1} into that of G_i: the link w_1..w_k of a_i is a run
+    of the old chain, left to right, and a_i takes the place of its inner
+    vertices w_2..w_{k-1}, which become interior for good.
+    """
+
+    def __init__(self, lb: int, a3: int, rb: int):
+        self.left = {a3: lb, rb: a3}
+        self.right = {lb: a3, a3: rb}
+
+    def splice(self, v: int, link: tuple[int, ...]) -> bool:
+        """Put v in place of the link's inner vertices.  Returns False, and
+        changes nothing, when the link is not a run of the chain."""
+        left, right = self.left, self.right
+        if any(right.get(u) != w for u, w in zip(link, link[1:])):
+            return False
+        for u in link[1:-1]:
+            del left[u], right[u]
+        w1, wk = link[0], link[-1]
+        right[w1] = left[wk] = v
+        left[v], right[v] = w1, wk
+        return True
+
+    def window(self, v: int) -> list[int]:
+        """v and up to two chain neighbours on each side, left to right.
+
+        For an inner chain vertex v these are all the chain pairs that touch
+        one of v's two chain edges, and only those."""
+        lv, rv = self.left[v], self.right[v]
+        win = [lv, v, rv]
+        if lv in self.left:
+            win.insert(0, self.left[lv])
+        if rv in self.right:
+            win.append(self.right[rv])
+        return win
+
+
+def slopes_decrease(p: IntPoint, q: IntPoint, r: IntPoint) -> bool:
+    """slope(q, r) < slope(p, q) for p.x < q.x < r.x, cross-multiplied over
+    the positive x-extents."""
+    return (r[1] - q[1]) * (q[0] - p[0]) < (q[1] - p[1]) * (r[0] - q[0])
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, printed the way str(Fraction) prints it."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return f"{num}" if den == 1 else f"{num}/{den}"
+
+
 def _audit_grid_step(
     i: int,
+    work: SheddingSequence,
+    chain: UpperChain,
     coords: dict[int, IntPoint],
-    cyc: tuple[int, ...],
-    lb: int,
     zmap: dict[tuple[int, int], tuple[int, int]],
     tpl: ScaledTemplate,
 ) -> None:
-    # P(i,1) and P(i,2) over all boundary edges of the prefix
-    b = len(cyc)
-    for j in range(b):
-        u, v = cyc[j], cyc[(j + 1) % b]
-        zpair = zmap[edge_key(u, v)]
-        dx = abs(coords[u][0] - coords[v][0])
-        zdx = tpl.xspan(zpair)
+    """P(i,1)-P(i,3) for the prefix G_i of the construction-frame sequence.
+
+    ``chain`` holds the upper chain of G_{i-1} (a fresh UpperChain for
+    i = 3) and is spliced to that of G_i here.  Step 3 checks the base
+    triangle in full; a later step checks P(i,1) and P(i,2) on the two new
+    edges, in boundary-cycle order, and P(i,3) at the chain pairs around
+    a_i.  grid_embed's docstring has the argument that nothing else can fail.
+    """
+    v = work.order[i - 1]
+    cyc = work.boundary(i)
+    if i == 3:
+        edges = tuple(zip(cyc, cyc[1:] + cyc[:1]))
+    else:
+        ws = work.link(i)
+        if not chain.splice(v, ws):
+            raise PropertyViolation(
+                i, "correspondence", f"link {ws} of {v} is not a run of the upper chain"
+            )
+        edges = ((ws[-1], v), (v, ws[0]))
+        if cyc[0] == v:
+            edges = edges[::-1]
+    for u, w in edges:
+        (xu, yu), (xw, yw) = coords[u], coords[w]
+        p, q = zmap[edge_key(u, w)]
+        (zxp, zyp), (zxq, zyq) = tpl.z[p], tpl.z[q]
+        dx, dy = xw - xu, yw - yu
+        if dx < 0:
+            dx, dy = -dx, -dy
+        zdx, zdy = zxq - zxp, zyq - zyp
+        if zdx < 0:
+            zdx, zdy = -zdx, -zdy
         if dx < zdx:
-            raise PropertyViolation(i, "1", f"edge {u}-{v}: x-extent {dx} < template {zdx}")
-        dev = abs(slope(Point2(*coords[u]), Point2(*coords[v])) - tpl.slope_of(zpair))
-        if dev > i:
-            raise PropertyViolation(i, "2", f"edge {u}-{v}: slope drift {dev} > {i}")
-    # P(i,3): strictly decreasing slopes along the upper chain
-    chain = _chain_of_cycle(cyc, lb)
-    prev = None
-    for u, v in zip(chain, chain[1:]):
-        s = slope(Point2(*coords[u]), Point2(*coords[v]))
-        if prev is not None and not s < prev:
-            raise PropertyViolation(i, "3", f"slopes not strictly decreasing at {u}-{v}")
-        prev = s
+            raise PropertyViolation(i, "1", f"edge {u}-{w}: x-extent {dx} < template {zdx}")
+        # |dy/dx - zdy/zdx| <= i, over the positive dx * zdx
+        drift = abs(dy * zdx - zdy * dx)
+        if drift > i * dx * zdx:
+            raise PropertyViolation(
+                i, "2", f"edge {u}-{w}: slope drift {_ratio(drift, dx * zdx)} > {i}"
+            )
+    win = chain.window(v)
+    for p, q, r in zip(win, win[1:], win[2:]):
+        if not slopes_decrease(coords[p], coords[q], coords[r]):
+            raise PropertyViolation(i, "3", f"slopes not strictly decreasing at {q}-{r}")
 
 
 def grid_embed(
@@ -264,6 +335,27 @@ def grid_embed(
     Raises PropertyViolation / ParallelSupportLines only on implementation
     bugs; for every valid input the audits pass and the result fits the
     4n^3 x 8n^5 grid with (0,0) on the base edge.
+
+    With ``audit`` on, every prefix G_i is checked for P(i,1) (each boundary
+    edge's x-extent is at least its template edge's), P(i,2) (its slope is
+    within i of the template edge's) and P(i,3) (the upper chain is strictly
+    convex), in O(1) per step plus the splice of a_i's link into the tracked
+    upper chain.  Step 3 checks the base triangle in full.  At step i >= 4 it
+    suffices, by induction on i, to check P(i,1) and P(i,2) on the new edges
+    (w_1, a_i) and (a_i, w_k), and P(i,3) at the pairs left(w_1)-w_1-a_i,
+    w_1-a_i-w_k and a_i-w_k-right(w_k):
+
+    * every other boundary edge of G_i is a boundary edge of G_{i-1}; it
+      keeps its coordinates and its template pair, the edge correspondence
+      being fixed once for the whole construction;
+    * P(i,1) does not depend on i, and the bound i of P(i,2) only grows, so
+      an edge that passed at G_{i-1} passes at G_i;
+    * every consecutive chain pair that does not touch a_i was already a
+      consecutive pair of G_{i-1}'s chain.
+
+    The first failure is therefore the one a full scan of G_i's boundary
+    would report.  A link that is not a run of the tracked chain raises
+    PropertyViolation(i, "correspondence").
     """
     n = G.n
     a = peeled_from(G, a)
@@ -284,8 +376,9 @@ def grid_embed(
     a3 = a.order[2]
     coords: dict[int, IntPoint] = {lb: tpl.z[0], rb: tpl.z[1], a3: tpl.z[2]}
     records: list[AuditRecord] = [AuditRecord(3, "base", tpl.z[2])]
+    chain = UpperChain(lb, a3, rb)
     if audit:
-        _audit_grid_step(3, coords, work.boundary(3), lb, zmap, tpl)
+        _audit_grid_step(3, work, chain, coords, zmap, tpl)
 
     for i in range(4, n + 1):
         ai = a.order[i - 1]
@@ -312,7 +405,7 @@ def grid_embed(
         coords[ai] = pt
         records.append(AuditRecord(i, case, pt))
         if audit:
-            _audit_grid_step(i, coords, work.boundary(i), lb, zmap, tpl)
+            _audit_grid_step(i, work, chain, coords, zmap, tpl)
 
     # frame-independent final invariants
     xs = [p[0] for p in coords.values()]

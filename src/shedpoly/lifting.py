@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .embedding import GridEmbedding, _chain_of_cycle
+from .embedding import GridEmbedding, UpperChain, _base_lr, slopes_decrease
 from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
 from .triangulation import SheddingSequence, peeled_from, rot_min_first
@@ -66,32 +66,32 @@ class LiftedPolyhedron:
 
 def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) -> None:
     """Every prefix boundary must be a strictly convex x-monotone chain over
-    the base edge.  Raises NotSequentiallyConvex with the offending step."""
-    a1, a2 = a.order[0], a.order[1]
+    the base edge.  Raises NotSequentiallyConvex with the first offending
+    prefix and its leftmost offending chain edge.
+
+    The walk is grid_embed's audit walk: prefix 3 is the chain lb, a_3, rb,
+    and at step i only the chain edges and pairs in the window around a_i are
+    new, since every other edge and consecutive pair of G_i's chain was one
+    of G_{i-1}'s.  Checking the window left to right therefore finds what a
+    scan of the whole chain would, in O(n) over all prefixes.
+    """
+    lb, rb = _base_lr(a)
+    chain = UpperChain(lb, a.order[2], rb)
     for i in range(3, a.n + 1):
-        cyc = a.boundary(i)
-        succ = {cyc[j]: cyc[(j + 1) % len(cyc)] for j in range(len(cyc))}
-        if succ.get(a1) == a2:
-            lb = a1
-        elif succ.get(a2) == a1:
-            lb = a2
-        else:
-            raise NotSequentiallyConvex(f"base edge missing from prefix {i} boundary")
-        chain = _chain_of_cycle(cyc, lb)
-        prev = None  # (dx, dy) of the previous chain edge, dx > 0
-        for u, v in zip(chain, chain[1:]):
-            pu, pv = coords[u], coords[v]
-            dx, dy = pv[0] - pu[0], pv[1] - pu[1]
-            if not dx > 0:
+        v = a.order[i - 1]
+        if i > 3 and not chain.splice(v, a.link(i)):
+            raise NotSequentiallyConvex(f"prefix {i}: link of {v} is not a run of the chain")
+        win = chain.window(v)
+        for j in range(1, len(win)):
+            u, w = win[j - 1], win[j]
+            if not coords[u][0] < coords[w][0]:
                 raise NotSequentiallyConvex(
-                    f"prefix {i}: chain x not increasing at {u}-{v}"
+                    f"prefix {i}: chain x not increasing at {u}-{w}"
                 )
-            # dy/dx < pdy/pdx, cross-multiplied over the positive dx * pdx
-            if prev is not None and not dy * prev[0] < prev[1] * dx:
+            if j >= 2 and not slopes_decrease(coords[win[j - 2]], coords[u], coords[w]):
                 raise NotSequentiallyConvex(
-                    f"prefix {i}: chain slopes not strictly decreasing at {u}-{v}"
+                    f"prefix {i}: chain slopes not strictly decreasing at {u}-{w}"
                 )
-            prev = (dx, dy)
 
 
 def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:

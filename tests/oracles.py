@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a *different* method than the
 library under test: induced subcomplexes instead of incremental deletion,
 brute-force permutation enumeration instead of guided search, networkx longest
-paths instead of the height recursion, and raw formula evaluation for the
-worked coordinate examples.
+paths instead of the height recursion, raw formula evaluation for the
+worked coordinate examples, and full Fraction scans of every prefix boundary
+instead of the incremental integer audits of the drawing and the lift.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import permutations
 
 import networkx as nx
 
+from shedpoly.embedding import PropertyViolation
 from shedpoly.triangulation import (
     PlaneTriangulation,
     edge_key,
@@ -325,3 +327,79 @@ def straight_line_plane(G: PlaneTriangulation, coords) -> bool:
             if got not in {pts[v] for v in set(e) & set(f)}:
                 return False
     return True
+
+
+def chain_from_cycle(cyc, lb):
+    """Upper chain left to right: the ccw cycle read backwards from lb."""
+    j = cyc.index(lb)
+    rot = cyc[j:] + cyc[:j]
+    return (rot[0],) + tuple(reversed(rot[2:])) + (rot[1],)
+
+
+def _fslope(p, q) -> Fraction:
+    return Fraction(q[1] - p[1], q[0] - p[0])
+
+
+def grid_audit_oracle(i, coords, cyc, lb, zmap, tpl) -> None:
+    """The per-step audit of grid_embed over the whole boundary of G_i.
+
+    Scans every boundary edge for P(i,1) and P(i,2) and the whole upper
+    chain for P(i,3), with Fraction slopes, and raises the first
+    PropertyViolation a full scan meets: O(b_i) per prefix, where the library
+    checks only what step i can change.
+    """
+    b = len(cyc)
+    for j in range(b):
+        u, v = cyc[j], cyc[(j + 1) % b]
+        zp, zq = (tpl.z[t] for t in zmap[edge_key(u, v)])
+        dx = abs(coords[u][0] - coords[v][0])
+        zdx = abs(zp[0] - zq[0])
+        if dx < zdx:
+            raise PropertyViolation(i, "1", f"edge {u}-{v}: x-extent {dx} < template {zdx}")
+        dev = abs(_fslope(coords[u], coords[v]) - _fslope(zp, zq))
+        if dev > i:
+            raise PropertyViolation(i, "2", f"edge {u}-{v}: slope drift {dev} > {i}")
+    chain = chain_from_cycle(cyc, lb)
+    prev = None
+    for u, v in zip(chain, chain[1:]):
+        s = _fslope(coords[u], coords[v])
+        if prev is not None and not s < prev:
+            raise PropertyViolation(i, "3", f"slopes not strictly decreasing at {u}-{v}")
+        prev = s
+
+
+def construction_frame(emb):
+    """(sequence, left and right base vertex, coords) of a GridEmbedding in
+    the frame it was built in: over mirror(G), x negated, when mirrored."""
+    work = emb.sequence.mirrored() if emb.mirrored else emb.sequence
+    a1, a2 = work.order[:2]
+    cyc3 = work.boundary(3)
+    lb, rb = (a1, a2) if cyc3[(cyc3.index(a1) + 1) % 3] == a2 else (a2, a1)
+    sx = -1 if emb.mirrored else 1
+    return work, lb, rb, {v: (sx * x, y) for v, (x, y) in emb.coords.items()}
+
+
+def grid_audit_every_prefix(emb) -> None:
+    """grid_audit_oracle on every prefix G_3..G_n of a finished drawing."""
+    work, lb, _, coords = construction_frame(emb)
+    for i in range(3, work.n + 1):
+        grid_audit_oracle(i, coords, work.boundary(i), lb, emb.correspondence, emb.template)
+
+
+def sequentially_convex_oracle(coords, a):
+    """Message of the first prefix whose whole upper chain is not strictly
+    convex and x-monotone (leftmost offending edge), or None."""
+    a1, a2 = a.order[0], a.order[1]
+    for i in range(3, a.n + 1):
+        cyc = a.boundary(i)
+        lb = a1 if cyc[(cyc.index(a1) + 1) % len(cyc)] == a2 else a2
+        chain = chain_from_cycle(cyc, lb)
+        prev = None
+        for u, v in zip(chain, chain[1:]):
+            if not coords[u][0] < coords[v][0]:
+                return f"prefix {i}: chain x not increasing at {u}-{v}"
+            s = _fslope(coords[u], coords[v])
+            if prev is not None and not s < prev:
+                return f"prefix {i}: chain slopes not strictly decreasing at {u}-{v}"
+            prev = s
+    return None

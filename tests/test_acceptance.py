@@ -1,6 +1,7 @@
 """Acceptance gate: the seven headline guarantees, one test per criterion.
 
-Run with ``pytest -v`` to get one pass/fail line per criterion.  Everything
+Run with ``pytest -v`` to get one pass/fail line per criterion, plus one
+line for the full-boundary audit oracle over the same corpus.  Everything
 here is exact integer or rational arithmetic -- zero tolerance: a bound that
 misses by one is a failure.  The corpus mixes hand instances, random stacked
 triangulations up to n = 200, and random lattice-grid triangulations up to
@@ -149,6 +150,14 @@ def test_criterion_1_corpus_fits_integer_grid_with_stepwise_certificates():
         if n >= 200:
             elapsed = perf_counter() - start
             assert elapsed < 10.0, f"{item.label}: {elapsed:.2f}s"
+
+
+def test_full_audit_oracle_passes_every_corpus_prefix():
+    # grid_embed audits each step incrementally; the oracle rescans every
+    # boundary edge and the whole upper chain of every prefix
+    for item in corpus():
+        if item.G.n <= 200:
+            oracles.grid_audit_every_prefix(item.emb)
 
 
 def test_criterion_2_lift_heights_bounded_and_convex():

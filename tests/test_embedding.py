@@ -3,21 +3,29 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from shedpoly import embedding
 from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
 from shedpoly.embedding import (
     ParallelSupportLines,
+    PropertyViolation,
+    UpperChain,
+    _audit_grid_step,
     grid_embed,
     place_degree_two,
     place_high_degree,
     rational_embed,
 )
 from shedpoly.exactgeom import Point2, orient2d, slope
-from shedpoly.triangulation import PlaneTriangulation, shedding_sequence
+from shedpoly.griddiam import gen_grid_triangulation, uniform_grid_triangulation
+from shedpoly.triangulation import PlaneTriangulation, edge_key, shedding_sequence
 from shedpoly.verify import check_grid_bounds
 
 
@@ -28,6 +36,16 @@ def instances():
     yield pentagon_fan(), (0, 1)
     for n, seed in ((6, 1), (9, 2), (12, 3), (25, 4), (60, 5)):
         yield gen_stacked(n, seed), (0, 1)
+
+
+def fan(n):
+    """Apex 0 over the path 1..n-1: every vertex on the boundary."""
+    return PlaneTriangulation(range(n), [(0, i, i + 1) for i in range(1, n - 1)], range(n))
+
+
+def ladder(k):
+    """The k x 2 lattice strip with one-way diagonals (n = 2k)."""
+    return uniform_grid_triangulation(k, 2).T
 
 
 def embed_of(G, base):
@@ -173,11 +191,13 @@ def test_grid_corpus_certified():
 
 
 def test_long_fan_embeds_without_recursion():
-    # apex 0 over the path 1..1099: the contracted tree is a 1000-level chain
+    # apex 0 over the path 1..1099: the contracted tree is a 1000-level chain,
+    # and the audited boundary grows to the whole vertex set
     n = 1100
-    G = PlaneTriangulation(range(n), [(0, i, i + 1) for i in range(1, n - 1)], range(n))
+    G = fan(n)
     a = shedding_sequence(G, G.boundary[0], G.boundary[1])
-    emb = grid_embed(G, a, audit=False)
+    emb = grid_embed(G, a)
+    assert len(emb.audit) == n - 2
     assert check_grid_bounds(emb, n).passed
 
 
@@ -188,6 +208,254 @@ def test_grid_embed_deterministic():
     e2 = grid_embed(G, a)
     assert e1.coords == e2.coords
     assert e1.audit == e2.audit
+
+
+# -- the incremental audit against the full-boundary oracle ----------------------
+
+
+def test_audit_oracle_passes_every_prefix_of_deep_disks():
+    for G in (fan(200), ladder(100)):
+        a = shedding_sequence(G, G.boundary[0], G.boundary[1])
+        oracles.grid_audit_every_prefix(grid_embed(G, a))
+
+
+def _faulty_embed(G, a, step, fault, audit):
+    """grid_embed with the placement of step ``step`` replaced by
+    fault(i, link points, point).  Returns the exception it raised (or None)
+    and every point the placement rules produced, in step order."""
+    placed = []
+    real = {
+        "place_high_degree": embedding.place_high_degree,
+        "place_degree_two": embedding.place_degree_two,
+    }
+
+    def wrapped(name):
+        def place(*args):
+            pt = real[name](*args)
+            i = 4 + len(placed)
+            if i == step:
+                wpts = args[0] if name == "place_high_degree" else [args[0], args[1]]
+                pt = fault(i, wpts, pt)
+            placed.append(pt)
+            return pt
+
+        return place
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in real:
+            mp.setattr(embedding, name, wrapped(name))
+        try:
+            grid_embed(G, a, audit=audit)
+        except Exception as exc:  # compared by type and text below
+            return exc, placed
+    return None, placed
+
+
+def _oracle_embed(G, a, step, fault):
+    """The outcome grid_embed has with grid_audit_oracle as its audit.
+
+    Places the same faulty points without the audit, then runs the oracle on
+    every prefix whose point passed the placement checks, in step order."""
+    clean = grid_embed(G, a, audit=False)
+    work, lb, rb, _ = oracles.construction_frame(clean)
+    tpl, zmap = clean.template, clean.correspondence
+    exc, placed = _faulty_embed(G, a, step, fault, audit=False)
+    checked = len(placed)
+    if isinstance(exc, PropertyViolation) and exc.which == "3" and exc.i == 3 + checked:
+        checked -= 1  # the last point failed its placement check
+    coords = {lb: tpl.z[0], rb: tpl.z[1], work.order[2]: tpl.z[2]}
+    try:
+        oracles.grid_audit_oracle(3, coords, work.boundary(3), lb, zmap, tpl)
+        for i, pt in enumerate(placed[:checked], start=4):
+            coords[work.order[i - 1]] = pt
+            oracles.grid_audit_oracle(i, coords, work.boundary(i), lb, zmap, tpl)
+    except PropertyViolation as violation:
+        return violation
+    return exc
+
+
+def _lowest_above(wpts, x):
+    """The smallest integer y strictly above every covered edge's line at x."""
+    return 1 + max(
+        p[1] + (q[1] - p[1]) * (x - p[0]) // (q[0] - p[0]) for p, q in zip(wpts, wpts[1:])
+    )
+
+
+PLACEMENT_FAULTS = {
+    # x-extent 1 on the edge (w_1, a_i), still above the covered edges
+    "narrow": lambda i, w, pt: (w[0][0] + 1, _lowest_above(w, w[0][0] + 1)),
+    # far too steep on both new edges
+    "steep": lambda i, w, pt: (pt[0], pt[1] + 3 * i * (w[-1][0] - w[0][0])),
+    # just above the covered edges: both new slopes leave the template's
+    "flat": lambda i, w, pt: (pt[0], _lowest_above(w, pt[0])),
+    # below the covered edges, or on the link's right end
+    "sunk": lambda i, w, pt: (pt[0], min(p[1] for p in w) - 1),
+    "wall": lambda i, w, pt: (w[-1][0], pt[1]),
+    # off by one: usually harmless
+    "up": lambda i, w, pt: (pt[0], pt[1] + 1),
+    "down": lambda i, w, pt: (pt[0], pt[1] - 1),
+    "left": lambda i, w, pt: (pt[0] - 1, pt[1]),
+}
+
+
+def test_placement_faults_raise_as_the_full_oracle_does():
+    fired = set()
+    cases = [
+        (gen_stacked(25, 4), 2),
+        (fan(30), 1),
+        (ladder(12), 1),
+        (gen_grid_triangulation(5, 5, 3, 7).T, 1),
+    ]
+    for G, every in cases:
+        a = shedding_sequence(G, G.boundary[0], G.boundary[1])
+        for step in range(4, G.n + 1, every):
+            for kind, fault in PLACEMENT_FAULTS.items():
+                got, _ = _faulty_embed(G, a, step, fault, audit=True)
+                want = _oracle_embed(G, a, step, fault)
+                where = f"n={G.n} step {step} fault {kind}"
+                assert type(got) is type(want), f"{where}: {got!r} vs {want!r}"
+                assert str(got) == str(want), where
+                if isinstance(got, PropertyViolation):
+                    assert (got.i, got.which) == (want.i, want.which), where
+                    fired.add(got.which)
+    assert {"1", "2", "3"} <= fired
+
+
+def _audit_outcomes(work, lb, rb, coords, zmap, tpl):
+    """The first PropertyViolation (or None) of the library's audit and of
+    the full oracle, each run over every prefix of the same drawing."""
+
+    def first(audit):
+        for i in range(3, work.n + 1):
+            try:
+                audit(i)
+            except PropertyViolation as violation:
+                return violation
+        return None
+
+    upper = UpperChain(lb, work.order[2], rb)
+    return (
+        first(lambda i: _audit_grid_step(i, work, upper, coords, zmap, tpl)),
+        first(lambda i: oracles.grid_audit_oracle(i, coords, work.boundary(i), lb, zmap, tpl)),
+    )
+
+
+def _collinear_ys(p, q, x):
+    """y values that put (x, y) on the line through p and q, if integral."""
+    num = (q[1] - p[1]) * (x - p[0])
+    return [p[1] + num // (q[0] - p[0])] if num % (q[0] - p[0]) == 0 else []
+
+
+def test_audit_chain_pairs_match_the_oracle_on_tampered_drawings():
+    # The drawing serves as its own template, so P(i,1) and P(i,2) hold with
+    # equality and only the chain-pair test of P(i,3) can fire.  Placement
+    # faults never reach it: with the real template, P(i,2) and the template's
+    # slope gaps of 2n already force the chain pairs at a_i to be convex.
+    rng = random.Random(20261018)
+    fired = 0
+    for G in (gen_stacked(30, 2), fan(25), ladder(10), gen_grid_triangulation(5, 5, 3, 7).T):
+        a = shedding_sequence(G, G.boundary[0], G.boundary[1])
+        emb = grid_embed(G, a)
+        work, lb, rb, clean = oracles.construction_frame(emb)
+        zmap = {edge_key(u, v): (u, v) for u, v in G.edges()}
+        for j in range(4, G.n + 1):
+            v = work.order[j - 1]
+            x, y = clean[v]
+            ws = work.link(j)
+            chain = oracles.chain_from_cycle(work.boundary(j - 1), lb)
+            ys = _collinear_ys(clean[ws[0]], clean[ws[-1]], x)
+            if ws[0] != lb:
+                ys += _collinear_ys(clean[chain[chain.index(ws[0]) - 1]], clean[ws[0]], x)
+            ys += [y + d for d in (1, -1, rng.randint(2, 10**6), -rng.randint(2, 10**6))]
+            for y2 in ys:
+                coords = {**clean, v: (x, y2)}
+                tpl = replace(emb.template, z=coords)
+                got, want = _audit_outcomes(work, lb, rb, coords, zmap, tpl)
+                assert str(got) == str(want), f"n={G.n} v={v} y={y2}"
+                fired += got is not None
+    assert fired > 100
+
+
+def test_audit_edge_bounds_match_the_oracle_on_tampered_templates():
+    # A true drawing against a template that is the drawing with one vertex
+    # moved: P(i,1) and P(i,2) fire or hold at exactly their bounds.
+    fired = set()
+    for G in (gen_stacked(30, 2), fan(25), ladder(10), gen_grid_triangulation(5, 5, 3, 7).T):
+        a = shedding_sequence(G, G.boundary[0], G.boundary[1])
+        emb = grid_embed(G, a)
+        work, lb, rb, coords = oracles.construction_frame(emb)
+        zmap = {edge_key(u, v): (u, v) for u, v in G.edges()}
+        adj = G.adjacency()
+        for j in range(4, G.n + 1):
+            v = work.order[j - 1]
+            x, y = coords[v]
+            ws = work.link(j)
+            dx1, dx2 = x - coords[ws[0]][0], coords[ws[-1]][0] - x
+            moves = [(0, j * dx1), (0, -j * dx2), (0, j * dx1 + 1), (0, -j * dx2 - 1)]
+            moves += [(1, 0), (-1, 0), (dx2 - 1, 0), (1 - dx1, 0)]
+            for mx, my in moves:
+                if any(coords[u][0] == x + mx for u in adj[v]):
+                    continue  # a vertical template edge has no slope
+                tpl = replace(emb.template, z={**coords, v: (x + mx, y + my)})
+                got, want = _audit_outcomes(work, lb, rb, coords, zmap, tpl)
+                assert str(got) == str(want), f"n={G.n} v={v} move={(mx, my)}"
+                if got is not None:
+                    fired.add(got.which)
+    assert fired == {"1", "2"}
+
+
+def test_audit_rejects_a_link_off_the_chain():
+    G = gen_stacked(12, 3)
+    a = shedding_sequence(G, 0, 1)
+    emb = grid_embed(G, a)
+    work, lb, rb, coords = oracles.construction_frame(emb)
+    i = 4
+    bad = replace(work, links=(work.link(i)[::-1],) + work.links[1:])
+    upper = UpperChain(lb, work.order[2], rb)
+    _audit_grid_step(3, bad, upper, coords, emb.correspondence, emb.template)
+    with pytest.raises(PropertyViolation, match="not a run of the upper chain") as info:
+        _audit_grid_step(i, bad, upper, coords, emb.correspondence, emb.template)
+    assert (info.value.i, info.value.which) == (i, "correspondence")
+
+
+def test_upper_chain_splice_and_window():
+    ch = UpperChain(0, 2, 1)
+    assert ch.window(2) == [0, 2, 1]
+    assert ch.splice(3, (2, 1))
+    assert ch.window(3) == [0, 2, 3, 1]
+    assert ch.splice(4, (0, 2, 3))
+    assert ch.window(4) == [0, 4, 3, 1]
+    assert 2 not in ch.left and 2 not in ch.right
+    assert not ch.splice(5, (3, 4))  # reversed: not a left-to-right run
+    assert not ch.splice(5, (0, 3))  # skips 4
+    assert ch.window(4) == [0, 4, 3, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder")),
+    size=st.integers(4, 26),
+    seed=st.integers(0, 10**6),
+    edge=st.integers(0, 10**6),
+    flip=st.booleans(),
+)
+def test_small_disks_with_any_base_edge_pass_the_audit_and_the_oracle(
+    shape, size, seed, edge, flip
+):
+    if shape == "stacked":
+        G = gen_stacked(size, seed)
+    elif shape == "fan":
+        G = fan(size)
+    else:
+        G = ladder(max(2, size // 2))
+    b = G.boundary
+    u, v = b[edge % len(b)], b[(edge + 1) % len(b)]
+    if flip:
+        u, v = v, u
+    a = shedding_sequence(G, u, v)
+    emb = grid_embed(G, a)
+    oracles.grid_audit_every_prefix(emb)
+    assert check_grid_bounds(emb, G.n).passed
 
 
 # -- rational embeddings --------------------------------------------------------

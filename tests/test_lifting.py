@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -19,11 +20,12 @@ from shedpoly.griddiam import gen_grid_triangulation, grid_shedding
 from shedpoly.lifting import (
     BoundaryNotTriangle,
     NotSequentiallyConvex,
+    _check_sequentially_convex,
     height_bound,
     lift,
     truncate_to_polytope,
 )
-from shedpoly.triangulation import shedding_sequence
+from shedpoly.triangulation import PlaneTriangulation, shedding_sequence
 
 
 def embed_of(G):
@@ -133,6 +135,45 @@ def test_rejects_non_convex_drawing():
     bad[v4] = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
     with pytest.raises(NotSequentiallyConvex, match="slopes not strictly decreasing"):
         lift(replace(emb, coords=bad), a)
+
+
+def _convexity_message(coords, a):
+    try:
+        _check_sequentially_convex(coords, a)
+    except NotSequentiallyConvex as exc:
+        return str(exc)
+    return None
+
+
+def test_convexity_check_reports_what_a_full_scan_reports():
+    # the incremental walk must name the same prefix and chain edge as a scan
+    # of every prefix's whole chain, whichever chain pair a tampered vertex
+    # breaks, and whenever it breaks it
+    rng = random.Random(7)
+    fan = PlaneTriangulation(range(20), [(0, i, i + 1) for i in range(1, 19)], range(20))
+    cases = [(G, emb, a) for G, emb, a in small_instances() if G.n >= 5]
+    cases.append((fan, *embed_of(fan)))
+    seen = set()
+    for G, emb, a in cases:
+        assert _convexity_message(emb.coords, a) is None
+        for v in a.order[3:]:
+            x, y = emb.coords[v]
+            for dx, dy in ((0, 1), (0, -1), (1, 0), (-1, 0), (0, rng.randint(2, 10**5)),
+                           (0, -rng.randint(2, 10**5)), (rng.randint(-300, 300), 0)):
+                bad = {**emb.coords, v: (x + dx, y + dy)}
+                got = _convexity_message(bad, a)
+                assert got == oracles.sequentially_convex_oracle(bad, a), (G.n, v, dx, dy)
+                if got is not None:
+                    seen.add(got.split(": ")[1].split(" at ")[0])
+    assert seen == {"chain x not increasing", "chain slopes not strictly decreasing"}
+
+
+def test_rejects_a_link_off_the_chain():
+    G = gen_stacked(12, 3)
+    emb, a = embed_of(G)
+    bad = replace(a, links=(a.link(4)[::-1],) + a.links[1:])
+    with pytest.raises(NotSequentiallyConvex, match="prefix 4: link of .* is not a run"):
+        lift(emb, bad)
 
 
 def test_truncate_stacked_k4():
