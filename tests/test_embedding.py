@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -494,3 +495,54 @@ def test_rational_corpus_certified():
         assert_convex_position(G, coords)
         ys = [p.y for p in coords.values()]
         assert min(ys) == 0
+
+
+# sha256 of "v x y" lines (vertices ascending, str(Fraction)) of rational_embed
+# on the greedy shedding sequence; pinned before its chain walk was rewritten
+RATIONAL_PINNED = {
+    "stacked-8-1-01": "ad23c7061141eee1b9755ec13a5e484385f5a2a493f275ecb3e02a2baf51ffb8",
+    "stacked-8-1-10": "ad23c7061141eee1b9755ec13a5e484385f5a2a493f275ecb3e02a2baf51ffb8",
+    "stacked-8-1-12": "ebf25e599223eebce59d346c83d7f25beb89484b8eb802a4da131a67a2ff1c4b",
+    "stacked-8-2-01": "680de02a5cea7ea0cca86118c46287eb4c61ce23df8b89bdff8e3ae0bbe33ce4",
+    "stacked-8-2-10": "680de02a5cea7ea0cca86118c46287eb4c61ce23df8b89bdff8e3ae0bbe33ce4",
+    "stacked-8-2-12": "1ebf8b5d126eaebd100dbd465b0e2f849865f1df1840f4a1fb2804eacf1a7b42",
+    "stacked-11-1-01": "51af63925c1ee2031ffdea0b870f7b8494477b6032390f46315c9fae5522aa86",
+    "stacked-11-1-10": "51af63925c1ee2031ffdea0b870f7b8494477b6032390f46315c9fae5522aa86",
+    "stacked-11-1-12": "bf9bd2378d00a3bd61655b8a43e57432aa1229a5146e3bb5a4a40212eeb91f7d",
+    "stacked-11-2-01": "ef1a294e2fcec3f1d80c213b58b07396074ede817a2f063dd5e0a7da06b2f1ab",
+    "stacked-11-2-10": "ef1a294e2fcec3f1d80c213b58b07396074ede817a2f063dd5e0a7da06b2f1ab",
+    "stacked-11-2-12": "d4bec127895209e8995a57b2902d8bd4b81b0d11d8de90d1a32315a906ce290b",
+    "stacked-14-1-01": "dd5aa60a1b71010fec8c30836c3cc25cc04a1a8a95c78a9b0a8bf2f39f9379b5",
+    "stacked-14-1-10": "dd5aa60a1b71010fec8c30836c3cc25cc04a1a8a95c78a9b0a8bf2f39f9379b5",
+    "stacked-14-1-12": "ed817dd14037151ea34a5b0f2242cdd784fc2b22703c60813b71e221de3c2e5e",
+    "stacked-14-2-01": "87c1d23dc7a66f9ecdffad04b2993fde283ea86f87f232c4776ae8f34c9ff330",
+    "stacked-14-2-10": "87c1d23dc7a66f9ecdffad04b2993fde283ea86f87f232c4776ae8f34c9ff330",
+    "stacked-14-2-12": "f1e4dce7ff88b4d45469675988c95d03e581c8cacfbbe1a646b4f2fbd4e8f96b",
+    "fan-9-01": "0ae8662a55f629433d72bbcb3c47ff6097631103c455aee472fc7edd803bfe9d",
+    "fan-9-54": "36b61016e392c6b8b17504b4606ca12da5d3009d1813e997cd30366a3932cf48",
+    "grid-3x3": "1f61184afb54741640280f2d904d21d3090c1d230db57d964770c608930840c5",
+    "grid-3x4x3": "b33b93bb150f8b2cb932cd6c06ee89c03fc076ca403d5ac27b877b0874a79cb4",
+}
+
+
+def rational_pinned_cases():
+    for n in (8, 11, 14):
+        for seed in (1, 2):
+            for base in ((0, 1), (1, 0), (1, 2)):
+                yield f"stacked-{n}-{seed}-{base[0]}{base[1]}", gen_stacked(n, seed), base
+    for base in ((0, 1), (5, 4)):
+        yield f"fan-9-{base[0]}{base[1]}", fan(9), base
+    G = uniform_grid_triangulation(3, 3).T
+    yield "grid-3x3", G, G.boundary[:2]
+    G = gen_grid_triangulation(3, 4, 3, 1).T
+    yield "grid-3x4x3", G, G.boundary[:2]
+
+
+def test_rational_embed_output_pinned():
+    seen = set()
+    for label, G, base in rational_pinned_cases():
+        coords = rational_embed(G, shedding_sequence(G, *base))
+        text = "".join(f"{v} {coords[v].x} {coords[v].y}\n" for v in sorted(coords))
+        assert hashlib.sha256(text.encode()).hexdigest() == RATIONAL_PINNED[label], label
+        seen.add(label)
+    assert seen == set(RATIONAL_PINNED)
