@@ -11,8 +11,13 @@ Two constructions over a shedding sequence, both exact:
   shear, round) the matching template triangle.  Three per-step properties are
   audited in integer arithmetic: horizontal extent dominates the template
   edge, slope drifts from the template by at most i, and the upper chain of
-  every prefix is strictly convex.  The audit is incremental: it costs O(1)
-  per step plus a splice of the link into the tracked upper chain.
+  every prefix is strictly convex.
+
+Both track the upper chain of the growing prefix in an :class:`UpperChain`,
+splicing in each new vertex's link, and both audit incrementally: at step i
+only the chain window around a_i can lose convexity, so each step costs O(1)
+plus the splice.  The window check rests on exactgeom.slopes_decrease, the
+one chain-convexity predicate, which the lift's prefix check shares.
 
 Both read the links and prefix boundary cycles that the SheddingSequence
 carries; neither deletes a vertex.  Left and right are read off the
@@ -36,9 +41,9 @@ from .exactgeom import (
     intersect_lines,
     orient2d,
     slope,
+    slopes_decrease,
 )
 from .reduction import (
-    MalformedTreeSequence,
     ReducedTriangulation,
     build_reduced_triangulation,
     build_shedding_trees,
@@ -82,32 +87,13 @@ class ScaledTemplate:
     beta: int
     rt: ReducedTriangulation
     z: dict[int, IntPoint]
-    M: Fraction  # max |boundary slope| of the full template
-
-    def prefix_chain(self, j: int) -> list[int]:
-        """Template ids present in Z_j, left to right."""
-        ids = [0, 1] + [q - 1 for q in range(3, j + 1)]
-        return sorted(ids, key=lambda t: self.z[t][0])
-
-    def prefix_boundary_slopes(self, j: int) -> list[Fraction]:
-        """Slopes of all boundary edges of Z_j (upper chain plus the base)."""
-        chain = self.prefix_chain(j)
-        out = [
-            slope(Point2(*self.z[u]), Point2(*self.z[v]))
-            for u, v in zip(chain, chain[1:])
-        ]
-        out.append(Fraction(0))  # the base edge
-        return out
 
 
 def make_template(rt: ReducedTriangulation, n: int) -> ScaledTemplate:
     alpha = 2 * n * n + n + 1
     beta = 2 * n * alpha
     z = {vid: (alpha * x, beta * y) for vid, (x, y) in rt.Gstar.coords.items()}
-    tpl = ScaledTemplate(n, alpha, beta, rt, z, Fraction(0))
-    M = max(abs(s) for s in tpl.prefix_boundary_slopes(rt.Gstar.n))
-    object.__setattr__(tpl, "M", M)
-    return tpl
+    return ScaledTemplate(n, alpha, beta, rt, z)
 
 
 # -- placement cases (pure helpers) --------------------------------------------
@@ -203,14 +189,6 @@ class GridEmbedding:
         return y1 - y0
 
 
-def _chain_of_cycle(cyc: tuple[int, ...], lb: int) -> tuple[int, ...]:
-    """Boundary chain left->right: rotate the ccw cycle to (lb, rb, r1..rt)
-    and fold it into (lb, rt, ..., r1, rb)."""
-    j = cyc.index(lb)
-    rot = cyc[j:] + cyc[:j]
-    return (rot[0],) + tuple(reversed(rot[2:])) + (rot[1],)
-
-
 def _base_lr(a: SheddingSequence) -> tuple[int, int]:
     a1, a2 = a.order[0], a.order[1]
     cyc3 = a.boundary(3)
@@ -260,11 +238,24 @@ class UpperChain:
             win.append(self.right[rv])
         return win
 
+    def first_fault(
+        self, v: int, coords: dict[int, tuple]
+    ) -> Optional[tuple[str, int, int]]:
+        """The first chain edge (u, w) of v's window, left to right, at which
+        the chain stops being strictly convex and x-monotone: ("x", u, w) when
+        x does not increase from u to w, ("slope", u, w) when the slope of
+        (u, w) does not drop below the previous edge's.  None if neither.
 
-def slopes_decrease(p: IntPoint, q: IntPoint, r: IntPoint) -> bool:
-    """slope(q, r) < slope(p, q) for p.x < q.x < r.x, cross-multiplied over
-    the positive x-extents."""
-    return (r[1] - q[1]) * (q[0] - p[0]) < (q[1] - p[1]) * (r[0] - q[0])
+        When every chain edge and pair away from v was checked at an earlier
+        step, this finds what a scan of the whole chain would."""
+        win = self.window(v)
+        for j in range(1, len(win)):
+            u, w = win[j - 1], win[j]
+            if not coords[u][0] < coords[w][0]:
+                return "x", u, w
+            if j >= 2 and not slopes_decrease(coords[win[j - 2]], coords[u], coords[w]):
+                return "slope", u, w
+        return None
 
 
 def _ratio(num: int, den: int) -> str:
@@ -321,10 +312,11 @@ def _audit_grid_step(
             raise PropertyViolation(
                 i, "2", f"edge {u}-{w}: slope drift {_ratio(drift, dx * zdx)} > {i}"
             )
-    win = chain.window(v)
-    for p, q, r in zip(win, win[1:], win[2:]):
-        if not slopes_decrease(coords[p], coords[q], coords[r]):
-            raise PropertyViolation(i, "3", f"slopes not strictly decreasing at {q}-{r}")
+    fault = chain.first_fault(v, coords)
+    if fault is not None:
+        test, u, w = fault
+        what = "chain x not increasing" if test == "x" else "slopes not strictly decreasing"
+        raise PropertyViolation(i, "3", f"{what} at {u}-{w}")
 
 
 def grid_embed(
@@ -487,7 +479,11 @@ def rational_embed(
     """Rational sequentially convex drawing with base (0,0)-(2,0), apex (1,1).
 
     The base endpoint that is leftmost is the one the boundary orientation
-    says; the drawing always has the interior in the upper half-plane.
+    says; the drawing always has the interior in the upper half-plane.  The
+    outer support lines at w_1 and w_k run along the chain edges beyond the
+    link, read off the tracked UpperChain; the audit checks the chain window
+    around each new vertex, which by the induction in grid_embed's docstring
+    is the whole prefix chain's convexity.
     """
     a = peeled_from(G, a)
     lb, rb = _base_lr(a)
@@ -497,25 +493,25 @@ def rational_embed(
         rb: Point2(Fraction(2), Fraction(0)),
         a3: Point2(Fraction(1), Fraction(1)),
     }
+    chain = UpperChain(lb, a3, rb)
     for i in range(4, a.n + 1):
         ai = a.order[i - 1]
         ws = a.link(i)
-        prev_cyc = a.boundary(i - 1)
-        bprev = len(prev_cyc)
-        succ_prev = {prev_cyc[j]: prev_cyc[(j + 1) % bprev] for j in range(bprev)}
-        pred_prev = {s: p for p, s in succ_prev.items()}
+        # the splice keeps chain.left[w1] and chain.right[wk]
+        if not chain.splice(ai, ws):
+            raise EmptyRegion(f"step {i}: link {ws} of {ai} is not a run of the upper chain")
         w1, wk = ws[0], ws[-1]
         p1, pk = coords[w1], coords[wk]
-        s2 = slope(coords[ws[0]], coords[ws[1]])
-        s3 = slope(coords[ws[-2]], coords[ws[-1]])
+        s2 = slope(p1, coords[ws[1]])
+        s3 = slope(coords[ws[-2]], pk)
         if w1 == lb:
             l1 = _Line(p1, s2 + 1)
         else:
-            l1 = _Line(p1, slope(coords[succ_prev[w1]], p1))
+            l1 = _Line(p1, slope(coords[chain.left[w1]], p1))
         if wk == rb:
             l4 = _Line(pk, s3 - 1)
         else:
-            l4 = _Line(pk, slope(pk, coords[pred_prev[wk]]))
+            l4 = _Line(pk, slope(pk, coords[chain.right[wk]]))
         pt = _region_point(
             [(l1, "below"), (_Line(p1, s2), "above"), (_Line(pk, s3), "above"), (l4, "below")]
         )
@@ -523,9 +519,6 @@ def rational_embed(
             if orient2d(coords[w_a], coords[w_b], pt) != 1:
                 raise EmptyRegion(f"step {i}: chosen point not above covered edge {w_a}-{w_b}")
         coords[ai] = pt
-        if audit:
-            chain = _chain_of_cycle(a.boundary(i), lb)
-            slopes = [slope(coords[x], coords[y]) for x, y in zip(chain, chain[1:])]
-            if not all(sa > sb for sa, sb in zip(slopes, slopes[1:])):
-                raise EmptyRegion(f"step {i}: prefix chain lost strict convexity")
+        if audit and chain.first_fault(ai, coords) is not None:
+            raise EmptyRegion(f"step {i}: prefix chain lost strict convexity")
     return coords

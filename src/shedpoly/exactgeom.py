@@ -65,6 +65,13 @@ def orient2d(p: Point2, q: Point2, r: Point2) -> int:
     return sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
 
 
+def slopes_decrease(p: Point2, q: Point2, r: Point2) -> bool:
+    """slope(q, r) < slope(p, q) for p.x < q.x < r.x, cross-multiplied over
+    the positive x-extents.  The one strict-convexity test of an upper chain,
+    exact on int and Fraction points alike."""
+    return (r[1] - q[1]) * (q[0] - p[0]) < (q[1] - p[1]) * (r[0] - q[0])
+
+
 def slope(p: Point2, q: Point2) -> Fraction:
     """Slope of segment pq.  Raises VerticalEdge when x(p) == x(q).
 

@@ -175,19 +175,8 @@ def write_triangulation(
 
 def sequence_from_order(G: PlaneTriangulation, order: Sequence[int]) -> SheddingSequence:
     """Peel G along a vertex order, checking the shedding invariant at every
-    deletion."""
-    order = tuple(order)
-    if sorted(order) != list(G.vertices):
-        raise InvalidTriangulation("order is not a permutation of the vertices")
-    if edge_key(order[0], order[1]) not in G.boundary_edges():
-        raise InvalidTriangulation(
-            f"({order[0]},{order[1]}) is not a boundary edge of the triangulation"
-        )
-    return peel_order(
-        G,
-        order,
-        lambda i, w: InvalidTriangulation(f"a_{i} = {w} is not a shedding vertex of its prefix"),
-    )
+    deletion (see triangulation.peel_order)."""
+    return peel_order(G, order)
 
 
 # -- mesh export -----------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .embedding import GridEmbedding, UpperChain, _base_lr, slopes_decrease
+from .embedding import GridEmbedding, UpperChain, _base_lr
 from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
 from .triangulation import SheddingSequence, peeled_from, rot_min_first
@@ -72,8 +72,8 @@ def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) ->
     The walk is grid_embed's audit walk: prefix 3 is the chain lb, a_3, rb,
     and at step i only the chain edges and pairs in the window around a_i are
     new, since every other edge and consecutive pair of G_i's chain was one
-    of G_{i-1}'s.  Checking the window left to right therefore finds what a
-    scan of the whole chain would, in O(n) over all prefixes.
+    of G_{i-1}'s.  UpperChain.first_fault checks the window left to right, so
+    it finds what a scan of the whole chain would, in O(n) over all prefixes.
     """
     lb, rb = _base_lr(a)
     chain = UpperChain(lb, a.order[2], rb)
@@ -81,17 +81,11 @@ def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) ->
         v = a.order[i - 1]
         if i > 3 and not chain.splice(v, a.link(i)):
             raise NotSequentiallyConvex(f"prefix {i}: link of {v} is not a run of the chain")
-        win = chain.window(v)
-        for j in range(1, len(win)):
-            u, w = win[j - 1], win[j]
-            if not coords[u][0] < coords[w][0]:
-                raise NotSequentiallyConvex(
-                    f"prefix {i}: chain x not increasing at {u}-{w}"
-                )
-            if j >= 2 and not slopes_decrease(coords[win[j - 2]], coords[u], coords[w]):
-                raise NotSequentiallyConvex(
-                    f"prefix {i}: chain slopes not strictly decreasing at {u}-{w}"
-                )
+        fault = chain.first_fault(v, coords)
+        if fault is not None:
+            test, u, w = fault
+            what = "x not increasing" if test == "x" else "slopes not strictly decreasing"
+            raise NotSequentiallyConvex(f"prefix {i}: chain {what} at {u}-{w}")
 
 
 def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:

@@ -11,7 +11,7 @@ a lattice parabola -- the template that the integer-grid embedding tracks.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -276,10 +276,16 @@ def reduce_trees(trees: tuple[SheddingTree, ...], a: SheddingSequence) -> Reduce
 
     rs = ReducedStructure(trees, tuple(R), rho, tuple(h), rep_cache, pairs)
 
-    # hypothesis checks: every contracted tree is the right size and full
+    # hypothesis checks: every contracted tree is the right size and full;
+    # got runs through reduced_node_count(i) for i = 2..n
+    born = [0] * (n + 1)
+    for nd in store.by_key.values():
+        if nd.step in rset:
+            born[nd.step] += 1
+    got = 0
     for i in range(2, n + 1):
+        got += born[i]
         expect = 1 + 2 * (h[i - 1] - 2) if i >= 3 else 1
-        got = rs.reduced_node_count(i)
         if got != expect:
             raise MalformedTreeSequence(f"T*_{i} has {got} nodes, expected {expect}")
     return rs
@@ -337,20 +343,13 @@ def build_reduced_triangulation(rs: ReducedStructure) -> ReducedTriangulation:
     # defaulting to the base vertices 1 and 2
     f: dict[int, int] = {}
     g: dict[int, int] = {}
-    present: list[tuple[int, int]] = []  # sorted (omega, q)
+    present: list[tuple[int, int]] = []  # sorted (omega, q); omega is injective
     for q in range(3, Rn + 1):
         w = omega[q]
-        lo = None
-        hi = None
-        for w2, q2 in present:
-            if w2 < w:
-                lo = q2
-            elif hi is None:
-                hi = q2
-                break
-        f[q] = lo if lo is not None else 1
-        g[q] = hi if hi is not None else 2
-        insort(present, (w, q))
+        j = bisect_left(present, (w,))
+        f[q] = present[j - 1][1] if j > 0 else 1
+        g[q] = present[j][1] if j < len(present) else 2
+        present.insert(j, (w, q))
 
     ytop = comb(mprime + 2, 2)
 

@@ -176,10 +176,6 @@ class PlaneTriangulation:
     def is_boundary_vertex(self, v: int) -> bool:
         return v in self.boundary_set()
 
-    def interior_vertices(self) -> list[int]:
-        bs = self.boundary_set()
-        return [v for v in self.vertices if v not in bs]
-
     def diagonals(self) -> list[tuple[int, int]]:
         """Interior edges whose endpoints are both boundary vertices, sorted."""
         bs = self.boundary_set()
@@ -367,8 +363,9 @@ def delete_boundary_vertex(
 ) -> tuple[PlaneTriangulation, tuple[int, ...]]:
     """Remove boundary vertex v; returns (new triangulation, link of v).
 
-    The result is *not* validated here -- that is the caller's business
-    (is_shedding_vertex does exactly that).
+    The result is *not* validated here.  Peel.run deletes only vertices
+    that is_shedding_vertex accepts, and validate(result) is the literal
+    definition that predicate must agree with.
     """
     link = link_of_boundary_vertex(G, v)
     tris = tuple(t for t in G.triangles if v not in t)
@@ -383,22 +380,19 @@ def delete_boundary_vertex(
     return H, link
 
 
-def is_shedding_vertex(G: PlaneTriangulation, v: int, definitional: bool = False) -> bool:
+def is_shedding_vertex(G: PlaneTriangulation, v: int) -> bool:
     """True iff G - {v} is again a plane triangulation.
 
-    Default path: the O(deg v) combinatorial criterion -- no middle vertex of
-    v's link lies on the boundary (equivalently, v is not a diagonal
-    endpoint).  With definitional=True the literal definition runs instead:
-    delete v and validate.  The two must agree everywhere; the test suite
-    asserts that on every instance it touches.
+    Decided by the O(deg v) combinatorial criterion: no middle vertex of v's
+    link lies on the boundary (equivalently, v is not a diagonal endpoint).
+    It must agree with the literal definition, is_valid of
+    delete_boundary_vertex(G, v); the test suite asserts that on every
+    instance it touches.
     """
     if G.n < 4:
         raise InvalidTriangulation(f"shedding undefined for n={G.n} < 4")
     if not G.is_boundary_vertex(v):
         raise NotBoundary(f"vertex {v} is not on the boundary")
-    if definitional:
-        H, _ = delete_boundary_vertex(G, v)
-        return is_valid(H)
     link = link_of_boundary_vertex(G, v)
     bset = G.boundary_set()
     return not any(w in bset for w in link[1:-1])
@@ -468,7 +462,7 @@ class SheddingSequence:
 
 
 def _not_shedding(i: int, v: int) -> Exception:
-    return InvalidTriangulation(f"a_{i}={v} is not a shedding vertex of G_{i}")
+    return InvalidTriangulation(f"a_{i} = {v} is not a shedding vertex of its prefix")
 
 
 class Peel:
@@ -519,14 +513,21 @@ class Peel:
         )
 
 
-def peel_order(
-    G: PlaneTriangulation,
-    order: Sequence[int],
-    refuse: Callable[[int, int], Exception] = _not_shedding,
-) -> SheddingSequence:
-    """Peel G along a fixed order: delete a_n first, a_4 last."""
+def peel_order(G: PlaneTriangulation, order: Sequence[int]) -> SheddingSequence:
+    """Peel G along a fixed order: delete a_n first, a_4 last.
+
+    Raises InvalidTriangulation unless the order is a permutation of G's
+    vertices whose base edge (a_1, a_2) lies on G's boundary and whose every
+    a_i, i >= 4, is a shedding vertex of the prefix G_i.
+    """
     order = tuple(order)
-    return Peel(G).run(reversed(order[3:]), refuse).sequence(order[:3])
+    if sorted(order) != list(G.vertices):
+        raise InvalidTriangulation("order is not a permutation of the vertices")
+    if edge_key(order[0], order[1]) not in G.boundary_edges():
+        raise InvalidTriangulation(
+            f"({order[0]},{order[1]}) is not a boundary edge of the triangulation"
+        )
+    return Peel(G).run(reversed(order[3:])).sequence(order[:3])
 
 
 def shedding_sequence(G: PlaneTriangulation, u: int, v: int) -> SheddingSequence:
@@ -561,10 +562,6 @@ def deletion_trace(G: PlaneTriangulation, a: SheddingSequence) -> SheddingSequen
     """Re-check a against G: peel G along a.order, verifying that every
     deleted vertex is a shedding vertex of its prefix.  Returns the sequence
     over G (a may come from another disk with the same vertex ids)."""
-    if set(a.order) != set(G.vertices) or len(a.order) != G.n:
-        raise InvalidTriangulation("sequence is not a permutation of the vertices")
-    if edge_key(*a.base_edge) not in G.boundary_edges():
-        raise InvalidTriangulation("base edge of the sequence is not a boundary edge")
     return peel_order(G, a.order)
 
 

@@ -27,6 +27,7 @@ from .exactgeom import (
     above_plane,
     orient2d,
     plane_through,
+    slopes_decrease,
 )
 from .lifting import LiftedPolyhedron
 from .triangulation import PlaneTriangulation, edge_key, validate
@@ -196,15 +197,12 @@ def check_projectively_convex(
     if rot[1] != rb:
         return _fail(kind, (tuple(lb), tuple(rb)), "base edge not traversed lb->rb on the ccw cycle")
     chain = [lb] + rot[:1:-1] + [rb]
-    prev = None  # (dx, dy) of the previous chain edge, dx > 0
-    for u, v in zip(chain, chain[1:]):
+    for j in range(1, len(chain)):
+        u, v = chain[j - 1], chain[j]
         if v.x <= u.x:
             return _fail(kind, (tuple(u), tuple(v)), "chain not strictly x-monotone")
-        dx, dy = v.x - u.x, v.y - u.y
-        # dy/dx >= pdy/pdx, cross-multiplied over the positive dx * pdx
-        if prev is not None and dy * prev[0] >= prev[1] * dx:
+        if j >= 2 and not slopes_decrease(chain[j - 2], u, v):
             return _fail(kind, (tuple(u), tuple(v)), "edge slopes not strictly decreasing")
-        prev = (dx, dy)
     return Certificate(kind, True, None, f"{len(chain) - 1} chain edges, slopes strictly decreasing")
 
 

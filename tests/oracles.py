@@ -340,6 +340,21 @@ def _fslope(p, q) -> Fraction:
     return Fraction(q[1] - p[1], q[0] - p[0])
 
 
+def template_slopes(tpl, j):
+    """Slopes of every boundary edge of the scaled template prefix Z_j:
+    the upper chain left to right, then the base edge.  The prefix is the
+    induced disk on template ids 0..j-1 of Gstar, its rim derived from the
+    faces; the slopes are taken between the scaled points tpl.z."""
+    D = induced_disk(tpl.rt.Gstar, range(j))
+    chain = chain_from_cycle(D.boundary, 0)
+    return [_fslope(tpl.z[u], tpl.z[v]) for u, v in zip(chain, chain[1:])] + [Fraction(0)]
+
+
+def template_max_slope(tpl):
+    """Largest |slope| of a boundary edge of the whole scaled template."""
+    return max(abs(s) for s in template_slopes(tpl, tpl.rt.Gstar.n))
+
+
 def grid_audit_oracle(i, coords, cyc, lb, zmap, tpl) -> None:
     """The per-step audit of grid_embed over the whole boundary of G_i.
 
@@ -386,6 +401,23 @@ def grid_audit_every_prefix(emb) -> None:
         grid_audit_oracle(i, coords, work.boundary(i), lb, emb.correspondence, emb.template)
 
 
+def upper_chain_fault(coords, cyc, lb):
+    """The leftmost edge u-v at which the upper chain of the ccw cycle is not
+    strictly convex and x-monotone, as "chain x not increasing at u-v" or
+    "chain slopes not strictly decreasing at u-v"; None if there is none.
+    Reads coords of the cycle's vertices only."""
+    chain = chain_from_cycle(cyc, lb)
+    prev = None
+    for u, v in zip(chain, chain[1:]):
+        if not coords[u][0] < coords[v][0]:
+            return f"chain x not increasing at {u}-{v}"
+        s = _fslope(coords[u], coords[v])
+        if prev is not None and not s < prev:
+            return f"chain slopes not strictly decreasing at {u}-{v}"
+        prev = s
+    return None
+
+
 def sequentially_convex_oracle(coords, a):
     """Message of the first prefix whose whole upper chain is not strictly
     convex and x-monotone (leftmost offending edge), or None."""
@@ -393,13 +425,7 @@ def sequentially_convex_oracle(coords, a):
     for i in range(3, a.n + 1):
         cyc = a.boundary(i)
         lb = a1 if cyc[(cyc.index(a1) + 1) % len(cyc)] == a2 else a2
-        chain = chain_from_cycle(cyc, lb)
-        prev = None
-        for u, v in zip(chain, chain[1:]):
-            if not coords[u][0] < coords[v][0]:
-                return f"prefix {i}: chain x not increasing at {u}-{v}"
-            s = _fslope(coords[u], coords[v])
-            if prev is not None and not s < prev:
-                return f"prefix {i}: chain slopes not strictly decreasing at {u}-{v}"
-            prev = s
+        fault = upper_chain_fault(coords, cyc, lb)
+        if fault is not None:
+            return f"prefix {i}: {fault}"
     return None

@@ -206,8 +206,8 @@ def test_criterion_3_base_coordinates_and_template_constants():
         assert max(ys) - min(ys) == comb(rt.mprime + 2, 2) <= comb(R - 1, 2), item.label
         assert tpl.alpha == 2 * n * n + n + 1, item.label
         assert tpl.beta == 2 * n * tpl.alpha, item.label
-        assert tpl.M <= 2 * n * n, item.label
-        slopes = sorted(tpl.prefix_boundary_slopes(R), reverse=True)
+        assert oracles.template_max_slope(tpl) <= 2 * n * n, item.label
+        slopes = sorted(oracles.template_slopes(tpl, R), reverse=True)
         assert all(s1 - s2 >= 2 * n for s1, s2 in zip(slopes, slopes[1:])), item.label
 
 

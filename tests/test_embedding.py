@@ -15,6 +15,7 @@ import oracles
 from shedpoly import embedding
 from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
 from shedpoly.embedding import (
+    EmptyRegion,
     ParallelSupportLines,
     PropertyViolation,
     UpperChain,
@@ -117,8 +118,9 @@ def test_template_constants():
         assert tpl.alpha == 2 * n * n + n + 1
         assert tpl.beta == 2 * n * tpl.alpha
         mprime = tpl.rt.mprime
-        assert tpl.M == 2 * n * (mprime + 1)
-        assert tpl.M <= 2 * n * n
+        M = oracles.template_max_slope(tpl)
+        assert M == 2 * n * (mprime + 1)
+        assert M <= 2 * n * n
         assert 2 * n * (mprime + 1) <= 2 * n * n
 
 
@@ -128,7 +130,7 @@ def test_template_prefix_slope_gaps():
         tpl = emb.template
         n = G.n
         for j in range(3, tpl.rt.Gstar.n + 1):
-            slopes = tpl.prefix_boundary_slopes(j)
+            slopes = oracles.template_slopes(tpl, j)
             assert len(set(slopes)) == len(slopes)
             for ia in range(len(slopes)):
                 for ib in range(ia + 1, len(slopes)):
@@ -183,12 +185,13 @@ def test_grid_corpus_certified():
         assert emb.coords[a.order[0]][1] == emb.coords[a.order[1]][1] == 0
         assert lbx < 0 < rbx
         assert emb.correspondence[tuple(sorted(a.base_edge))] == (0, 1)
+        M = oracles.template_max_slope(emb.template)
         # slopes of all edges stay within M + n of the template, so within 2n^2 + n
         for u, v in G.edges():
             if u in emb.coords and emb.coords[u][0] != emb.coords[v][0]:
                 s = slope(Point2(*emb.coords[u]), Point2(*emb.coords[v]))
                 if tuple(sorted((u, v))) in emb.correspondence:
-                    assert abs(s) <= emb.template.M + n <= 2 * n * n + n
+                    assert abs(s) <= M + n <= 2 * n * n + n
 
 
 def test_long_fan_embeds_without_recursion():
@@ -493,8 +496,68 @@ def test_rational_corpus_certified():
         a = shedding_sequence(G, *base)
         coords = rational_embed(G, a)
         assert_convex_position(G, coords)
+        assert oracles.sequentially_convex_oracle(coords, a) is None
         ys = [p.y for p in coords.values()]
         assert min(ys) == 0
+
+
+def test_rational_rejects_a_link_off_the_chain():
+    G = gen_stacked(12, 3)
+    a = shedding_sequence(G, 0, 1)
+    bad = replace(a, links=(a.link(4)[::-1],) + a.links[1:])
+    with pytest.raises(EmptyRegion, match="step 4: link .* is not a run of the upper chain"):
+        rational_embed(G, bad)
+
+
+def _lifted_rational(G, a, step, audit):
+    """rational_embed with the point of step ``step`` moved 10^6 up: still
+    above the covered edges, but past the support lines at w_1 and w_k
+    unless they are the base ends.  Returns the exception it raised (or
+    None) and every point _region_point produced, in step order."""
+    placed = []
+    real = embedding._region_point
+
+    def region_point(constraints):
+        pt = real(constraints)
+        if 4 + len(placed) == step:
+            pt = Point2(pt.x, pt.y + 10**6)
+        placed.append(pt)
+        return pt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "_region_point", region_point)
+        try:
+            rational_embed(G, a, audit=audit)
+        except EmptyRegion as exc:
+            return exc, placed
+    return None, placed
+
+
+def test_rational_audit_fires_where_a_full_scan_does():
+    fired = quiet = 0
+    for G in (gen_stacked(11, 2), gen_stacked(14, 1), fan(9), gen_grid_triangulation(3, 4, 3, 1).T):
+        a = shedding_sequence(G, G.boundary[0], G.boundary[1])
+        clean = rational_embed(G, a)
+        lb = min((a.order[0], a.order[1]), key=lambda v: clean[v].x)
+        for step in range(4, G.n + 1):
+            got, _ = _lifted_rational(G, a, step, audit=True)
+            # the full scan of every prefix over the points placed unaudited
+            want, placed = _lifted_rational(G, a, step, audit=False)
+            if want is not None and "not above covered edge" in str(want):
+                placed.pop()
+            coords = {v: clean[v] for v in a.order[:3]}
+            for i, pt in enumerate(placed, start=4):
+                coords[a.order[i - 1]] = pt
+                if oracles.upper_chain_fault(coords, a.boundary(i), lb) is not None:
+                    want = EmptyRegion(f"step {i}: prefix chain lost strict convexity")
+                    break
+            assert str(got) == str(want), f"n={G.n} step {step}"
+            if got is None:
+                quiet += 1
+            else:
+                assert str(got) == f"step {step}: prefix chain lost strict convexity"
+                fired += 1
+    assert fired > 20 and quiet > 0
 
 
 # sha256 of "v x y" lines (vertices ascending, str(Fraction)) of rational_embed

@@ -139,6 +139,31 @@ def test_reduced_trees_full_binary():
             assert rs.reduced_node_count(i) == expected
 
 
+def test_size_check_names_the_first_tree_a_missing_node_shrinks():
+    # Drop one node of the store, created at a reduced step i (the root for
+    # i = 2): reduce_trees must report the first short T*_j exactly as the
+    # node count of every contracted tree, recounted from scratch, does.
+    for G in (split_square(), pentagon_fan(), gen_stacked(16, 13), gen_stacked(30, 14)):
+        a, _, rs = pipeline(G)
+        rset = set(rs.R)
+        for i in rs.R[1:]:
+            trees = build_shedding_trees(G, a)
+            store = trees[-1].store
+            node = store.root if i == 2 else store.created[i][0]
+            del store.by_key[node.key]
+            want = None
+            for j in range(2, rs.n + 1):
+                got = sum(1 for nd in store.by_key.values() if nd.step <= j and nd.step in rset)
+                expect = 1 if j == 2 else 1 + 2 * (rs.h_of(j) - 2)
+                if got != expect:
+                    want = f"T*_{j} has {got} nodes, expected {expect}"
+                    break
+            assert want is not None and want.startswith(f"T*_{i} ")
+            with pytest.raises(MalformedTreeSequence) as info:
+                reduce_trees(trees, a)
+            assert str(info.value) == want
+
+
 def test_rho_h_consistency():
     for G in instances():
         _, _, rs = pipeline(G)
