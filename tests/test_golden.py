@@ -204,6 +204,20 @@ def test_cli_outputs_match_golden_digests():
     assert not changed, f"CLI output changed for: {changed}"
 
 
+BENCH_GOLDEN: dict[str, str] = {
+    "bench --max-n 30": "16f9b8a57b549a708d53ee61305885698954138c4695b842e5e6ae34adabe85b",
+    "bench --max-n 30 --seed 3": "f32d92ef55720a384693b21f1c7298400845c527bf45684d0e3da5315d36b2c0",
+    "bench --max-n 5": "e52784c77496241bf03bab9453855332fd0e3d756053be363564850fef4878d9",
+}
+
+
+def test_bench_output_matches_golden_digests():
+    # two stacked and two grid rows, then the usage error of an empty ladder
+    got = {cmd: digest(*run(cmd.split())) for cmd in BENCH_GOLDEN}
+    changed = sorted(k for k in BENCH_GOLDEN if BENCH_GOLDEN[k] != got[k])
+    assert not changed, f"bench output changed for: {changed}"
+
+
 if __name__ == "__main__":
     print("GOLDEN: dict[str, str] = {")
     for key, value in digests().items():
