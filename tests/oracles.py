@@ -10,6 +10,7 @@ instead of the incremental integer audits of the drawing and the lift.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -125,6 +126,25 @@ def high_degree_point(ws) -> tuple[int, int]:
     gs = gamma * s
     yp = -((-ybar.numerator) // ybar.denominator) + (gs.numerator // gs.denominator) + 1
     return xp, yp
+
+
+def degree_two_point(w1, w2, b1, b2, apex) -> tuple[int, int]:
+    """Re-derive the degree-2 placement from its description, with Fractions.
+
+    The map p -> w2 + lam (p - b2) takes b2 to w2 and b1 to the vertical of
+    w1; a shear that fixes the vertical of w2 then moves the image of b1 onto
+    w1.  The apex image is rounded with math.floor / math.ceil.
+    """
+    lam = Fraction(w2[0] - w1[0], b2[0] - b1[0])
+    assert lam > 0
+    v1 = (w2[0] + lam * (b1[0] - b2[0]), w2[1] + lam * (b1[1] - b2[1]))
+    v3 = (w2[0] + lam * (apex[0] - b2[0]), w2[1] + lam * (apex[1] - b2[1]))
+    assert v1[0] == w1[0]
+    # the shear lowers y by (v1.y - w1.y) at x = w1.x, by 0 at x = w2.x
+    share = (v3[0] - w2[0]) / (w1[0] - w2[0])
+    y = v3[1] - share * (v1[1] - w1[1])
+    x = math.floor(v3[0]) if apex[0] <= 0 else math.ceil(v3[0])
+    return x, math.ceil(y)
 
 
 def _plane3(p1, p2, p3):

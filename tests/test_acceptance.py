@@ -19,7 +19,10 @@ from math import comb
 from time import perf_counter
 from typing import Optional
 
+import pytest
+
 import oracles
+from shedpoly import embedding
 from shedpoly.cli import entry
 from shedpoly.corpus import (
     gen_stacked,
@@ -158,6 +161,34 @@ def test_full_audit_oracle_passes_every_corpus_prefix():
     for item in corpus():
         if item.G.n <= 200:
             oracles.grid_audit_every_prefix(item.emb)
+
+
+def test_every_corpus_placement_matches_the_reference_formulas():
+    # grid_embed rerun with both placement rules wrapped: each call's point
+    # must equal the flat Fraction reference on the same arguments
+    calls = {"place_high_degree": 0, "place_degree_two": 0}
+    refs = {
+        "place_high_degree": oracles.high_degree_point,
+        "place_degree_two": oracles.degree_two_point,
+    }
+
+    def checked(name):
+        rule = getattr(embedding, name)
+
+        def place(*args):
+            pt = rule(*args)
+            assert pt == refs[name](*args), (name, args)
+            calls[name] += 1
+            return pt
+
+        return place
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in refs:
+            mp.setattr(embedding, name, checked(name))
+        for item in corpus():
+            assert grid_embed(item.G, item.a, audit=False).coords == item.emb.coords, item.label
+    assert calls["place_high_degree"] > 1000 and calls["place_degree_two"] > 1000
 
 
 def test_criterion_2_lift_heights_bounded_and_convex():

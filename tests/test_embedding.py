@@ -107,6 +107,49 @@ def test_degree_two_worked_examples():
     assert place_degree_two((-8, 3), (-2, 10), (-3, 1), (1, 5), (-1, 4)) == (-5, 8)
 
 
+BIG = st.integers(-(10**12), 10**12)
+EXTENT = st.integers(1, 10**12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    w1=st.tuples(BIG, BIG),
+    dxs=st.lists(EXTENT, min_size=2, max_size=3),
+    ys=st.lists(BIG, min_size=3, max_size=3),
+)
+def test_high_degree_matches_oracle_on_large_coordinates(w1, dxs, ys):
+    pts = [w1]
+    for dx, y in zip(dxs, ys):
+        pts.append((pts[-1][0] + dx, y))
+    s = Fraction(pts[1][1] - pts[0][1], pts[1][0] - pts[0][0])
+    u = Fraction(pts[-1][1] - pts[-2][1], pts[-1][0] - pts[-2][0])
+    if s <= u:
+        with pytest.raises(ParallelSupportLines) as info:
+            place_high_degree(pts)
+        assert str(info.value) == f"support slopes s={s} <= u={u}"
+    else:
+        assert place_high_degree(pts) == oracles.high_degree_point(pts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    w1=st.tuples(BIG, BIG),
+    w2y=BIG,
+    wdx=EXTENT,
+    b1=st.tuples(BIG, BIG),
+    b2y=BIG,
+    bdx=EXTENT,
+    apex=st.tuples(BIG, BIG),
+    flip=st.booleans(),
+)
+def test_degree_two_matches_oracle_on_large_coordinates(w1, w2y, wdx, b1, b2y, bdx, apex, flip):
+    # flip: both x-extents negative, which keeps the scale factor positive
+    sx = -1 if flip else 1
+    w2 = (w1[0] + sx * wdx, w2y)
+    b2 = (b1[0] + sx * bdx, b2y)
+    assert place_degree_two(w1, w2, b1, b2, apex) == oracles.degree_two_point(w1, w2, b1, b2, apex)
+
+
 # -- the scaled template --------------------------------------------------------
 
 
