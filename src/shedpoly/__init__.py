@@ -2,14 +2,15 @@
 
 The pipeline, bottom to top:
 
-* :mod:`shedpoly.exactgeom` -- exact rational/integer primitives (orientation,
-  slopes, planes).  No floats anywhere in this package.
+* :mod:`shedpoly.exactgeom` -- exact integer primitives (orientation, slope
+  comparison, ceil division, planes).  No floats and no fractions anywhere in
+  this package.
 * :mod:`shedpoly.triangulation` -- combinatorial plane triangulations,
   validation, shedding vertices and shedding sequences.
 * :mod:`shedpoly.reduction` -- shedding trees, their reduction, and the small
   convex "template" triangulation built from the reduced tree.
-* :mod:`shedpoly.embedding` -- sequentially convex straight-line drawings:
-  rational (unbounded denominators) and integer on a 4n^3 x 8n^5 grid.
+* :mod:`shedpoly.embedding` -- sequentially convex straight-line drawings on
+  a 4n^3 x 8n^5 integer grid.
 * :mod:`shedpoly.lifting` -- minimal strictly-convex integer lifts and the
   truncation to a bounded polytope.
 * :mod:`shedpoly.griddiam` -- shedding depth: exact small-instance minimum,

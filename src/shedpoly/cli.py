@@ -330,21 +330,17 @@ def _bench_grid(label: str, p: int, q: int, ell: int, seed: int) -> str:
 
 
 def cmd_bench(args) -> int:
-    jobs = []
+    rows = 0
     for n in (10, 25, 50, 100, 200):
         if n <= args.max_n:
-            jobs.append(lambda n=n: _bench_stacked(f"stacked-{n}", n, args.seed))
+            print(_bench_stacked(f"stacked-{n}", n, args.seed))
+            rows += 1
     for p, q, ell in ((4, 4, 2), (5, 5, 3), (8, 6, 2), (10, 10, 3), (12, 12, 3)):
         if p * q <= args.max_n:
-            jobs.append(
-                lambda p=p, q=q, ell=ell: _bench_grid(
-                    f"grid-{p}x{q}-l{ell}", p, q, ell, args.seed
-                )
-            )
-    if not jobs:
+            print(_bench_grid(f"grid-{p}x{q}-l{ell}", p, q, ell, args.seed))
+            rows += 1
+    if not rows:
         raise UsageError(f"--max-n {args.max_n} leaves nothing to benchmark")
-    for job in jobs:
-        print(job())
     return EXIT_OK
 
 

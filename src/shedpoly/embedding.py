@@ -1,27 +1,23 @@
-"""Sequentially convex straight-line drawings.
+"""Sequentially convex straight-line drawings on an integer grid.
 
-Two constructions over a shedding sequence, both exact:
+:func:`grid_embed` draws a disk over a shedding sequence with integer
+coordinates on a 4n^3 x 8n^5 grid.  It tracks a scaled copy of the reduced
+template triangulation: high-degree steps round the support-line intersection
+outward, degree-2 steps copy (scale, translate, shear, round) the matching
+template triangle.  Both rules are integer floor and ceil divisions.  Three
+per-step properties are audited in integer arithmetic: horizontal extent
+dominates the template edge, slope drifts from the template by at most i, and
+the upper chain of every prefix is strictly convex.
 
-* :func:`rational_embed` -- grows the drawing one vertex at a time, placing
-  each new vertex at a rational point strictly inside the wedge region cut out
-  by four support lines.  Unbounded denominators, tiny code.
-* :func:`grid_embed` -- integer coordinates on a 4n^3 x 8n^5 grid.  It tracks
-  a scaled copy of the reduced template triangulation: high-degree steps round
-  the support-line intersection outward, degree-2 steps copy (scale, translate,
-  shear, round) the matching template triangle.  Three per-step properties are
-  audited in integer arithmetic: horizontal extent dominates the template
-  edge, slope drifts from the template by at most i, and the upper chain of
-  every prefix is strictly convex.
-
-Both track the upper chain of the growing prefix in an :class:`UpperChain`,
-splicing in each new vertex's link, and both audit incrementally: at step i
+The upper chain of the growing prefix lives in an :class:`UpperChain`, which
+splices in each new vertex's link, and the audit is incremental: at step i
 only the chain window around a_i can lose convexity, so each step costs O(1)
 plus the splice.  The window check rests on exactgeom.slopes_decrease, the
 one chain-convexity predicate, which the lift's prefix check shares.
 
-Both read the links and prefix boundary cycles that the SheddingSequence
-carries; neither deletes a vertex.  Left and right are read off the
-boundary-cycle orientation, never from vertex labels, so the only
+The drawing reads the links and prefix boundary cycles that the
+SheddingSequence carries; it deletes no vertex.  Left and right are read off
+the boundary-cycle orientation, never from vertex labels, so the only
 normalization ever needed is mirroring the instance when its contracted tree
 is left-heavy (and negating x afterward).  The mirrored sequence is the same
 history with every link and cycle reversed.
@@ -30,19 +26,10 @@ history with every link and cycle reversed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .exactgeom import (
-    Point2,
-    ceil_fraction,
-    floor_fraction,
-    intersect_lines,
-    orient2d,
-    slope,
-    slopes_decrease,
-)
+from .exactgeom import ceil_div, orient2d, slopes_decrease
 from .reduction import (
     ReducedTriangulation,
     build_reduced_triangulation,
@@ -57,12 +44,9 @@ from .triangulation import (
 )
 
 
-class EmptyRegion(Exception):
-    """The support-line region has no interior; must never fire on valid input."""
-
-
 class ParallelSupportLines(Exception):
-    """Left and right support lines fail s > u; must never fire on valid input."""
+    """The support edges are not x-increasing, or their slopes fail s > u;
+    must never fire on valid input."""
 
 
 class PropertyViolation(Exception):
@@ -96,27 +80,41 @@ def make_template(rt: ReducedTriangulation, n: int) -> ScaledTemplate:
     return ScaledTemplate(n, alpha, beta, rt, z)
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, printed the way str(Fraction) prints it."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return f"{num}" if den == 1 else f"{num}/{den}"
+
+
 # -- placement cases (pure helpers) --------------------------------------------
 
 
 def place_high_degree(ws: list[IntPoint]) -> IntPoint:
     """Vertex placement over a chain of k >= 3 neighbors (degree > 2 case).
 
-    Intersect the line of slope s(w1 w2) through w1 with the line of slope
-    s(w_{k-1} w_k) through w_k, then round: x' = ceil(xbar), and push y up by
-    floor((x' - xbar) * s) + 1.
+    Intersect the line of slope s = s(w1 w2) through w1 with the line of
+    slope u = s(w_{k-1} w_k) through w_k at (xbar, ybar), then round:
+    x' = ceil(xbar), and y' = ceil(ybar) + floor((x' - xbar) * s) + 1.
+
+    In integers: with s = sn/sd and u = un/ud over the positive x-extents sd
+    and ud, the intersection is w1 + (sd, sn) * t/den, where
+    t = (y_k - y_1) ud - un (x_k - x_1) and den = sn ud - un sd > 0.
     """
-    w1, w2 = Point2(*ws[0]), Point2(*ws[1])
-    wk1, wk = Point2(*ws[-2]), Point2(*ws[-1])
-    s = slope(w1, w2)
-    u = slope(wk1, wk)
-    if s <= u:
-        raise ParallelSupportLines(f"support slopes s={s} <= u={u}")
-    xbar, ybar = intersect_lines(w1, s, wk, u)
-    xp = ceil_fraction(xbar)
-    gamma = xp - xbar
-    yp = ceil_fraction(ybar) + floor_fraction(gamma * s) + 1
-    return (xp, yp)
+    (x1, y1), (x2, y2) = ws[0], ws[1]
+    (xk1, yk1), (xk, yk) = ws[-2], ws[-1]
+    sn, sd = y2 - y1, x2 - x1
+    un, ud = yk - yk1, xk - xk1
+    if sd <= 0 or ud <= 0:
+        raise ParallelSupportLines(f"support edges not x-increasing: x-extents {sd}, {ud}")
+    den = sn * ud - un * sd
+    if den <= 0:
+        raise ParallelSupportLines(f"support slopes s={_ratio(sn, sd)} <= u={_ratio(un, ud)}")
+    t = (yk - y1) * ud - un * (xk - x1)
+    dx = ceil_div(sd * t, den)
+    # (x' - xbar) * s = (dx den - sd t) sn / (sd den)
+    dy = ceil_div(sn * t, den) + (sn * (dx * den - sd * t)) // (sd * den) + 1
+    return (x1 + dx, y1 + dy)
 
 
 def place_degree_two(
@@ -124,22 +122,25 @@ def place_degree_two(
 ) -> IntPoint:
     """Vertex placement by copying a template triangle (degree = 2 case).
 
-    The triangle (b1, b2, apex) is scaled and translated so that the image of
-    b2 is exactly w2 and the image of b1 shares its x with w1, then sheared
-    down by kappa * eta to pin the b1 corner onto w1; the apex image is
-    rounded (floor x when the template apex is left of center, ceil when
-    right; always ceil y).
+    The triangle (b1, b2, apex) is scaled by lam = W/D (W, D the x-extents
+    of w1 w2 and b1 b2) and translated so that the image of b2 is exactly w2
+    and the image of b1 shares its x with w1, then sheared down by
+    kappa * eta, with kappa = (b2.x - apex.x) / D and eta the height of b1's
+    image above w1, to pin the b1 corner onto w1; the apex image is rounded
+    (floor x when the template apex is left of center, ceil when right;
+    always ceil y).
+
+    In integers, relative to w2 the apex image is W (apex.x - b2.x) / D in x
+    and (W (apex.y - b2.y) D - (b2.x - apex.x) eta_d) / D^2 in y, where
+    eta_d = eta * D = (w2.y - w1.y) D + W (b1.y - b2.y).
     """
-    lam = Fraction(w2[0] - w1[0], b2[0] - b1[0])
-    assert lam > 0
-    v1y = w2[1] + lam * (b1[1] - b2[1])
-    v3x = w2[0] + lam * (apex[0] - b2[0])
-    v3y = w2[1] + lam * (apex[1] - b2[1])
-    eta = v1y - w1[1]
-    kappa = Fraction(b2[0] - apex[0], b2[0] - b1[0])
-    v3bar_y = v3y - kappa * eta
-    x = floor_fraction(v3x) if apex[0] <= 0 else ceil_fraction(v3x)
-    return (x, ceil_fraction(v3bar_y))
+    W, D = w2[0] - w1[0], b2[0] - b1[0]
+    assert W * D > 0
+    xnum = W * (apex[0] - b2[0])
+    dx = xnum // D if apex[0] <= 0 else ceil_div(xnum, D)
+    eta_d = (w2[1] - w1[1]) * D + W * (b1[1] - b2[1])
+    ynum = W * (apex[1] - b2[1]) * D - (b2[0] - apex[0]) * eta_d
+    return (w2[0] + dx, w2[1] + ceil_div(ynum, D * D))
 
 
 # -- grid embedding -------------------------------------------------------------
@@ -256,13 +257,6 @@ class UpperChain:
             if j >= 2 and not slopes_decrease(coords[win[j - 2]], coords[u], coords[w]):
                 return "slope", u, w
         return None
-
-
-def _ratio(num: int, den: int) -> str:
-    """num/den in lowest terms, printed the way str(Fraction) prints it."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return f"{num}" if den == 1 else f"{num}/{den}"
 
 
 def _audit_grid_step(
@@ -392,7 +386,7 @@ def grid_embed(
         if not wpts[0][0] < pt[0] < wpts[-1][0]:
             raise PropertyViolation(i, "3", f"new x {pt[0]} not strictly inside the chain span")
         for w_a, w_b in zip(wpts, wpts[1:]):
-            if orient2d(Point2(*w_a), Point2(*w_b), Point2(*pt)) != 1:
+            if orient2d(w_a, w_b, pt) != 1:
                 raise PropertyViolation(i, "3", f"new vertex not strictly above covered edge")
         coords[ai] = pt
         records.append(AuditRecord(i, case, pt))
@@ -416,109 +410,3 @@ def grid_embed(
     return GridEmbedding(
         G, a, coords, zmap, tpl, mirrored, tuple(records) if audit else None
     )
-
-
-# -- rational embedding ----------------------------------------------------------
-
-
-class _Line(NamedTuple):
-    point: Point2
-    s: Fraction
-
-    def at(self, x: Fraction) -> Fraction:
-        return self.point.y + self.s * (x - self.point.x)
-
-    def intercept(self) -> Fraction:
-        return self.point.y - self.s * self.point.x
-
-
-def _region_point(constraints: list[tuple[_Line, str]]) -> Point2:
-    """A rational point strictly inside the intersection of half-planes.
-
-    Takes the centroid of the corner points of the (bounded) feasible region;
-    raises EmptyRegion if that fails, which valid inputs never trigger.
-    """
-    uniq: dict[tuple[Fraction, Fraction], tuple[_Line, str]] = {}
-    for ln, sense in constraints:
-        uniq.setdefault((ln.s, ln.intercept()), (ln, sense))
-    lines = list(uniq.values())
-
-    def feasible(p: Point2, strict: bool) -> bool:
-        for ln, sense in lines:
-            yl = ln.at(p.x)
-            if sense == "below":
-                ok = p.y < yl if strict else p.y <= yl
-            else:
-                ok = p.y > yl if strict else p.y >= yl
-            if not ok:
-                return False
-        return True
-
-    corners: set[tuple[Fraction, Fraction]] = set()
-    for idx in range(len(lines)):
-        for jdx in range(idx + 1, len(lines)):
-            l1, l2 = lines[idx][0], lines[jdx][0]
-            if l1.s == l2.s:
-                continue
-            p = intersect_lines(l1.point, l1.s, l2.point, l2.s)
-            if feasible(p, strict=False):
-                corners.add((p.x, p.y))
-    if len(corners) < 3:
-        raise EmptyRegion(f"only {len(corners)} feasible corners")
-    cx = sum((c[0] for c in corners), Fraction(0)) / len(corners)
-    cy = sum((c[1] for c in corners), Fraction(0)) / len(corners)
-    pt = Point2(cx, cy)
-    if not feasible(pt, strict=True):
-        raise EmptyRegion("centroid not strictly interior")
-    return pt
-
-
-def rational_embed(
-    G: PlaneTriangulation, a: SheddingSequence, audit: bool = True
-) -> dict[int, Point2]:
-    """Rational sequentially convex drawing with base (0,0)-(2,0), apex (1,1).
-
-    The base endpoint that is leftmost is the one the boundary orientation
-    says; the drawing always has the interior in the upper half-plane.  The
-    outer support lines at w_1 and w_k run along the chain edges beyond the
-    link, read off the tracked UpperChain; the audit checks the chain window
-    around each new vertex, which by the induction in grid_embed's docstring
-    is the whole prefix chain's convexity.
-    """
-    a = peeled_from(G, a)
-    lb, rb = _base_lr(a)
-    a3 = a.order[2]
-    coords: dict[int, Point2] = {
-        lb: Point2(Fraction(0), Fraction(0)),
-        rb: Point2(Fraction(2), Fraction(0)),
-        a3: Point2(Fraction(1), Fraction(1)),
-    }
-    chain = UpperChain(lb, a3, rb)
-    for i in range(4, a.n + 1):
-        ai = a.order[i - 1]
-        ws = a.link(i)
-        # the splice keeps chain.left[w1] and chain.right[wk]
-        if not chain.splice(ai, ws):
-            raise EmptyRegion(f"step {i}: link {ws} of {ai} is not a run of the upper chain")
-        w1, wk = ws[0], ws[-1]
-        p1, pk = coords[w1], coords[wk]
-        s2 = slope(p1, coords[ws[1]])
-        s3 = slope(coords[ws[-2]], pk)
-        if w1 == lb:
-            l1 = _Line(p1, s2 + 1)
-        else:
-            l1 = _Line(p1, slope(coords[chain.left[w1]], p1))
-        if wk == rb:
-            l4 = _Line(pk, s3 - 1)
-        else:
-            l4 = _Line(pk, slope(pk, coords[chain.right[wk]]))
-        pt = _region_point(
-            [(l1, "below"), (_Line(p1, s2), "above"), (_Line(pk, s3), "above"), (l4, "below")]
-        )
-        for w_a, w_b in zip(ws, ws[1:]):
-            if orient2d(coords[w_a], coords[w_b], pt) != 1:
-                raise EmptyRegion(f"step {i}: chosen point not above covered edge {w_a}-{w_b}")
-        coords[ai] = pt
-        if audit and chain.first_fault(ai, coords) is not None:
-            raise EmptyRegion(f"step {i}: prefix chain lost strict convexity")
-    return coords

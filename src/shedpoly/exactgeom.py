@@ -1,27 +1,22 @@
 """Exact arithmetic geometry primitives.
 
-Everything in this package runs on Python ints and fractions.Fraction; there is
-deliberately no float code path.  Fraction keeps slopes and line intersections
-canonical (reduced, positive denominator) where the drawing code needs them.
-Planes are pure-integer: a plane is stored as (det, A, B, D) with det > 0, and
-the lift and its certificates compare and floor plane heights with integer
-products and floor division only, never building a Fraction.
+Everything in this package runs on Python ints; there is deliberately no
+float code path and no rational type.  A slope or a line intersection is
+never built: slopes are compared by cross-multiplying over positive
+x-extents, and rounded quotients are integer floor and ceil divisions.
+Planes are stored as (det, A, B, D) with det > 0, and the lift and its
+certificates compare and floor plane heights with integer products and floor
+division only.  orient2d and slopes_decrease use only ring operations, so
+they stay exact on any exact number type.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Union
-
-Scalar = Union[int, Fraction]
+from typing import NamedTuple
 
 
 class GeometryError(Exception):
     """Base class for exact-geometry failures."""
-
-
-class VerticalEdge(GeometryError):
-    """Slope requested for a segment with equal x coordinates."""
 
 
 class DegenerateFace(GeometryError):
@@ -29,8 +24,8 @@ class DegenerateFace(GeometryError):
 
 
 class Point2(NamedTuple):
-    x: Scalar
-    y: Scalar
+    x: int
+    y: int
 
 
 class Point3(NamedTuple):
@@ -52,7 +47,7 @@ class Plane(NamedTuple):
     D: int
 
 
-def sign(v: Scalar) -> int:
+def sign(v: int) -> int:
     if v > 0:
         return 1
     if v < 0:
@@ -67,21 +62,8 @@ def orient2d(p: Point2, q: Point2, r: Point2) -> int:
 
 def slopes_decrease(p: Point2, q: Point2, r: Point2) -> bool:
     """slope(q, r) < slope(p, q) for p.x < q.x < r.x, cross-multiplied over
-    the positive x-extents.  The one strict-convexity test of an upper chain,
-    exact on int and Fraction points alike."""
+    the positive x-extents.  The one strict-convexity test of an upper chain."""
     return (r[1] - q[1]) * (q[0] - p[0]) < (q[1] - p[1]) * (r[0] - q[0])
-
-
-def slope(p: Point2, q: Point2) -> Fraction:
-    """Slope of segment pq.  Raises VerticalEdge when x(p) == x(q).
-
-    Vertical edges are an error by design: the drawings this package produces
-    never contain them, so asking for such a slope means an upstream bug.
-    """
-    dx = q[0] - p[0]
-    if dx == 0:
-        raise VerticalEdge(f"vertical segment through x={p[0]!r}")
-    return Fraction(q[1] - p[1], 1) / Fraction(dx, 1)
 
 
 def plane_through(p1: Point3, p2: Point3, p3: Point3) -> Plane:
@@ -118,29 +100,6 @@ def floor_plane(plane: Plane, x: int, y: int) -> int:
     return (A * x + B * y + D) // det
 
 
-def intersect_lines(p: Point2, s: Fraction, q: Point2, u: Fraction) -> Point2:
-    """Intersection of the line through p with slope s and through q with slope u.
-
-    Raises GeometryError when s == u (parallel); callers that can hit this
-    legitimately should check first.
-    """
-    if s == u:
-        raise GeometryError("parallel lines")
-    # y = y_p + s (x - x_p) = y_q + u (x - x_q)
-    x = (Fraction(q[1]) - Fraction(p[1]) + s * p[0] - u * q[0]) / (s - u)
-    y = Fraction(p[1]) + s * (x - p[0])
-    return Point2(x, y)
-
-
-def floor_fraction(v: Scalar) -> int:
-    """Largest integer <= v, exact."""
-    if isinstance(v, int):
-        return v
-    return v.numerator // v.denominator
-
-
-def ceil_fraction(v: Scalar) -> int:
-    """Smallest integer >= v, exact."""
-    if isinstance(v, int):
-        return v
-    return -((-v.numerator) // v.denominator)
+def ceil_div(num: int, den: int) -> int:
+    """Smallest integer >= num/den, exact; num // den is the largest <=."""
+    return -(-num // den)

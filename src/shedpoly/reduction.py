@@ -183,12 +183,6 @@ class ReducedStructure:
     def original_step(self, q: int) -> int:
         return self.R[q - 1]
 
-    def reduced_node_count(self, i: int) -> int:
-        rset = set(self.R)
-        return sum(
-            1 for nd in self.store.by_key.values() if nd.step <= i and nd.step in rset
-        )
-
     def reduced_shape(self, i: int, key: Optional[EdgeKey] = None):
         """Nested-tuple form of the contracted tree T*_i, as SheddingTree.shape."""
         kids = {
@@ -277,7 +271,7 @@ def reduce_trees(trees: tuple[SheddingTree, ...], a: SheddingSequence) -> Reduce
     rs = ReducedStructure(trees, tuple(R), rho, tuple(h), rep_cache, pairs)
 
     # hypothesis checks: every contracted tree is the right size and full;
-    # got runs through reduced_node_count(i) for i = 2..n
+    # got runs through the node count of T*_i for i = 2..n
     born = [0] * (n + 1)
     for nd in store.by_key.values():
         if nd.step in rset:
@@ -373,23 +367,3 @@ def build_reduced_triangulation(rs: ReducedStructure) -> ReducedTriangulation:
         psi[rk] = (q - 1, g[q] - 1)
 
     return ReducedTriangulation(Gstar, m, mprime, omega, f, g, psi, rs)
-
-
-def template_edge(rt: ReducedTriangulation, key: EdgeKey) -> tuple[int, int]:
-    """Template edge Z(e) for an edge e of G that is a node of some T_i:
-    follow the contraction to the surviving node, then psi."""
-    return rt.psi[rt.rs.rep[key]]
-
-
-def dump_tree(tree: SheddingTree) -> str:
-    """Stable indented text form of a tree, for debugging."""
-    lines: list[str] = []
-    stack = [(tree.root, 0, "")]
-    while stack:
-        node, depth, tag = stack.pop()
-        lines.append(f"{'  ' * depth}{tag}{node.key} @{node.step}")
-        for side in ("R", "L"):  # left is popped, so printed, first
-            c = tree.child(node, side)
-            if c is not None:
-                stack.append((c, depth + 1, side + " "))
-    return "\n".join(lines)

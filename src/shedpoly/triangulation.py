@@ -570,19 +570,6 @@ def peeled_from(G: PlaneTriangulation, a: SheddingSequence) -> SheddingSequence:
     return a if a.G is G else deletion_trace(G, a)
 
 
-def prefix_triangulation(a: SheddingSequence, i: int) -> PlaneTriangulation:
-    """The prefix G_i as a standalone value (induced on a_1..a_i)."""
-    if not 3 <= i <= a.n:
-        raise ValueError(f"prefix index {i} out of range")
-    pos = a.position()
-    keep = set(a.order[:i])
-    tris = [t for t in a.G.triangles if max(pos[x] for x in t) <= i]
-    coords = None
-    if a.G.coords is not None:
-        coords = {u: xy for u, xy in a.G.coords.items() if u in keep}
-    return PlaneTriangulation(keep, tris, a.boundary(i), coords)
-
-
 # -- diagonals and regions ----------------------------------------------------
 
 
@@ -634,31 +621,6 @@ def split_by_diagonal(
     lverts = frozenset(x for t in left for x in t) - {u, v}
     rverts = frozenset(x for t in right for x in t) - {u, v}
     return lverts, rverts
-
-
-def find_shedding_in_region(
-    G: PlaneTriangulation, diag: tuple[int, int], side: int
-) -> int:
-    """A shedding vertex strictly inside the component of the disk minus
-    ``diag`` that contains the vertex ``side``.
-
-    Tie-break: the lexicographically greatest by (y, x) when coordinates
-    exist, else the smallest id.  Existence is guaranteed for valid inputs;
-    NoSheddingVertex firing signals a bug.
-    """
-    left, right = split_by_diagonal(G, diag)
-    if side in left:
-        region = left
-    elif side in right:
-        region = right
-    else:
-        raise ValueError(f"vertex {side} is not strictly inside either component")
-    cands = [w for w in sorted(region) if G.is_boundary_vertex(w) and is_shedding_vertex(G, w)]
-    if not cands:
-        raise NoSheddingVertex(f"no shedding vertex strictly inside component of {side}")
-    if G.coords is not None:
-        return max(cands, key=lambda w: (G.coords[w][1], G.coords[w][0]))
-    return cands[0]
 
 
 def mirror(G: PlaneTriangulation) -> PlaneTriangulation:

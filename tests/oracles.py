@@ -6,6 +6,8 @@ brute-force permutation enumeration instead of guided search, networkx longest
 paths instead of the height recursion, raw formula evaluation for the
 worked coordinate examples, and full Fraction scans of every prefix boundary
 instead of the incremental integer audits of the drawing and the lift.
+It also holds a second, rational drawing, made without the template or any
+rounding, for the certificate tests to check.
 """
 
 from __future__ import annotations
@@ -13,13 +15,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 import networkx as nx
 
-from shedpoly.embedding import PropertyViolation
+from shedpoly.embedding import PropertyViolation, UpperChain, _base_lr
+from shedpoly.exactgeom import Point2, orient2d
 from shedpoly.triangulation import (
     PlaneTriangulation,
+    SheddingSequence,
     edge_key,
+    peeled_from,
     validate,
 )
 from shedpoly.verify import Certificate
@@ -84,6 +90,12 @@ def all_shedding_sequences(G: PlaneTriangulation):
 def shedding_definitional(G: PlaneTriangulation, v: int) -> bool:
     """Is G - {v} a disk?  Via the induced-subcomplex route."""
     return induced_disk(G, set(G.vertices) - {v}) is not None
+
+
+def reduced_node_count(store, R, i: int) -> int:
+    """Nodes of the contracted tree T*_i, counted from scratch: the nodes of
+    the tree store created at a step <= i that is in the index set R."""
+    return sum(1 for nd in store.by_key.values() if nd.step <= i and nd.step in set(R))
 
 
 def tau_by_longest_path(G: PlaneTriangulation, order) -> int:
@@ -449,3 +461,123 @@ def sequentially_convex_oracle(coords, a):
         if fault is not None:
             return f"prefix {i}: {fault}"
     return None
+
+
+# -- an independent rational drawing -------------------------------------------
+
+
+class EmptyRegion(Exception):
+    """The support-line region has no interior; must never fire on valid input."""
+
+
+class _Line(NamedTuple):
+    point: Point2
+    s: Fraction
+
+    def at(self, x: Fraction) -> Fraction:
+        return self.point.y + self.s * (x - self.point.x)
+
+    def intercept(self) -> Fraction:
+        return self.point.y - self.s * self.point.x
+
+
+def _intersect(l1: _Line, l2: _Line) -> Point2:
+    """The common point of two lines of different slopes."""
+    x = (l2.intercept() - l1.intercept()) / (l1.s - l2.s)
+    return Point2(x, l1.at(x))
+
+
+def _region_point(constraints: list[tuple[_Line, str]]) -> Point2:
+    """A rational point strictly inside the intersection of half-planes.
+
+    Takes the centroid of the corner points of the (bounded) feasible region;
+    raises EmptyRegion if that fails, which valid inputs never trigger.
+    """
+    uniq: dict[tuple[Fraction, Fraction], tuple[_Line, str]] = {}
+    for ln, sense in constraints:
+        uniq.setdefault((ln.s, ln.intercept()), (ln, sense))
+    lines = list(uniq.values())
+
+    def feasible(p: Point2, strict: bool) -> bool:
+        for ln, sense in lines:
+            yl = ln.at(p.x)
+            if sense == "below":
+                ok = p.y < yl if strict else p.y <= yl
+            else:
+                ok = p.y > yl if strict else p.y >= yl
+            if not ok:
+                return False
+        return True
+
+    corners: set[tuple[Fraction, Fraction]] = set()
+    for idx in range(len(lines)):
+        for jdx in range(idx + 1, len(lines)):
+            l1, l2 = lines[idx][0], lines[jdx][0]
+            if l1.s == l2.s:
+                continue
+            p = _intersect(l1, l2)
+            if feasible(p, strict=False):
+                corners.add((p.x, p.y))
+    if len(corners) < 3:
+        raise EmptyRegion(f"only {len(corners)} feasible corners")
+    cx = sum((c[0] for c in corners), Fraction(0)) / len(corners)
+    cy = sum((c[1] for c in corners), Fraction(0)) / len(corners)
+    pt = Point2(cx, cy)
+    if not feasible(pt, strict=True):
+        raise EmptyRegion("centroid not strictly interior")
+    return pt
+
+
+def rational_embed(
+    G: PlaneTriangulation, a: SheddingSequence, audit: bool = True
+) -> dict[int, Point2]:
+    """Rational sequentially convex drawing with base (0,0)-(2,0), apex (1,1).
+
+    A drawing made without the template, the grid or any rounding: each new
+    vertex goes to the centroid of the corners of the region cut out by four
+    support lines, so the certificate tests can check drawings that
+    grid_embed did not make.  The base endpoint that is leftmost is the one
+    the boundary orientation says; the interior is in the upper half-plane.
+    The outer support lines at w_1 and w_k run along the chain edges beyond
+    the link, read off the tracked UpperChain; the audit checks the chain
+    window around each new vertex, which by the induction in grid_embed's
+    docstring is the whole prefix chain's convexity.  Denominators compound
+    step over step, so keep instances small.
+    """
+    a = peeled_from(G, a)
+    lb, rb = _base_lr(a)
+    a3 = a.order[2]
+    coords: dict[int, Point2] = {
+        lb: Point2(Fraction(0), Fraction(0)),
+        rb: Point2(Fraction(2), Fraction(0)),
+        a3: Point2(Fraction(1), Fraction(1)),
+    }
+    chain = UpperChain(lb, a3, rb)
+    for i in range(4, a.n + 1):
+        ai = a.order[i - 1]
+        ws = a.link(i)
+        # the splice keeps chain.left[w1] and chain.right[wk]
+        if not chain.splice(ai, ws):
+            raise EmptyRegion(f"step {i}: link {ws} of {ai} is not a run of the upper chain")
+        w1, wk = ws[0], ws[-1]
+        p1, pk = coords[w1], coords[wk]
+        s2 = _fslope(p1, coords[ws[1]])
+        s3 = _fslope(coords[ws[-2]], pk)
+        if w1 == lb:
+            l1 = _Line(p1, s2 + 1)
+        else:
+            l1 = _Line(p1, _fslope(coords[chain.left[w1]], p1))
+        if wk == rb:
+            l4 = _Line(pk, s3 - 1)
+        else:
+            l4 = _Line(pk, _fslope(pk, coords[chain.right[wk]]))
+        pt = _region_point(
+            [(l1, "below"), (_Line(p1, s2), "above"), (_Line(pk, s3), "above"), (l4, "below")]
+        )
+        for w_a, w_b in zip(ws, ws[1:]):
+            if orient2d(coords[w_a], coords[w_b], pt) != 1:
+                raise EmptyRegion(f"step {i}: chosen point not above covered edge {w_a}-{w_b}")
+        coords[ai] = pt
+        if audit and chain.first_fault(ai, coords) is not None:
+            raise EmptyRegion(f"step {i}: prefix chain lost strict convexity")
+    return coords

@@ -31,7 +31,7 @@ from shedpoly.corpus import (
     stacked_k4,
     triangle,
 )
-from shedpoly.embedding import GridEmbedding, grid_embed, rational_embed
+from shedpoly.embedding import GridEmbedding, grid_embed
 from shedpoly.exactgeom import Point2, Point3
 from shedpoly.griddiam import (
     SheddingPlan,
@@ -46,7 +46,6 @@ from shedpoly.triangulation import (
     SheddingSequence,
     deletion_trace,
     is_shedding_vertex,
-    prefix_triangulation,
     shedding_sequence,
 )
 from shedpoly.verify import (
@@ -130,7 +129,7 @@ def certify_stepwise(item: Item) -> None:
     a1, a2 = item.a.order[0], item.a.order[1]
     base = (emb.coords[a1], emb.coords[a2])
     for i in range(3, item.G.n + 1):
-        Gi = prefix_triangulation(trace, i)
+        Gi = oracles.induced_disk(item.G, item.a.order[:i])
         sub = {v: emb.coords[v] for v in Gi.vertices}
         cert = check_face_isomorphic(Gi, sub)
         assert cert.passed, f"{item.label} prefix {i}: {cert.detail}"
@@ -220,7 +219,7 @@ def test_criterion_2_lift_heights_bounded_and_convex():
 
 
 def test_criterion_3_base_coordinates_and_template_constants():
-    pts = rational_embed(triangle(), shedding_sequence(triangle(), 0, 1))
+    pts = oracles.rational_embed(triangle(), shedding_sequence(triangle(), 0, 1))
     assert pts == {
         0: Point2(Fraction(0), Fraction(0)),
         1: Point2(Fraction(2), Fraction(0)),

@@ -1,4 +1,5 @@
-"""Drawing tests: placement formulas, template scaling, grid and rational embeddings."""
+"""Drawing tests: placement formulas, template scaling, grid embeddings, and
+the rational reference drawing of tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import EmptyRegion, rational_embed
 from shedpoly import embedding
 from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
 from shedpoly.embedding import (
-    EmptyRegion,
     ParallelSupportLines,
     PropertyViolation,
     UpperChain,
@@ -23,9 +24,8 @@ from shedpoly.embedding import (
     grid_embed,
     place_degree_two,
     place_high_degree,
-    rational_embed,
 )
-from shedpoly.exactgeom import Point2, orient2d, slope
+from shedpoly.exactgeom import Point2, orient2d
 from shedpoly.griddiam import gen_grid_triangulation, uniform_grid_triangulation
 from shedpoly.triangulation import PlaneTriangulation, edge_key, shedding_sequence
 from shedpoly.verify import check_grid_bounds
@@ -94,10 +94,16 @@ def test_high_degree_matches_oracle():
 
 
 def test_high_degree_rejects_bad_support_slopes():
-    with pytest.raises(ParallelSupportLines):
+    with pytest.raises(ParallelSupportLines, match=r"^support slopes s=1 <= u=1$"):
         place_high_degree([(0, 0), (1, 1), (2, 2), (3, 3)])
-    with pytest.raises(ParallelSupportLines):
+    with pytest.raises(ParallelSupportLines, match=r"^support slopes s=-1 <= u=2$"):
         place_high_degree([(0, 0), (1, -1), (2, 1)])
+    with pytest.raises(ParallelSupportLines, match=r"^support slopes s=3/2 <= u=5/3$"):
+        place_high_degree([(0, 0), (4, 6), (7, 9), (13, 19)])
+    # a support edge with zero or negative x-extent
+    for ws in ([(0, 0), (0, 1), (2, 0)], [(0, 0), (1, 1), (1, 0)], [(0, 0), (-1, 5), (2, 0)]):
+        with pytest.raises(ParallelSupportLines, match="not x-increasing"):
+            place_high_degree(ws)
 
 
 def test_degree_two_worked_examples():
@@ -231,8 +237,9 @@ def test_grid_corpus_certified():
         M = oracles.template_max_slope(emb.template)
         # slopes of all edges stay within M + n of the template, so within 2n^2 + n
         for u, v in G.edges():
-            if u in emb.coords and emb.coords[u][0] != emb.coords[v][0]:
-                s = slope(Point2(*emb.coords[u]), Point2(*emb.coords[v]))
+            (xu, yu), (xv, yv) = emb.coords[u], emb.coords[v]
+            if xu != xv:
+                s = Fraction(yv - yu, xv - xu)
                 if tuple(sorted((u, v))) in emb.correspondence:
                     assert abs(s) <= M + n <= 2 * n * n + n
 
@@ -558,7 +565,7 @@ def _lifted_rational(G, a, step, audit):
     unless they are the base ends.  Returns the exception it raised (or
     None) and every point _region_point produced, in step order."""
     placed = []
-    real = embedding._region_point
+    real = oracles._region_point
 
     def region_point(constraints):
         pt = real(constraints)
@@ -568,7 +575,7 @@ def _lifted_rational(G, a, step, audit):
         return pt
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embedding, "_region_point", region_point)
+        mp.setattr(oracles, "_region_point", region_point)
         try:
             rational_embed(G, a, audit=audit)
         except EmptyRegion as exc:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,15 +16,12 @@ from shedpoly.exactgeom import (
     Plane,
     Point2,
     Point3,
-    VerticalEdge,
     above_plane,
-    ceil_fraction,
-    floor_fraction,
+    ceil_div,
     floor_plane,
-    intersect_lines,
     orient2d,
     plane_through,
-    slope,
+    slopes_decrease,
 )
 
 
@@ -41,14 +41,12 @@ def test_orient2d_antisymmetric_random():
 
 
 def test_slope_examples():
-    assert slope(Point2(0, 0), Point2(2, 1)) == Fraction(1, 2)
-    assert slope(Point2(0, 0), Point2(1, 0)) == 0
-    assert slope(Point2(-1, 0), Point2(0, 1)) == 1
-
-
-def test_slope_vertical_raises():
-    with pytest.raises(VerticalEdge):
-        slope(Point2(3, 0), Point2(3, 7))
+    # slopes 1, 1/2, 0 and -1 along x = -1, 0, 2, 3, 4
+    p, q, r, t, w = Point2(-1, -1), Point2(0, 0), Point2(2, 1), Point2(3, 1), Point2(4, 0)
+    assert slopes_decrease(p, q, r) and slopes_decrease(q, r, t) and slopes_decrease(r, t, w)
+    # a rising slope, and equal slopes, are not a strict decrease
+    assert not slopes_decrease(Point2(0, 0), Point2(1, 0), Point2(2, 1))
+    assert not slopes_decrease(Point2(0, 0), Point2(1, 1), Point2(3, 3))
 
 
 def test_slope_translation_invariant_random():
@@ -56,10 +54,11 @@ def test_slope_translation_invariant_random():
     for _ in range(300):
         p = Point2(rng.randint(-30, 30), rng.randint(-30, 30))
         q = Point2(p.x + rng.randint(1, 20), rng.randint(-30, 30))
+        r = Point2(q.x + rng.randint(1, 20), rng.randint(-30, 30))
         tx, ty = rng.randint(-100, 100), rng.randint(-100, 100)
-        assert slope(p, q) == slope(
-            Point2(p.x + tx, p.y + ty), Point2(q.x + tx, q.y + ty)
-        )
+        moved = (Point2(v.x + tx, v.y + ty) for v in (p, q, r))
+        want = Fraction(r.y - q.y, r.x - q.x) < Fraction(q.y - p.y, q.x - p.x)
+        assert slopes_decrease(p, q, r) == slopes_decrease(*moved) == want
 
 
 def test_plane_through_examples():
@@ -139,16 +138,33 @@ def test_above_and_floor_plane_examples():
     assert above_plane(half, 1, 1, 2) > 0 > above_plane(half, 1, 1, 1)
 
 
-def test_intersect_lines():
-    # y = x and y = -x + 2 meet at (1, 1)
-    p = intersect_lines(Point2(0, 0), Fraction(1), Point2(2, 0), Fraction(-1))
-    assert p == (1, 1)
-
-
 def test_floor_ceil_fraction():
-    assert floor_fraction(Fraction(7, 2)) == 3
-    assert ceil_fraction(Fraction(7, 2)) == 4
-    assert floor_fraction(Fraction(-7, 2)) == -4
-    assert ceil_fraction(Fraction(-7, 2)) == -3
-    assert floor_fraction(5) == 5 == ceil_fraction(5)
-    assert floor_fraction(Fraction(6, 3)) == 2 == ceil_fraction(Fraction(6, 3))
+    assert 7 // 2 == 3 and ceil_div(7, 2) == 4
+    assert -7 // 2 == -4 and ceil_div(-7, 2) == -3
+    assert 7 // -2 == -4 and ceil_div(7, -2) == -3
+    assert 5 // 1 == 5 == ceil_div(5, 1)
+    assert 6 // 3 == 2 == ceil_div(6, 3)
+    rng = random.Random(11)
+    for _ in range(300):
+        num, den = rng.randint(-10**30, 10**30), rng.choice((-1, 1)) * rng.randint(1, 10**15)
+        assert ceil_div(num, den) == math.ceil(Fraction(num, den))
+        assert num // den == math.floor(Fraction(num, den))
+
+
+def test_package_imports_no_fractions():
+    # the pipeline is integer-only: no module of the package may import fractions
+    src = Path(__file__).resolve().parents[1] / "src" / "shedpoly"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 10
+    offenders = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"fractions imported at {offenders}"

@@ -7,18 +7,15 @@ import pytest
 
 import oracles
 from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
-from shedpoly.exactgeom import slope
+from shedpoly.embedding import grid_embed
 from shedpoly.reduction import (
     MalformedTreeSequence,
     build_reduced_triangulation,
     build_shedding_trees,
-    dump_tree,
     reduce_trees,
-    template_edge,
 )
 from shedpoly.triangulation import (
     PlaneTriangulation,
-    deletion_trace,
     edge_key,
     mirror,
     peel_order,
@@ -70,7 +67,6 @@ def test_square_tree():
     xi = t4.store.by_key[(0, 2)]
     assert xi.left.key == (0, 3) and xi.left.step == 4
     assert xi.right.key == (2, 3) and xi.right.step == 4
-    assert "(0, 2)" in dump_tree(t4)
 
 
 def test_tree_node_counts():
@@ -82,14 +78,11 @@ def test_tree_node_counts():
 
 def test_tree_matches_prefix_trees():
     # T_i of (G, a) equals the full tree of the prefix instance (G_i, a[:i])
-    from shedpoly.triangulation import prefix_triangulation
-
     G = gen_stacked(12, 99)
     a, trees, _ = pipeline(G)
-    trace = deletion_trace(G, a)
 
     for i in (5, 8, 12):
-        P = prefix_triangulation(trace, i)
+        P = oracles.induced_disk(G, a.order[:i])
         pref = peel_order(P, a.order[:i])
         ptrees = build_shedding_trees(P, pref)
         assert ptrees[-1].shape() == trees[i - 2].shape()
@@ -113,7 +106,7 @@ def test_reduce_stacked_k4():
     assert a.degrees == (0, 1, 2, 3)
     assert rs.R == (1, 2, 3)
     assert rs.h == (1, 2, 3, 3)
-    assert rs.reduced_node_count(4) == 3
+    assert oracles.reduced_node_count(rs.store, rs.R, 4) == 3
     # T*_4 collapses to T_3
     assert rs.reduced_shape(4) == trees[1].shape()
     # the contracted step-4 nodes represent the surviving step-3 edges
@@ -136,7 +129,7 @@ def test_reduced_trees_full_binary():
         for i in range(2, rs.n + 1):
             assert full_binary(rs.reduced_shape(i))
             expected = 1 if i == 2 else 1 + 2 * (rs.h_of(i) - 2)
-            assert rs.reduced_node_count(i) == expected
+            assert oracles.reduced_node_count(rs.store, rs.R, i) == expected
 
 
 def test_size_check_names_the_first_tree_a_missing_node_shrinks():
@@ -145,7 +138,6 @@ def test_size_check_names_the_first_tree_a_missing_node_shrinks():
     # node count of every contracted tree, recounted from scratch, does.
     for G in (split_square(), pentagon_fan(), gen_stacked(16, 13), gen_stacked(30, 14)):
         a, _, rs = pipeline(G)
-        rset = set(rs.R)
         for i in rs.R[1:]:
             trees = build_shedding_trees(G, a)
             store = trees[-1].store
@@ -153,7 +145,7 @@ def test_size_check_names_the_first_tree_a_missing_node_shrinks():
             del store.by_key[node.key]
             want = None
             for j in range(2, rs.n + 1):
-                got = sum(1 for nd in store.by_key.values() if nd.step <= j and nd.step in rset)
+                got = oracles.reduced_node_count(store, rs.R, j)
                 expect = 1 if j == 2 else 1 + 2 * (rs.h_of(j) - 2)
                 if got != expect:
                     want = f"T*_{j} has {got} nodes, expected {expect}"
@@ -231,10 +223,7 @@ def test_reduced_triangulation_properties():
         # boundary slopes strictly decreasing over the base
         cyc = Gs.boundary
         chain = [0] + [cyc[len(cyc) - 1 - j] for j in range(len(cyc) - 2)] + [1]
-        slopes = [
-            slope(Gs.coords[chain[j]], Gs.coords[chain[j + 1]])
-            for j in range(len(chain) - 1)
-        ]
+        slopes = [oracles._fslope(Gs.coords[u], Gs.coords[v]) for u, v in zip(chain, chain[1:])]
         assert all(s1 > s2 for s1, s2 in zip(slopes, slopes[1:]))
         if rt.m <= rt.mprime:
             assert slopes[0] == Fraction(rt.m + rt.mprime + 2, 2) >= rt.m + 1
@@ -262,12 +251,13 @@ def test_template_edge_lookup():
     G = stacked_k4()
     a, trees, rs = pipeline(G)
     rt = build_reduced_triangulation(rs)
-    assert template_edge(rt, (0, 1)) == (0, 1)
-    assert template_edge(rt, (0, 3)) == (2, 0)
-    assert template_edge(rt, (1, 3)) == (2, 1)
+    corr = grid_embed(G, a).correspondence
+    want = {(0, 1): (0, 1), (0, 3): (2, 0), (1, 3): (2, 1)}
     # contracted step-4 edges inherit their ancestors' template edges
-    assert template_edge(rt, (0, 2)) == (2, 0)
-    assert template_edge(rt, (1, 2)) == (2, 1)
+    want.update({(0, 2): (2, 0), (1, 2): (2, 1)})
+    for key, z in want.items():
+        assert rt.psi[rs.rep[key]] == z, key
+        assert corr[key] == z, key
 
 
 def _preorder(shape) -> list[int]:
@@ -295,6 +285,3 @@ def test_long_fan_trees_without_recursion():
     flat = _preorder(T.shape())
     assert flat.count(1) == T.node_count()
     assert _preorder(rs.reduced_shape(n)) == flat
-    lines = dump_tree(T).splitlines()
-    assert len(lines) == T.node_count()
-    assert max(len(ln) - len(ln.lstrip()) for ln in lines) // 2 >= 1000

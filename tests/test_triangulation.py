@@ -21,12 +21,10 @@ from shedpoly.triangulation import (
     PlaneTriangulation,
     delete_boundary_vertex,
     deletion_trace,
-    find_shedding_in_region,
     is_shedding_vertex,
     is_valid,
     link_of_boundary_vertex,
     mirror,
-    prefix_triangulation,
     shedding_sequence,
     split_by_diagonal,
     validate,
@@ -187,16 +185,15 @@ def test_trace_and_prefixes():
         trace = deletion_trace(G, seq)
         assert trace.degree(3) == 2 and trace.degree(1) == 0
         for i in range(3, G.n + 1):
-            P = prefix_triangulation(trace, i)
-            assert validate(P) == [], (repr(G), i)
+            # a valid disk, its boundary cycle derived from the faces
             indep = oracles.induced_disk(G, seq.order[:i])
-            assert indep is not None
-            assert set(P.triangles) == set(indep.triangles)
-            # same cycle up to rotation
-            assert len(P.boundary) == len(indep.boundary)
+            assert indep is not None, (repr(G), i)
+            # the trace's cycle is the same up to rotation
+            cyc = trace.boundary(i)
+            assert len(cyc) == len(indep.boundary)
             dbl = indep.boundary * 2
-            k = dbl.index(P.boundary[0])
-            assert dbl[k : k + len(P.boundary)] == P.boundary
+            k = dbl.index(cyc[0])
+            assert dbl[k : k + len(cyc)] == cyc
 
 
 def test_sequence_carries_its_trace():
@@ -230,24 +227,12 @@ def test_split_by_diagonal_square():
     assert set(map(frozenset, sides)) == {frozenset({1}), frozenset({3})}
 
 
-def test_find_shedding_in_region_examples():
-    G = split_square()
-    assert find_shedding_in_region(G, (0, 2), side=3) == 3
-    assert find_shedding_in_region(G, (0, 2), side=1) == 1
-    P = pentagon_fan()
-    assert find_shedding_in_region(P, (0, 2), side=1) == 1
-    # larger side of the pentagon: vertices {3} strictly inside of (0,3)? no --
-    # diagonal (0,3) has sides {1,2} and {4}
-    assert find_shedding_in_region(P, (0, 3), side=4) == 4
-    got = find_shedding_in_region(P, (0, 3), side=2)
-    assert got in {1, 2} and is_shedding_vertex(P, got)
-
-
 def test_find_shedding_not_a_diagonal():
+    # a boundary edge, and an edge to an interior vertex
     with pytest.raises(NotADiagonal):
-        find_shedding_in_region(split_square(), (0, 1), side=3)
+        split_by_diagonal(split_square(), (0, 1))
     with pytest.raises(NotADiagonal):
-        find_shedding_in_region(stacked_k4(), (0, 3), side=1)
+        split_by_diagonal(stacked_k4(), (0, 3))
 
 
 def test_no_shedding_vertex_error_exists():

@@ -17,7 +17,7 @@ from shedpoly.corpus import (
     triangle,
     two_triangles_pinched,
 )
-from shedpoly.embedding import grid_embed, rational_embed
+from shedpoly.embedding import grid_embed
 from shedpoly.exactgeom import Point3
 from shedpoly.griddiam import gen_grid_triangulation, grid_shedding, tau_profile
 from shedpoly.lifting import LiftedPolyhedron, lift, truncate_to_polytope
@@ -78,7 +78,7 @@ def test_segments_intersect_basics():
 def test_face_iso_on_own_rational_drawing():
     for G in (triangle(), split_square(), stacked_k4(), pentagon_fan(), gen_stacked(7, 2)):
         a = shedding_sequence(G, G.boundary[0], G.boundary[1])
-        cert = check_face_isomorphic(G, rational_embed(G, a))
+        cert = check_face_isomorphic(G, oracles.rational_embed(G, a))
         assert cert.passed, cert.line()
 
 
@@ -145,7 +145,7 @@ def test_face_iso_agrees_with_crossing_oracle():
     for G, emb, a in instances():
         cases.append((G, emb.coords))
         if G.n <= 12:
-            cases.append((G, rational_embed(G, a)))
+            cases.append((G, oracles.rational_embed(G, a)))
     coords, with_02, with_13 = dart()
     cases += [(with_02, coords), (with_13, coords)]
     cases.append(spiral_fan())
