@@ -80,13 +80,6 @@ def make_template(rt: ReducedTriangulation, n: int) -> ScaledTemplate:
     return ScaledTemplate(n, alpha, beta, rt, z)
 
 
-def _ratio(num: int, den: int) -> str:
-    """num/den in lowest terms, printed the way str(Fraction) prints it."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return f"{num}" if den == 1 else f"{num}/{den}"
-
-
 # -- placement cases (pure helpers) --------------------------------------------
 
 
@@ -257,6 +250,13 @@ class UpperChain:
             if j >= 2 and not slopes_decrease(coords[win[j - 2]], coords[u], coords[w]):
                 return "slope", u, w
         return None
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, printed the way str(Fraction) prints it."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return f"{num}" if den == 1 else f"{num}/{den}"
 
 
 def _audit_grid_step(

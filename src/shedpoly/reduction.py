@@ -81,15 +81,8 @@ class SheddingTree:
     def root(self) -> TreeNode:
         return self.store.root
 
-    def nodes(self) -> list[TreeNode]:
-        return [nd for nd in self.store.by_key.values() if nd.step <= self.upto]
-
     def node_count(self) -> int:
         return sum(1 for nd in self.store.by_key.values() if nd.step <= self.upto)
-
-    def contains(self, key: EdgeKey) -> bool:
-        nd = self.store.by_key.get(key)
-        return nd is not None and nd.step <= self.upto
 
     def child(self, node: TreeNode, side: str) -> Optional[TreeNode]:
         c = node.left if side == "L" else node.right

@@ -95,7 +95,8 @@ def shedding_definitional(G: PlaneTriangulation, v: int) -> bool:
 def reduced_node_count(store, R, i: int) -> int:
     """Nodes of the contracted tree T*_i, counted from scratch: the nodes of
     the tree store created at a step <= i that is in the index set R."""
-    return sum(1 for nd in store.by_key.values() if nd.step <= i and nd.step in set(R))
+    rset = set(R)
+    return sum(1 for nd in store.by_key.values() if nd.step <= i and nd.step in rset)
 
 
 def tau_by_longest_path(G: PlaneTriangulation, order) -> int:
@@ -419,9 +420,7 @@ def construction_frame(emb):
     """(sequence, left and right base vertex, coords) of a GridEmbedding in
     the frame it was built in: over mirror(G), x negated, when mirrored."""
     work = emb.sequence.mirrored() if emb.mirrored else emb.sequence
-    a1, a2 = work.order[:2]
-    cyc3 = work.boundary(3)
-    lb, rb = (a1, a2) if cyc3[(cyc3.index(a1) + 1) % 3] == a2 else (a2, a1)
+    lb, rb = _base_lr(work)
     sx = -1 if emb.mirrored else 1
     return work, lb, rb, {v: (sx * x, y) for v, (x, y) in emb.coords.items()}
 
@@ -531,18 +530,15 @@ def _region_point(constraints: list[tuple[_Line, str]]) -> Point2:
 def rational_embed(
     G: PlaneTriangulation, a: SheddingSequence, audit: bool = True
 ) -> dict[int, Point2]:
-    """Rational sequentially convex drawing with base (0,0)-(2,0), apex (1,1).
+    """Rational sequentially convex drawing with base (0,0)-(2,0), apex (1,1),
+    made without the template or any rounding: each new vertex goes to the
+    centroid of the corners of the region cut out by four support lines.
 
-    A drawing made without the template, the grid or any rounding: each new
-    vertex goes to the centroid of the corners of the region cut out by four
-    support lines, so the certificate tests can check drawings that
-    grid_embed did not make.  The base endpoint that is leftmost is the one
-    the boundary orientation says; the interior is in the upper half-plane.
-    The outer support lines at w_1 and w_k run along the chain edges beyond
-    the link, read off the tracked UpperChain; the audit checks the chain
-    window around each new vertex, which by the induction in grid_embed's
-    docstring is the whole prefix chain's convexity.  Denominators compound
-    step over step, so keep instances small.
+    The base endpoint that is leftmost is the one the boundary orientation
+    says.  The outer support lines at w_1 and w_k run along the chain edges
+    beyond the link, read off the tracked UpperChain; the audit checks the
+    chain window around each new vertex, which by the induction in
+    grid_embed's docstring is the whole prefix chain's convexity.
     """
     a = peeled_from(G, a)
     lb, rb = _base_lr(a)

@@ -165,29 +165,28 @@ def test_full_audit_oracle_passes_every_corpus_prefix():
 def test_every_corpus_placement_matches_the_reference_formulas():
     # grid_embed rerun with both placement rules wrapped: each call's point
     # must equal the flat Fraction reference on the same arguments
-    calls = {"place_high_degree": 0, "place_degree_two": 0}
-    refs = {
-        "place_high_degree": oracles.high_degree_point,
-        "place_degree_two": oracles.degree_two_point,
-    }
+    calls = []
 
-    def checked(name):
+    def checked(name, ref):
         rule = getattr(embedding, name)
 
         def place(*args):
             pt = rule(*args)
-            assert pt == refs[name](*args), (name, args)
-            calls[name] += 1
+            assert pt == ref(*args), (name, args)
+            calls.append(name)
             return pt
 
         return place
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in refs:
-            mp.setattr(embedding, name, checked(name))
+        for name, ref in (
+            ("place_high_degree", oracles.high_degree_point),
+            ("place_degree_two", oracles.degree_two_point),
+        ):
+            mp.setattr(embedding, name, checked(name, ref))
         for item in corpus():
             assert grid_embed(item.G, item.a, audit=False).coords == item.emb.coords, item.label
-    assert calls["place_high_degree"] > 1000 and calls["place_degree_two"] > 1000
+    assert min(calls.count("place_high_degree"), calls.count("place_degree_two")) > 1000
 
 
 def test_criterion_2_lift_heights_bounded_and_convex():

@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -98,8 +98,6 @@ def test_high_degree_rejects_bad_support_slopes():
         place_high_degree([(0, 0), (1, 1), (2, 2), (3, 3)])
     with pytest.raises(ParallelSupportLines, match=r"^support slopes s=-1 <= u=2$"):
         place_high_degree([(0, 0), (1, -1), (2, 1)])
-    with pytest.raises(ParallelSupportLines, match=r"^support slopes s=3/2 <= u=5/3$"):
-        place_high_degree([(0, 0), (4, 6), (7, 9), (13, 19)])
     # a support edge with zero or negative x-extent
     for ws in ([(0, 0), (0, 1), (2, 0)], [(0, 0), (1, 1), (1, 0)], [(0, 0), (-1, 5), (2, 0)]):
         with pytest.raises(ParallelSupportLines, match="not x-increasing"):
@@ -113,8 +111,9 @@ def test_degree_two_worked_examples():
     assert place_degree_two((-8, 3), (-2, 10), (-3, 1), (1, 5), (-1, 4)) == (-5, 8)
 
 
-BIG = st.integers(-(10**12), 10**12)
-EXTENT = st.integers(1, 10**12)
+# small values make every rounding step matter; large ones, long integers
+BIG = st.integers(-9, 9) | st.integers(-(10**12), 10**12)
+EXTENT = st.integers(1, 9) | st.integers(1, 10**12)
 
 
 @settings(max_examples=400, deadline=None)
@@ -148,6 +147,7 @@ def test_high_degree_matches_oracle_on_large_coordinates(w1, dxs, ys):
     apex=st.tuples(BIG, BIG),
     flip=st.booleans(),
 )
+@example(w1=(0, 0), w2y=5, wdx=3, b1=(-1, 0), b2y=0, bdx=2, apex=(0, 7), flip=False)
 def test_degree_two_matches_oracle_on_large_coordinates(w1, w2y, wdx, b1, b2y, bdx, apex, flip):
     # flip: both x-extents negative, which keeps the scale factor positive
     sx = -1 if flip else 1

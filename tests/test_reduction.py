@@ -252,12 +252,10 @@ def test_template_edge_lookup():
     a, trees, rs = pipeline(G)
     rt = build_reduced_triangulation(rs)
     corr = grid_embed(G, a).correspondence
-    want = {(0, 1): (0, 1), (0, 3): (2, 0), (1, 3): (2, 1)}
-    # contracted step-4 edges inherit their ancestors' template edges
-    want.update({(0, 2): (2, 0), (1, 2): (2, 1)})
+    # the contracted step-4 edges (0, 2) and (1, 2) inherit their ancestors' template edges
+    want = {(0, 1): (0, 1), (0, 3): (2, 0), (1, 3): (2, 1), (0, 2): (2, 0), (1, 2): (2, 1)}
     for key, z in want.items():
-        assert rt.psi[rs.rep[key]] == z, key
-        assert corr[key] == z, key
+        assert rt.psi[rs.rep[key]] == corr[key] == z, key
 
 
 def _preorder(shape) -> list[int]:
