@@ -18,12 +18,10 @@ from typing import Optional
 
 from .exactgeom import Point2, orient2d
 from .triangulation import (
-    Peel,
+    PeelEngine,
     PlaneTriangulation,
     SheddingSequence,
-    delete_boundary_vertex,
     edge_key,
-    is_shedding_vertex,
     peel_order,
     rot_min_first,
     split_by_diagonal,
@@ -54,13 +52,6 @@ class TauProfile:
     depth: dict[int, int]
     tau: int
 
-    def levels(self) -> list[frozenset[int]]:
-        """Vertices grouped by depth, ascending; each group is an antichain."""
-        by: dict[int, set[int]] = {}
-        for v, d in self.depth.items():
-            by.setdefault(d, set()).add(v)
-        return [frozenset(by[d]) for d in sorted(by)]
-
 
 def tau_profile(G: PlaneTriangulation, a: SheddingSequence) -> TauProfile:
     """Depths: depth(a_1) = 1, else 1 + max depth over earlier neighbors."""
@@ -82,15 +73,16 @@ def min_tau_exhaustive(G: PlaneTriangulation, limit: int = 9) -> tuple[int, Shed
 
     Brute force over every deletion order and every admissible base triple;
     the (depth, order) pair is minimized lexicographically, so the witness is
-    deterministic.  Only the winning order is peeled into a sequence.
-    Refuses instances with more than ``limit`` vertices.
+    deterministic.  The search branches on copies of the peel engine, and
+    only the winning order is peeled into a sequence.  Refuses instances
+    with more than ``limit`` vertices.
     """
     if G.n > limit:
         raise TooLarge(f"n={G.n} exceeds the exhaustive-search limit {limit}")
     base_edges = G.boundary_edges()
     best: Optional[tuple[int, tuple[int, ...]]] = None
 
-    def close(H: PlaneTriangulation, suffix: list[int]) -> None:
+    def close(H: PeelEngine, suffix: list[int]) -> None:
         nonlocal best
         for x, y, z in sorted(permutations(sorted(H.vertices))):
             if edge_key(x, y) not in base_edges:
@@ -100,18 +92,19 @@ def min_tau_exhaustive(G: PlaneTriangulation, limit: int = 9) -> tuple[int, Shed
             if best is None or (t, order) < best:
                 best = (t, order)
 
-    def search(H: PlaneTriangulation, suffix: list[int]) -> None:
+    def search(H: PeelEngine, suffix: list[int]) -> None:
         if H.n == 3:
             close(H, suffix)
             return
-        for w in sorted(H.boundary):
-            if is_shedding_vertex(H, w):
-                H2, _ = delete_boundary_vertex(H, w)
+        for w in sorted(H.cycle):
+            if H.is_shedding(w):
+                H2 = H.copy()
+                H2.delete(w)
                 suffix.append(w)
                 search(H2, suffix)
                 suffix.pop()
 
-    search(G, [])
+    search(PeelEngine(G), [])
     assert best is not None
     return best[0], peel_order(G, best[1])
 
@@ -290,13 +283,6 @@ class SheddingPlan:
         return self.ell * (2 * self.p + 6 * self.q)
 
 
-def grid_dimension_bounds(p: int, q: int, ell: int) -> tuple[int, int, int]:
-    """(width, height, max lift height) bounds for grid instances: with
-    n = p*q these are 4n^3, 8n^5 and (500 n^8)^(6 ell (p+q))."""
-    n = p * q
-    return 4 * n**3, 8 * n**5, (500 * n**8) ** (6 * ell * (p + q))
-
-
 def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
     """The three-stage batch schedule for a lattice grid triangulation.
 
@@ -328,7 +314,8 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         c for i in range(1, imax + 1) if i % 4 == 3 for c in group_cols[i]
     )
 
-    peel = Peel(T)
+    peel = PeelEngine(T)
+    live = peel.vertices
     batches_del_order: list[frozenset[int]] = []
     stage_of: dict[int, int] = {}
 
@@ -336,8 +323,7 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         return InvariantViolation(f"batch member {w} stopped shedding")
 
     def greatest_shedding_in(region: set[int]) -> int:
-        H = peel.H
-        cands = [w for w in region if H.is_boundary_vertex(w) and is_shedding_vertex(H, w)]
+        cands = [w for w in region if peel.is_shedding(w)]
         if not cands:
             raise InvariantViolation("carve region contains no shedding vertex")
         return max(cands, key=lambda v: (y_of(v), x_of(v)))
@@ -351,29 +337,31 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         (cand_ok); the block top itself can be tucked under a rim edge that
         enters the block from the side, and an interior vertex meets no
         diagonal.  A generator: yields the round's batch members, which the
-        peel loop deletes.
+        peel loop deletes.  Everything a round decides is read from the
+        engine before the first of its members is deleted.
         """
         regions: list[set[int]] = [set() for _ in blocks]
+        block_of = [[v for v in T.vertices if x_of(v) in cols] for cols in blocks]
         while True:
-            H = peel.H
             batch: list[int] = []
-            for k, cols in enumerate(blocks):
-                regions[k] &= set(H.vertices)
+            for k in range(len(blocks)):
+                regions[k] &= live
                 if regions[k]:
                     batch.append(greatest_shedding_in(regions[k]))
                     continue
-                block = [v for v in H.vertices if x_of(v) in cols]
+                block = block_of[k] = [v for v in block_of[k] if v in live]
                 if not any(y_of(v) > ymin for v in block):
                     continue
                 cand = [v for v in block if cand_ok(v)]
                 if not cand:
                     raise InvariantViolation("active block has no admissible vertex")
                 vk = max(cand, key=lambda v: (y_of(v), x_of(v)))
-                if not H.is_boundary_vertex(vk):
+                if not peel.on_boundary(vk):
                     raise InvariantViolation(f"block-top vertex {vk} is interior")
-                if is_shedding_vertex(H, vk):
+                if peel.is_shedding(vk):
                     batch.append(vk)
                     continue
+                H = peel.snapshot()
                 partners = [u for e in H.diagonals() if vk in e for u in e if u != vk]
                 if not partners:
                     raise InvariantViolation(f"{vk} neither sheds nor meets a diagonal")
@@ -388,10 +376,9 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                 batch.append(greatest_shedding_in(regions[k]))
             if not batch:
                 return
-            adj = H.adjacency()
             for ia in range(len(batch)):
                 for ib in range(ia + 1, len(batch)):
-                    if batch[ib] in adj[batch[ia]]:
+                    if batch[ib] in peel.nbrs[batch[ia]]:
                         raise InvariantViolation(
                             f"batch members {batch[ia]}, {batch[ib]} are adjacent"
                         )
@@ -404,21 +391,20 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         return all(y_of(w) > 1 and x_of(w) not in far_cols for w in S)
 
     def stage1_cand(v) -> bool:
-        return y_of(v) > 1 and peel.H.is_boundary_vertex(v)
+        return y_of(v) > 1 and peel.on_boundary(v)
 
     stage1_blocks = [group_cols[i] for i in range(1, imax + 1) if i % 4 == 1]
     peel.run(run_stage(stage1_blocks, ell, stage1_cand, stage1_ok, 1), stopped)
-    H = peel.H
     for v in T.vertices:
-        if x_of(v) in far_cols and v not in H.vertices:
+        if x_of(v) in far_cols and v not in live:
             raise InvariantViolation(f"far-column vertex {v} deleted in stage 1")
     for x in range(1, p + 1):
-        if gt.vid(x, 1) not in H.vertices:
+        if gt.vid(x, 1) not in live:
             raise InvariantViolation(f"bottom-row vertex at x={x} deleted in stage 1")
 
     # rows 1..ell must form a connected induced strip before stage 2 trusts it
-    low = [v for v in H.vertices if y_of(v) <= ell]
-    adj = H.adjacency()
+    low = [v for v in live if y_of(v) <= ell]
+    adj = peel.nbrs
     seen = {low[0]}
     stack = [low[0]]
     lowset = set(low)
@@ -452,27 +438,19 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         return y_of(v) > 2 * ell
 
     peel.run(run_stage(stage2_blocks, 2 * ell, stage2_cand, stage2_ok, 2), stopped)
-    H = peel.H
-    for v in H.vertices:
+    for v in live:
         if y_of(v) > 2 * ell:
             raise InvariantViolation(f"vertex {v} above row 2*ell after stage 2")
 
-    def stage3():
-        while peel.H.n > 3:
-            H = peel.H
-            cands = [w for w in H.boundary if is_shedding_vertex(H, w)]
-            if not cands:
-                raise InvariantViolation("no shedding vertex in stage 3")
-            w = max(cands, key=lambda v: (y_of(v), x_of(v)))
-            stage_of[w] = 3
-            batches_del_order.append(frozenset((w,)))
-            yield w
-
-    peel.run(stage3(), stopped)
-    H = peel.H
+    done = len(peel.removed)
+    if not peel.peel_smallest(lambda v: (-y_of(v), -x_of(v))):
+        raise InvariantViolation("no shedding vertex in stage 3")
+    for w in peel.removed[done:]:
+        stage_of[w] = 3
+        batches_del_order.append(frozenset((w,)))
 
     base_edges = T.boundary_edges()
-    final = sorted(H.vertices, key=lambda v: (y_of(v), x_of(v)))
+    final = sorted(live, key=lambda v: (y_of(v), x_of(v)))
     order = None
     if edge_key(final[0], final[1]) in base_edges:
         order = tuple(final)

@@ -55,10 +55,6 @@ class LiftedPolyhedron:
     sequence: SheddingSequence
     truncated: Optional[tuple[int, int, int]] = None
 
-    @property
-    def max_height(self) -> int:
-        return max(self.heights.values())
-
     def height_bits(self) -> int:
         """Bit length of the tallest height (benchmark statistic)."""
         return max(h.bit_length() for h in self.heights.values())

@@ -77,40 +77,6 @@ class SheddingTree:
     store: TreeStore
     upto: int
 
-    @property
-    def root(self) -> TreeNode:
-        return self.store.root
-
-    def node_count(self) -> int:
-        return sum(1 for nd in self.store.by_key.values() if nd.step <= self.upto)
-
-    def child(self, node: TreeNode, side: str) -> Optional[TreeNode]:
-        c = node.left if side == "L" else node.right
-        return c if c is not None and c.step <= self.upto else None
-
-    def shape(self, node: Optional[TreeNode] = None):
-        """Canonical nested-tuple form (left, right), None for an absent child."""
-        return _shape(
-            self.root if node is None else node,
-            lambda nd: (self.child(nd, "L"), self.child(nd, "R")),
-        )
-
-
-def _shape(root, children):
-    """Nested (left, right) tuples of the binary tree under root, built
-    bottom-up with an explicit stack so deep trees do not recurse."""
-    done: dict = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        kids = children(node)
-        if expanded:
-            done[node] = tuple(None if c is None else done.pop(c) for c in kids)
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in kids if c is not None)
-    return done[root]
-
 
 def build_shedding_trees(
     G: PlaneTriangulation,
@@ -169,24 +135,6 @@ class ReducedStructure:
     @property
     def n(self) -> int:
         return self.trees[-1].upto
-
-    def h_of(self, i: int) -> int:
-        return self.h[i - 1]
-
-    def original_step(self, q: int) -> int:
-        return self.R[q - 1]
-
-    def reduced_shape(self, i: int, key: Optional[EdgeKey] = None):
-        """Nested-tuple form of the contracted tree T*_i, as SheddingTree.shape."""
-        kids = {
-            pk: (lk, rk)
-            for q, (pk, lk, rk) in self.pairs.items()
-            if self.original_step(q) <= i
-        }
-        return _shape(
-            self.store.root.key if key is None else key,
-            lambda k: kids.get(k, (None, None)),
-        )
 
     def internal_counts(self) -> tuple[int, int]:
         """(m, m'): internal nodes strictly left/right of the root in the final

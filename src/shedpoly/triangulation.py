@@ -13,23 +13,25 @@ the surviving ids, so the data model must allow gaps.
 
 A SheddingSequence is its own deletion history: besides the order it holds
 the disk, the link of every deleted vertex and the boundary cycle of every
-prefix.  All sequences come out of one peel loop (Peel.run), and the
-downstream constructions read that history instead of deleting again.
+prefix.  All sequences come out of one mutable peel engine (PeelEngine),
+which edits a rotation system in place, keeps every vertex's shedding status
+by a count, and so deletes in O(deg); the downstream constructions read the
+history instead of deleting again.  PlaneTriangulation stays the immutable
+value that I/O and the certificates use, and validate() is the definition the
+engine's shedding test must agree with.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class InvalidTriangulation(Exception):
     """Operation applied to an object that is not a valid plane triangulation."""
-
-
-class NotBoundary(InvalidTriangulation):
-    """Vertex expected to be on the boundary cycle is interior (or absent)."""
 
 
 class NotADiagonal(InvalidTriangulation):
@@ -337,65 +339,7 @@ def is_valid(G: PlaneTriangulation) -> bool:
     return not validate(G)
 
 
-# -- deletion and shedding ----------------------------------------------------
-
-
-def link_of_boundary_vertex(G: PlaneTriangulation, v: int) -> tuple[int, ...]:
-    """Neighbors w_1..w_k of boundary vertex v, ordered left to right.
-
-    "Left" is the ccw-successor side: w_1 is v's successor on the boundary
-    cycle, w_k its predecessor, and consecutive w_j, w_{j+1} span a face with v.
-    """
-    if not G.is_boundary_vertex(v):
-        raise NotBoundary(f"vertex {v} is not on the boundary")
-    third = G.third()
-    w = G.boundary_succ()[v]
-    stop = G.boundary_pred()[v]
-    link = [w]
-    while w != stop:
-        w = third[(v, w)]
-        link.append(w)
-    return tuple(link)
-
-
-def delete_boundary_vertex(
-    G: PlaneTriangulation, v: int
-) -> tuple[PlaneTriangulation, tuple[int, ...]]:
-    """Remove boundary vertex v; returns (new triangulation, link of v).
-
-    The result is *not* validated here.  Peel.run deletes only vertices
-    that is_shedding_vertex accepts, and validate(result) is the literal
-    definition that predicate must agree with.
-    """
-    link = link_of_boundary_vertex(G, v)
-    tris = tuple(t for t in G.triangles if v not in t)
-    i = G.boundary.index(v)
-    cyc = G.boundary[:i] + tuple(reversed(link[1:-1])) + G.boundary[i + 1 :]
-    coords = None
-    if G.coords is not None:
-        coords = {u: xy for u, xy in G.coords.items() if u != v}
-    H = PlaneTriangulation(
-        (u for u in G.vertices if u != v), tris, cyc, coords
-    )
-    return H, link
-
-
-def is_shedding_vertex(G: PlaneTriangulation, v: int) -> bool:
-    """True iff G - {v} is again a plane triangulation.
-
-    Decided by the O(deg v) combinatorial criterion: no middle vertex of v's
-    link lies on the boundary (equivalently, v is not a diagonal endpoint).
-    It must agree with the literal definition, is_valid of
-    delete_boundary_vertex(G, v); the test suite asserts that on every
-    instance it touches.
-    """
-    if G.n < 4:
-        raise InvalidTriangulation(f"shedding undefined for n={G.n} < 4")
-    if not G.is_boundary_vertex(v):
-        raise NotBoundary(f"vertex {v} is not on the boundary")
-    link = link_of_boundary_vertex(G, v)
-    bset = G.boundary_set()
-    return not any(w in bset for w in link[1:-1])
+# -- shedding sequences and the peel engine -------------------------------------
 
 
 @dataclass(frozen=True)
@@ -404,13 +348,14 @@ class SheddingSequence:
 
     Deleting a_n, a_{n-1}, ..., a_4 peels G down to the triangle a_1 a_2 a_3
     through the prefix triangulations G_i on {a_1..a_i}.  ``links[i - 4]`` is
-    the ordered link of a_i in G_i (see link_of_boundary_vertex) and
+    the ordered link of a_i in G_i (see PeelEngine.link) and
     ``cycles[i - 3]`` the ccw boundary cycle of G_i.  The per-step degrees
-    d_i(a_i) and the base edge (a_1, a_2) are read off these.
+    d_i(a_i) are read off the links.
 
     Invariants: (a_1, a_2) is a boundary edge of G, and for every i >= 4 the
-    vertex a_i is a shedding vertex of G_i.  Every sequence is built by the
-    one peel loop, Peel.run, which enforces both.
+    vertex a_i is a shedding vertex of G_i.  Every sequence is built by
+    PeelEngine, which checks the second before every deletion; its callers
+    check the first.
     """
 
     G: PlaneTriangulation
@@ -427,10 +372,6 @@ class SheddingSequence:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.order)
-
-    @property
-    def base_edge(self) -> tuple[int, int]:
-        return (self.order[0], self.order[1])
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -465,51 +406,177 @@ def _not_shedding(i: int, v: int) -> Exception:
     return InvalidTriangulation(f"a_{i} = {v} is not a shedding vertex of its prefix")
 
 
-class Peel:
-    """The deletion loop behind every SheddingSequence.
+class PeelEngine:
+    """The one deletion loop behind every SheddingSequence, on a mutable disk.
 
-    ``run`` deletes the vertices it is fed from the current prefix ``H``.
-    Before each deletion it checks that the vertex is a shedding vertex of
-    ``H``, and it records the vertex's link and the boundary cycle of ``H``.
-    A chooser that depends on the current prefix is a generator that reads
-    ``peel.H``: the loop asks for the next vertex only after the previous
-    one is gone.
+    The engine holds the current prefix G_i and edits it in place:
+
+    * ``third[(x, w)]`` is the third vertex of the ccw face on the directed
+      edge (x, w), as PlaneTriangulation.third();
+    * ``succ`` / ``pred`` are the ccw boundary cycle as a doubly linked list,
+      and ``cycle`` is the same cycle as a tuple: G's boundary with each
+      deleted vertex replaced, in place, by the run that took its spot;
+    * ``nbrs[x]`` is the neighbour set of x, and ``bn[x]`` the number of
+      boundary vertices among those neighbours.
+
+    Deleting the boundary vertex v walks its link w_1..w_k (w_1 = succ(v),
+    w_k = pred(v), consecutive w_j, w_{j+1} span a face with v), drops its
+    k - 1 faces and splices w_{k-1}..w_2 into the boundary in place of v.
+    Apart from the copy of the cycle tuple that the record needs, that is
+    O(deg v) plus O(deg u) for every vertex u that joins the boundary; a
+    vertex joins at most once, so a whole peel costs O(n) beyond the cycles.
+
+    Shedding test.  With n > 3, a boundary vertex x is a shedding vertex
+    (G_i - x is again a triangulated disk) iff no middle vertex w_2..w_{k-1}
+    of its link is on the boundary.  The neighbours of x are exactly its
+    link, and w_1, w_k are on the boundary, so the test is bn[x] == 2.
+
+    Which statuses a deletion can change.  The status of x is a function of
+    whether x is on the boundary and of bn[x].  Deleting v takes v off the
+    boundary, removes the edges v w_j, and puts w_2..w_{k-1} on the
+    boundary; v is a shedding vertex, so those were interior before.  No
+    other vertex enters or leaves the boundary and no other edge changes.
+    So bn[x] moves only when x is adjacent to v, that is x is in the link,
+    or x is adjacent to one of w_2..w_{k-1}; and boundary membership moves
+    only for v and for w_2..w_{k-1}, which are in the link.  Hence only the
+    link of v and the neighbours of the vertices newly on the boundary can
+    change status, and ``delete`` updates bn for exactly those.  Outside
+    the link, bn[x] can only grow, so those vertices can lose the shedding
+    status but not gain it: only the link can gain it.
+
+    Each deletion first checks that the vertex is a shedding vertex of the
+    current prefix (else ``refuse(i, v)`` is raised, i the prefix size).  It
+    then appends the vertex, its link and the boundary cycle of the prefix
+    it is deleted from to ``removed``, ``links`` and ``cycles``, which
+    ``sequence`` turns into a SheddingSequence.  ``snapshot`` builds the
+    current prefix as an immutable PlaneTriangulation.
     """
 
     def __init__(self, G: PlaneTriangulation):
         self.G = G
-        self.H = G
-        self._removed: list[int] = []
-        self._links: list[tuple[int, ...]] = []
-        self._cycles: list[tuple[int, ...]] = []
+        self.third: dict[tuple[int, int], int] = dict(G.third())
+        self.nbrs: dict[int, set[int]] = {x: set(ws) for x, ws in G.adjacency().items()}
+        self.cycle: tuple[int, ...] = G.boundary
+        self.succ: dict[int, int] = dict(G.boundary_succ())
+        self.pred: dict[int, int] = dict(G.boundary_pred())
+        self.bn: dict[int, int] = {
+            x: sum(w in self.succ for w in ws) for x, ws in self.nbrs.items()
+        }
+        self.removed: list[int] = []
+        self.links: list[tuple[int, ...]] = []
+        self.cycles: list[tuple[int, ...]] = []
+
+    @property
+    def n(self) -> int:
+        return len(self.nbrs)
+
+    @property
+    def vertices(self):
+        """The live vertices, as a set-like view."""
+        return self.nbrs.keys()
+
+    def on_boundary(self, x: int) -> bool:
+        return x in self.succ
+
+    def is_shedding(self, x: int) -> bool:
+        """True iff x is a shedding vertex of the current prefix."""
+        return len(self.nbrs) > 3 and x in self.succ and self.bn[x] == 2
+
+    def link(self, v: int) -> tuple[int, ...]:
+        """The link w_1..w_k of boundary vertex v, left (succ) to right (pred)."""
+        third = self.third
+        w, stop = self.succ[v], self.pred[v]
+        link = [w]
+        while w != stop:
+            w = third[(v, w)]
+            link.append(w)
+        return tuple(link)
+
+    def delete(
+        self, v: int, refuse: Callable[[int, int], Exception] = _not_shedding
+    ) -> tuple[int, ...]:
+        """Delete the shedding vertex v, record it, and return its link: the
+        only vertices that can have become shedding vertices."""
+        if not self.is_shedding(v):
+            raise refuse(len(self.nbrs), v)
+        third, succ, pred, nbrs, bn = self.third, self.succ, self.pred, self.nbrs, self.bn
+        link = self.link(v)
+        for a, b in zip(link, link[1:]):
+            del third[(v, a)], third[(a, b)], third[(b, v)]
+        rev = link[::-1]  # the new boundary run pred(v) = w_k .. w_1 = succ(v)
+        for a, b in zip(rev, rev[1:]):
+            succ[a] = b
+            pred[b] = a
+        del succ[v], pred[v], nbrs[v], bn[v]
+        for w in link:
+            nbrs[w].discard(v)
+            bn[w] -= 1
+        for u in rev[1:-1]:
+            for x in nbrs[u]:
+                bn[x] += 1
+        cyc = self.cycle
+        j = cyc.index(v)
+        self.cycles.append(cyc)
+        self.cycle = cyc[:j] + rev[1:-1] + cyc[j + 1 :]
+        self.removed.append(v)
+        self.links.append(link)
+        return link
 
     def run(
         self,
         victims: Iterable[int],
         refuse: Callable[[int, int], Exception] = _not_shedding,
-    ) -> "Peel":
-        """Delete every vertex of ``victims`` in turn.  A vertex that is not
-        a shedding vertex of the current prefix G_i raises refuse(i, v)."""
+    ) -> "PeelEngine":
+        """Delete every vertex of ``victims`` in turn.  A chooser that depends
+        on the current prefix is a generator that reads the engine: the loop
+        asks for the next vertex only after the previous one is gone."""
         for v in victims:
-            H = self.H
-            if not (H.n > 3 and H.is_boundary_vertex(v) and is_shedding_vertex(H, v)):
-                raise refuse(H.n, v)
-            self._cycles.append(H.boundary)
-            self.H, link = delete_boundary_vertex(H, v)
-            self._removed.append(v)
-            self._links.append(link)
+            self.delete(v, refuse)
         return self
+
+    def peel_smallest(self, key: Callable[[int], object], keep: Iterable[int] = ()) -> bool:
+        """Delete the shedding vertex outside ``keep`` with the smallest key,
+        again and again, until three vertices remain.  Returns False if no
+        such vertex exists before that.
+
+        A lazy min-heap holds every shedding vertex, and also stale entries
+        for vertices that lost the status, which are dropped when they
+        surface.  After a deletion only the link can have gained the status,
+        so only the link is re-tested, and the choice is the one a full scan
+        of the boundary would make.
+        """
+        keep = set(keep)
+        heap = [(key(x), x) for x in self.cycle if x not in keep and self.is_shedding(x)]
+        heapify(heap)
+        while len(self.nbrs) > 3:
+            while heap and not self.is_shedding(heap[0][1]):
+                heappop(heap)
+            if not heap:
+                return False
+            for x in self.delete(heappop(heap)[1]):
+                if x not in keep and self.is_shedding(x):
+                    heappush(heap, (key(x), x))
+        return True
+
+    def snapshot(self) -> PlaneTriangulation:
+        """The current prefix as an immutable PlaneTriangulation (no coords)."""
+        tris = [(a, b, c) for (a, b), c in self.third.items() if a < b and a < c]
+        return PlaneTriangulation(self.nbrs, tris, self.cycle)
+
+    def copy(self) -> "PeelEngine":
+        """An independent engine at the same prefix, over the same G."""
+        return deepcopy(self, {id(self.G): self.G})
 
     def sequence(self, base: Sequence[int]) -> SheddingSequence:
         """The finished sequence with a_1, a_2, a_3 = base, the vertices of
         the remaining triangle."""
-        if validate(self.H) or set(base) != set(self.H.vertices):
+        if set(base) != self.nbrs.keys() or validate(self.snapshot()):
             raise InvalidTriangulation("prefix G_3 is not a triangle")
         return SheddingSequence(
             self.G,
-            tuple(base) + tuple(reversed(self._removed)),
-            tuple(reversed(self._links)),
-            (self.H.boundary,) + tuple(reversed(self._cycles)),
+            tuple(base) + tuple(reversed(self.removed)),
+            tuple(reversed(self.links)),
+            (self.cycle,) + tuple(reversed(self.cycles)),
         )
 
 
@@ -527,7 +594,7 @@ def peel_order(G: PlaneTriangulation, order: Sequence[int]) -> SheddingSequence:
         raise InvalidTriangulation(
             f"({order[0]},{order[1]}) is not a boundary edge of the triangulation"
         )
-    return Peel(G).run(reversed(order[3:])).sequence(order[:3])
+    return PeelEngine(G).run(reversed(order[3:])).sequence(order[:3])
 
 
 def shedding_sequence(G: PlaneTriangulation, u: int, v: int) -> SheddingSequence:
@@ -540,21 +607,10 @@ def shedding_sequence(G: PlaneTriangulation, u: int, v: int) -> SheddingSequence
     """
     if edge_key(u, v) not in G.boundary_edges():
         raise InvalidTriangulation(f"({u},{v}) is not a boundary edge")
-    peel = Peel(G)
-
-    def greedy() -> Iterator[int]:
-        while peel.H.n > 3:
-            H = peel.H
-            picked = next(
-                (w for w in sorted(H.boundary) if w != u and w != v and is_shedding_vertex(H, w)),
-                None,
-            )
-            if picked is None:
-                raise NoSheddingVertex(f"no shedding vertex at n={H.n}")
-            yield picked
-
-    peel.run(greedy())
-    (w3,) = [w for w in peel.H.vertices if w != u and w != v]
+    peel = PeelEngine(G)
+    if not peel.peel_smallest(int, (u, v)):
+        raise NoSheddingVertex(f"no shedding vertex at n={peel.n}")
+    (w3,) = [w for w in peel.vertices if w != u and w != v]
     return peel.sequence((u, v, w3))
 
 

@@ -7,7 +7,9 @@ paths instead of the height recursion, raw formula evaluation for the
 worked coordinate examples, and full Fraction scans of every prefix boundary
 instead of the incremental integer audits of the drawing and the lift.
 It also holds a second, rational drawing, made without the template or any
-rounding, for the certificate tests to check.
+rounding, for the certificate tests to check, and the copy-on-delete peel
+(a fresh PlaneTriangulation per deletion, a full boundary scan per greedy
+step) that the mutable peel engine is compared with.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import networkx as nx
 from shedpoly.embedding import PropertyViolation, UpperChain, _base_lr
 from shedpoly.exactgeom import Point2, orient2d
 from shedpoly.triangulation import (
+    InvalidTriangulation,
+    NoSheddingVertex,
     PlaneTriangulation,
     SheddingSequence,
     edge_key,
@@ -577,3 +581,193 @@ def rational_embed(
         if audit and chain.first_fault(ai, coords) is not None:
             raise EmptyRegion(f"step {i}: prefix chain lost strict convexity")
     return coords
+
+
+# -- the copy-on-delete peel (reference for triangulation.PeelEngine) ----------
+
+
+class NotBoundary(InvalidTriangulation):
+    """Vertex expected to be on the boundary cycle is interior (or absent)."""
+
+
+def link_of_boundary_vertex(G: PlaneTriangulation, v: int) -> tuple[int, ...]:
+    """Neighbors w_1..w_k of boundary vertex v, ordered left to right.
+
+    "Left" is the ccw-successor side: w_1 is v's successor on the boundary
+    cycle, w_k its predecessor, and consecutive w_j, w_{j+1} span a face with v.
+    """
+    if not G.is_boundary_vertex(v):
+        raise NotBoundary(f"vertex {v} is not on the boundary")
+    third = G.third()
+    w = G.boundary_succ()[v]
+    stop = G.boundary_pred()[v]
+    link = [w]
+    while w != stop:
+        w = third[(v, w)]
+        link.append(w)
+    return tuple(link)
+
+
+def delete_boundary_vertex(
+    G: PlaneTriangulation, v: int
+) -> tuple[PlaneTriangulation, tuple[int, ...]]:
+    """Remove boundary vertex v; returns (new triangulation, link of v).  The
+    result is not validated here; validate(result) is the literal definition
+    that is_shedding_vertex must agree with."""
+    link = link_of_boundary_vertex(G, v)
+    tris = tuple(t for t in G.triangles if v not in t)
+    i = G.boundary.index(v)
+    cyc = G.boundary[:i] + tuple(reversed(link[1:-1])) + G.boundary[i + 1 :]
+    coords = None
+    if G.coords is not None:
+        coords = {u: xy for u, xy in G.coords.items() if u != v}
+    H = PlaneTriangulation((u for u in G.vertices if u != v), tris, cyc, coords)
+    return H, link
+
+
+def is_shedding_vertex(G: PlaneTriangulation, v: int) -> bool:
+    """True iff G - {v} is again a plane triangulation, by the O(deg v)
+    criterion: no middle vertex of v's link lies on the boundary."""
+    if G.n < 4:
+        raise InvalidTriangulation(f"shedding undefined for n={G.n} < 4")
+    if not G.is_boundary_vertex(v):
+        raise NotBoundary(f"vertex {v} is not on the boundary")
+    link = link_of_boundary_vertex(G, v)
+    bset = G.boundary_set()
+    return not any(w in bset for w in link[1:-1])
+
+
+def _not_shedding(i: int, v: int) -> Exception:
+    return InvalidTriangulation(f"a_{i} = {v} is not a shedding vertex of its prefix")
+
+
+class Peel:
+    """The copy-on-delete deletion loop: a fresh PlaneTriangulation ``H`` per
+    deletion.  Same checks, records and error texts as PeelEngine."""
+
+    def __init__(self, G: PlaneTriangulation):
+        self.G = G
+        self.H = G
+        self._removed: list[int] = []
+        self._links: list[tuple[int, ...]] = []
+        self._cycles: list[tuple[int, ...]] = []
+
+    def run(self, victims, refuse=_not_shedding) -> "Peel":
+        for v in victims:
+            H = self.H
+            if not (H.n > 3 and H.is_boundary_vertex(v) and is_shedding_vertex(H, v)):
+                raise refuse(H.n, v)
+            self._cycles.append(H.boundary)
+            self.H, link = delete_boundary_vertex(H, v)
+            self._removed.append(v)
+            self._links.append(link)
+        return self
+
+    def sequence(self, base) -> SheddingSequence:
+        if validate(self.H) or set(base) != set(self.H.vertices):
+            raise InvalidTriangulation("prefix G_3 is not a triangle")
+        return SheddingSequence(
+            self.G,
+            tuple(base) + tuple(reversed(self._removed)),
+            tuple(reversed(self._links)),
+            (self.H.boundary,) + tuple(reversed(self._cycles)),
+        )
+
+
+def peel_order_reference(G: PlaneTriangulation, order) -> SheddingSequence:
+    """triangulation.peel_order over the copy-on-delete Peel."""
+    order = tuple(order)
+    if sorted(order) != list(G.vertices):
+        raise InvalidTriangulation("order is not a permutation of the vertices")
+    if edge_key(order[0], order[1]) not in G.boundary_edges():
+        raise InvalidTriangulation(
+            f"({order[0]},{order[1]}) is not a boundary edge of the triangulation"
+        )
+    return Peel(G).run(reversed(order[3:])).sequence(order[:3])
+
+
+def shedding_sequence_reference(G: PlaneTriangulation, u: int, v: int) -> SheddingSequence:
+    """triangulation.shedding_sequence by a full scan of the boundary at every
+    step over the copy-on-delete Peel."""
+    if edge_key(u, v) not in G.boundary_edges():
+        raise InvalidTriangulation(f"({u},{v}) is not a boundary edge")
+    peel = Peel(G)
+
+    def greedy():
+        while peel.H.n > 3:
+            H = peel.H
+            picked = next(
+                (w for w in sorted(H.boundary) if w != u and w != v and is_shedding_vertex(H, w)),
+                None,
+            )
+            if picked is None:
+                raise NoSheddingVertex(f"no shedding vertex at n={H.n}")
+            yield picked
+
+    peel.run(greedy())
+    (w3,) = [w for w in peel.H.vertices if w != u and w != v]
+    return peel.sequence((u, v, w3))
+
+
+# -- read-outs of library structures that only the tests use ----------------------
+
+
+def _shape(root, children):
+    """Nested (left, right) tuples of the binary tree under root, built
+    bottom-up with an explicit stack so deep trees do not recurse."""
+    done: dict = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kids = children(node)
+        if expanded:
+            done[node] = tuple(None if c is None else done.pop(c) for c in kids)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in kids if c is not None)
+    return done[root]
+
+
+def tree_shape(T):
+    """Canonical nested-tuple form (left, right) of the shedding tree T_i
+    (a reduction.SheddingTree), None for an absent child."""
+
+    def child(c):
+        return c if c is not None and c.step <= T.upto else None
+
+    return _shape(T.store.root, lambda nd: (child(nd.left), child(nd.right)))
+
+
+def node_count(T) -> int:
+    """Nodes of the shedding tree T_i: those of its store created at step <= i."""
+    return sum(1 for nd in T.store.by_key.values() if nd.step <= T.upto)
+
+
+def h_of(rs, i: int) -> int:
+    """h(i) = #{r in R : r <= i}, as reduce_trees tabulated it."""
+    return rs.h[i - 1]
+
+
+def reduced_shape(rs, i: int):
+    """Nested-tuple form of the contracted tree T*_i, as tree_shape."""
+    kids = {pk: (lk, rk) for q, (pk, lk, rk) in rs.pairs.items() if rs.R[q - 1] <= i}
+    return _shape(rs.store.root.key, lambda k: kids.get(k, (None, None)))
+
+
+def max_height(P) -> int:
+    return max(P.heights.values())
+
+
+def levels(prof) -> list[frozenset[int]]:
+    """Vertices of a TauProfile grouped by depth, ascending."""
+    by: dict[int, set[int]] = {}
+    for v, d in prof.depth.items():
+        by.setdefault(d, set()).add(v)
+    return [frozenset(by[d]) for d in sorted(by)]
+
+
+def grid_dimension_bounds(p: int, q: int, ell: int) -> tuple[int, int, int]:
+    """(width, height, max lift height) bounds for grid instances: with
+    n = p*q these are 4n^3, 8n^5 and (500 n^8)^(6 ell (p+q))."""
+    n = p * q
+    return 4 * n**3, 8 * n**5, (500 * n**8) ** (6 * ell * (p + q))

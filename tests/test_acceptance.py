@@ -42,10 +42,10 @@ from shedpoly.griddiam import (
 )
 from shedpoly.lifting import LiftedPolyhedron, height_bound, lift
 from shedpoly.triangulation import (
+    PeelEngine,
     PlaneTriangulation,
     SheddingSequence,
     deletion_trace,
-    is_shedding_vertex,
     shedding_sequence,
 )
 from shedpoly.verify import (
@@ -189,6 +189,16 @@ def test_every_corpus_placement_matches_the_reference_formulas():
     assert min(calls.count("place_high_degree"), calls.count("place_degree_two")) > 1000
 
 
+def test_peel_engine_matches_the_copy_on_delete_peel_on_the_corpus():
+    # every corpus sequence, greedy or staged, re-peeled by the reference;
+    # the greedy ones are also re-chosen by the reference's full scans
+    for item in corpus():
+        G, a = item.G, item.a
+        assert item.trace == a == oracles.peel_order_reference(G, a.order), item.label
+        if item.plan is None:
+            assert a == oracles.shedding_sequence_reference(G, *a.order[:2]), item.label
+
+
 def test_criterion_2_lift_heights_bounded_and_convex():
     for item in corpus():
         P, G, n = item.P, item.G, item.G.n
@@ -197,8 +207,8 @@ def test_criterion_2_lift_heights_bounded_and_convex():
             if i >= 4:
                 assert P.heights[v] <= height_bound(n, P.m[v]), (item.label, v)
         cap = (500 * n**8) ** tau
-        assert P.max_height <= cap, item.label
-        assert P.max_height <= (500 * n**8) ** n, item.label
+        assert oracles.max_height(P) <= cap, item.label
+        assert oracles.max_height(P) <= (500 * n**8) ** n, item.label
         assert check_lift_convex(P).passed, item.label
         if n <= 50:
             assert lift_convex_globally(P).passed, item.label
@@ -287,16 +297,18 @@ def test_criterion_5_small_instance_oracles_agree():
             t = tau_profile(G, a).tau
             assert tau_min <= t, item.label
             assert t == oracles.tau_by_longest_path(G, a.order), item.label
-    # the O(deg) shedding test against the delete-and-validate definition,
-    # on every boundary vertex of every corpus instance (the predicate is
-    # only defined once there is something left after a deletion, so n >= 4)
+    # the peel engine's count-based shedding test and the O(deg) link test
+    # against the delete-and-validate definition, on every boundary vertex of
+    # every corpus instance (the predicate is only defined once there is
+    # something left after a deletion, so n >= 4)
     for item in corpus():
         if item.G.n < 4:
             continue
+        engine = PeelEngine(item.G)
         for v in item.G.boundary:
-            assert is_shedding_vertex(item.G, v) == oracles.shedding_definitional(
-                item.G, v
-            ), (item.label, v)
+            indep = oracles.shedding_definitional(item.G, v)
+            assert engine.is_shedding(v) == indep, (item.label, v)
+            assert oracles.is_shedding_vertex(item.G, v) == indep, (item.label, v)
 
 
 def test_criterion_6_spot_depth_value_substituted_by_bounds_and_oracles():

@@ -19,6 +19,7 @@ from shedpoly.corpus import gen_stacked, split_square, triangle
 from shedpoly.fileio import read_triangulation, sequence_from_order, write_triangulation
 from shedpoly.griddiam import GridTriangulation, grid_shedding, min_tau_exhaustive
 from shedpoly.triangulation import PlaneTriangulation
+from shedpoly.verify import check_grid_bounds
 
 
 def run(argv, stdin_text=""):
@@ -205,13 +206,13 @@ def test_each_command_peels_once(monkeypatch):
     import shedpoly.triangulation as tri
 
     calls = []
-    real = tri.delete_boundary_vertex
+    real = tri.PeelEngine.delete
 
-    def counting(G, v):
+    def counting(self, v, *args):
         calls.append(v)
-        return real(G, v)
+        return real(self, v, *args)
 
-    monkeypatch.setattr(tri, "delete_boundary_vertex", counting)
+    monkeypatch.setattr(tri.PeelEngine, "delete", counting)
     fan = PlaneTriangulation(range(30), [(0, i, i + 1) for i in range(1, 29)], range(30))
     docs = [
         write_triangulation(gen_stacked(60, 0)),  # greedy order from the CLI
@@ -232,6 +233,18 @@ def test_each_command_peels_once(monkeypatch):
             calls.clear()
             run(argv, text)
             assert len(calls) == n - 3, (argv, n, len(calls))
+
+
+def test_embed_at_n_2000():
+    # size smoke test: the fan is all boundary (tau = n, long links at the
+    # apex), the stacked disk is all interior; embed runs its per-step audit
+    fan = PlaneTriangulation(range(2000), [(0, i, i + 1) for i in range(1, 1999)], range(2000))
+    for doc in (write_triangulation(fan), run(["gen-stacked", "2000"])[1]):
+        code, drawn, err = run(["embed"], doc)
+        assert code == EXIT_OK, err
+        G = read_triangulation(drawn).G
+        assert G.n == 2000
+        assert check_grid_bounds(G.coords, G.n).passed
 
 
 def test_domain_errors_exit_5():

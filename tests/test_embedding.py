@@ -233,7 +233,7 @@ def test_grid_corpus_certified():
         lbx, rbx = sorted((emb.coords[a.order[0]][0], emb.coords[a.order[1]][0]))
         assert emb.coords[a.order[0]][1] == emb.coords[a.order[1]][1] == 0
         assert lbx < 0 < rbx
-        assert emb.correspondence[tuple(sorted(a.base_edge))] == (0, 1)
+        assert emb.correspondence[edge_key(*a.order[:2])] == (0, 1)
         M = oracles.template_max_slope(emb.template)
         # slopes of all edges stay within M + n of the template, so within 2n^2 + n
         for u, v in G.edges():

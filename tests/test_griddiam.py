@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -11,7 +13,6 @@ from shedpoly.griddiam import (
     BadParams,
     TooLarge,
     gen_grid_triangulation,
-    grid_dimension_bounds,
     grid_shedding,
     min_tau_exhaustive,
     tau_profile,
@@ -42,7 +43,7 @@ def test_tau_profile_examples():
 def test_tau_profile_levels_are_depth_classes():
     G = gen_stacked(12, 3)
     prof = tau_profile(G, seq_of(G))
-    levels = prof.levels()
+    levels = oracles.levels(prof)
     assert sum(len(s) for s in levels) == G.n
     assert len(levels) == prof.tau
     for d, group in enumerate(levels, start=1):
@@ -212,8 +213,53 @@ def test_grid_shedding_deterministic():
     assert p1.antichains == p2.antichains
 
 
+# sha256 prefixes of every field of grid_shedding(gen_grid_triangulation(p, p,
+# l, seed=p)), taken from the copy-on-delete peel before the mutable engine
+# replaced it: the engine must reproduce each plan exactly.
+PINNED_PLANS = {
+    "5x5-l2": "5efe5ad37295a3fd",
+    "5x5-l3": "3e677ed382141e64",
+    "6x6-l2": "682b9d6a73aad2f6",
+    "6x6-l3": "7935dee1d04e1441",
+    "7x7-l2": "8c7c7cb8b0eee9e9",
+    "7x7-l3": "02002ef23cb70c94",
+    "8x8-l2": "4119bfe92e8fd3cb",
+    "8x8-l3": "6d4582fcef192ff7",
+    "9x9-l2": "b41eea85c2ec392c",
+    "9x9-l3": "b0527f26e2923d9e",
+    "10x10-l2": "92300d616b2e0fca",
+    "10x10-l3": "f1d3793026a0757e",
+    "11x11-l2": "85390c15edc13f63",
+    "11x11-l3": "a6bf34b1b2f52b48",
+    "12x12-l2": "3cc8f3e6b678d298",
+    "12x12-l3": "b7e959691eb9d24a",
+}
+
+
+def plan_digest(plan) -> str:
+    a = plan.sequence
+    key = (
+        a.order,
+        a.links,
+        a.cycles,
+        tuple(tuple(sorted(b)) for b in plan.antichains),
+        tuple(sorted(plan.stage.items())),
+        plan.tau,
+    )
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+
+def test_grid_shedding_plans_match_the_copy_on_delete_peel():
+    for label, want in PINNED_PLANS.items():
+        p, ell = int(label.split("x")[0]), int(label[-1])
+        gt = gen_grid_triangulation(p, p, ell, seed=p)
+        plan = grid_shedding(gt)
+        assert plan_digest(plan) == want, label
+        assert plan.sequence == oracles.peel_order_reference(gt.T, plan.sequence.order)
+
+
 def test_grid_dimension_bounds_formula():
-    w, h, z = grid_dimension_bounds(5, 5, 3)
+    w, h, z = oracles.grid_dimension_bounds(5, 5, 3)
     n = 25
     assert w == 4 * n**3
     assert h == 8 * n**5

@@ -63,7 +63,7 @@ def test_triangle_lift_is_flat():
     assert P.heights == {0: 0, 1: 0, 2: 0}
     assert P.facets == G.triangles
     assert P.m == {0: 0, 1: 0, 2: 0}
-    assert P.max_height == 0
+    assert oracles.max_height(P) == 0
 
 
 def test_stacked_k4_heights():
@@ -111,7 +111,7 @@ def test_height_ceilings_recomputed():
             assert P.m[v] == mi
             assert P.heights[v] <= 499 * n**8 * mi + 1
         tau = oracles.tau_by_longest_path(G, a.order)
-        assert P.max_height <= (500 * n**8) ** tau
+        assert oracles.max_height(P) <= (500 * n**8) ** tau
         assert P.height_bits() == max(h.bit_length() for h in P.heights.values())
 
 

@@ -51,8 +51,8 @@ def test_triangle_tree():
     a, trees, _ = pipeline(triangle())
     assert len(trees) == 2
     t3 = trees[-1]
-    assert t3.node_count() == 3
-    root = t3.root
+    assert oracles.node_count(t3) == 3
+    root = t3.store.root
     assert root.key == (0, 1)
     assert root.left.key == edge_key(2, 0)
     assert root.right.key == edge_key(2, 1)
@@ -62,7 +62,7 @@ def test_square_tree():
     a, trees, _ = pipeline(split_square())
     t4 = trees[-1]
     assert a.order == (0, 1, 2, 3)
-    assert t4.node_count() == 5
+    assert oracles.node_count(t4) == 5
     # vertex 3 attaches over the chain (0, 2): both new nodes hang off (0, 2)
     xi = t4.store.by_key[(0, 2)]
     assert xi.left.key == (0, 3) and xi.left.step == 4
@@ -73,7 +73,7 @@ def test_tree_node_counts():
     for G in instances():
         a, trees, _ = pipeline(G)
         for tree in trees:
-            assert tree.node_count() == 1 + 2 * (tree.upto - 2)
+            assert oracles.node_count(tree) == 1 + 2 * (tree.upto - 2)
 
 
 def test_tree_matches_prefix_trees():
@@ -85,7 +85,7 @@ def test_tree_matches_prefix_trees():
         P = oracles.induced_disk(G, a.order[:i])
         pref = peel_order(P, a.order[:i])
         ptrees = build_shedding_trees(P, pref)
-        assert ptrees[-1].shape() == trees[i - 2].shape()
+        assert oracles.tree_shape(ptrees[-1]) == oracles.tree_shape(trees[i - 2])
 
 
 # -- reduction -------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_reduce_all_degree_two_is_identity():
     assert a.degrees == (0, 1, 2, 2)
     assert rs.R == (1, 2, 3, 4)
     for i in range(2, 5):
-        assert rs.reduced_shape(i) == trees[i - 2].shape()
+        assert oracles.reduced_shape(rs, i) == oracles.tree_shape(trees[i - 2])
 
 
 def test_reduce_stacked_k4():
@@ -108,7 +108,7 @@ def test_reduce_stacked_k4():
     assert rs.h == (1, 2, 3, 3)
     assert oracles.reduced_node_count(rs.store, rs.R, 4) == 3
     # T*_4 collapses to T_3
-    assert rs.reduced_shape(4) == trees[1].shape()
+    assert oracles.reduced_shape(rs, 4) == oracles.tree_shape(trees[1])
     # the contracted step-4 nodes represent the surviving step-3 edges
     assert rs.rep[(0, 2)] == (0, 3)
     assert rs.rep[(1, 2)] == (1, 3)
@@ -127,8 +127,8 @@ def test_reduced_trees_full_binary():
     for G in instances():
         _, _, rs = pipeline(G)
         for i in range(2, rs.n + 1):
-            assert full_binary(rs.reduced_shape(i))
-            expected = 1 if i == 2 else 1 + 2 * (rs.h_of(i) - 2)
+            assert full_binary(oracles.reduced_shape(rs, i))
+            expected = 1 if i == 2 else 1 + 2 * (oracles.h_of(rs, i) - 2)
             assert oracles.reduced_node_count(rs.store, rs.R, i) == expected
 
 
@@ -146,7 +146,7 @@ def test_size_check_names_the_first_tree_a_missing_node_shrinks():
             want = None
             for j in range(2, rs.n + 1):
                 got = oracles.reduced_node_count(store, rs.R, j)
-                expect = 1 if j == 2 else 1 + 2 * (rs.h_of(j) - 2)
+                expect = 1 if j == 2 else 1 + 2 * (oracles.h_of(rs, j) - 2)
                 if got != expect:
                     want = f"T*_{j} has {got} nodes, expected {expect}"
                     break
@@ -161,9 +161,9 @@ def test_rho_h_consistency():
         _, _, rs = pipeline(G)
         assert rs.R[:3] == (1, 2, 3)
         for i in rs.R:
-            assert rs.h_of(i) == rs.rho[i]
+            assert oracles.h_of(rs, i) == rs.rho[i]
         for i in range(1, rs.n + 1):
-            assert rs.h_of(i) == sum(1 for r in rs.R if r <= i)
+            assert oracles.h_of(rs, i) == sum(1 for r in rs.R if r <= i)
 
 
 # -- reduced triangulation -------------------------------------------------------
@@ -241,10 +241,10 @@ def test_template_tree_isomorphism():
         astar = peel_order(rt.Gstar, range(rt.size))
         star_trees = build_shedding_trees(rt.Gstar, astar)
         for i in range(2, rs.n + 1):
-            h = rs.h_of(i) if i >= 3 else 1
+            h = oracles.h_of(rs, i) if i >= 3 else 1
             if i == 2:
                 continue
-            assert rs.reduced_shape(i) == star_trees[h - 2].shape(), (repr(G), i)
+            assert oracles.reduced_shape(rs, i) == oracles.tree_shape(star_trees[h - 2]), (repr(G), i)
 
 
 def test_template_edge_lookup():
@@ -280,6 +280,6 @@ def test_long_fan_trees_without_recursion():
     G = PlaneTriangulation(range(n), [(0, i, i + 1) for i in range(1, n - 1)], range(n))
     a, trees, rs = pipeline(G)
     T = trees[-1]
-    flat = _preorder(T.shape())
-    assert flat.count(1) == T.node_count()
-    assert _preorder(rs.reduced_shape(n)) == flat
+    flat = _preorder(oracles.tree_shape(T))
+    assert flat.count(1) == oracles.node_count(T)
+    assert _preorder(oracles.reduced_shape(rs, n)) == flat

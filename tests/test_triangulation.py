@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from oracles import (
+    NotBoundary,
+    delete_boundary_vertex,
+    is_shedding_vertex,
+    link_of_boundary_vertex,
+)
 from shedpoly.corpus import (
     gen_stacked,
     pentagon_fan,
@@ -13,18 +22,17 @@ from shedpoly.corpus import (
     triangle,
     two_triangles_pinched,
 )
+from shedpoly.griddiam import uniform_grid_triangulation
 from shedpoly.triangulation import (
     InvalidTriangulation,
     NoSheddingVertex,
     NotADiagonal,
-    NotBoundary,
+    PeelEngine,
     PlaneTriangulation,
-    delete_boundary_vertex,
     deletion_trace,
-    is_shedding_vertex,
     is_valid,
-    link_of_boundary_vertex,
     mirror,
+    peel_order,
     shedding_sequence,
     split_by_diagonal,
     validate,
@@ -82,6 +90,7 @@ def test_link_order_split_square():
     assert link_of_boundary_vertex(G, 2) == (3, 0, 1)
     assert link_of_boundary_vertex(G, 0) == (1, 2, 3)
     assert link_of_boundary_vertex(G, 3) == (0, 2)
+    assert [PeelEngine(G).link(v) for v in (2, 0, 3)] == [(3, 0, 1), (1, 2, 3), (0, 2)]
 
 
 def test_link_interior_raises():
@@ -117,11 +126,12 @@ def test_shedding_fast_equals_definitional_equals_oracle():
     for G in sample_instances():
         if G.n < 4:
             continue
+        engine = PeelEngine(G)
         for v in G.boundary:
             fast = is_shedding_vertex(G, v)
             slow = is_valid(delete_boundary_vertex(G, v)[0])
             indep = oracles.shedding_definitional(G, v)
-            assert fast == slow == indep, (repr(G), v)
+            assert engine.is_shedding(v) == fast == slow == indep, (repr(G), v)
 
 
 def test_shedding_dichotomy():
@@ -141,7 +151,7 @@ def test_sequence_triangle():
     seq = shedding_sequence(triangle(), 0, 1)
     assert seq.order == (0, 1, 2)
     assert seq.degrees == (0, 1, 2)
-    assert seq.base_edge == (0, 1)
+    assert seq.order[:2] == (0, 1)
 
 
 def test_sequence_split_square():
@@ -245,3 +255,136 @@ def test_mirror_involution():
     assert M.triangles == G.triangles
     assert M.boundary == G.boundary
     assert validate(mirror(G)) == []
+
+
+# -- the peel engine against the copy-on-delete reference -------------------------
+
+
+def ladder(k):
+    """The k x 2 lattice strip with one-way diagonals (n = 2k)."""
+    return uniform_grid_triangulation(k, 2).T
+
+
+def fan(n):
+    """Apex 0 over the path 1..n-1: every vertex on the boundary."""
+    return PlaneTriangulation(range(n), [(0, i, i + 1) for i in range(1, n - 1)], range(n))
+
+
+def polygon_disk(b, k, seed):
+    """A random triangulation of a convex b-gon (boundary 0..b-1) with k
+    vertices stacked into random faces."""
+    rng = random.Random(seed)
+    faces = []
+    pending = [list(range(b))]
+    while pending:
+        poly = pending.pop()
+        j = rng.randrange(1, len(poly) - 1)
+        faces.append((poly[0], poly[j], poly[-1]))
+        if j >= 2:
+            pending.append(poly[: j + 1])
+        if len(poly) - j >= 3:
+            pending.append(poly[j:])
+    for x in range(b, b + k):
+        a, c, d = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, c, x), (c, d, x), (d, a, x)]
+    return PlaneTriangulation(range(b + k), faces, range(b))
+
+
+def relabel(G, seed):
+    """G with its ids sent to random distinct ids below 10n (not dense)."""
+    ids = random.Random(seed).sample(range(10 * G.n), G.n)
+    return PlaneTriangulation(
+        (ids[v] for v in G.vertices),
+        [tuple(ids[v] for v in t) for t in G.triangles],
+        [ids[v] for v in G.boundary],
+    )
+
+
+def assert_engine_matches_reference(G, u, v, bad_orders=()):
+    """Greedy and fixed-order peels equal the copy-on-delete Peel's (order,
+    links, cycles), and each bad order fails with the same type and text."""
+    a = shedding_sequence(G, u, v)
+    assert a == oracles.shedding_sequence_reference(G, u, v)
+    assert peel_order(G, a.order) == oracles.peel_order_reference(G, a.order) == a
+    for order in bad_orders:
+        outcomes = []
+        for peel in (peel_order, oracles.peel_order_reference):
+            try:
+                outcomes.append(peel(G, order))
+            except InvalidTriangulation as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], order
+
+
+def test_engine_matches_reference_on_sample_instances_and_every_base_edge():
+    for G in list(sample_instances()) + [fan(12), ladder(6), polygon_disk(9, 7, 1)]:
+        b = G.boundary
+        for j in range(len(b)):
+            for u, v in ((b[j], b[j - 1]), (b[j - 1], b[j])):
+                assert_engine_matches_reference(G, u, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder", "polygon")),
+    size=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    edge=st.integers(0, 10**6),
+    flip=st.booleans(),
+    sparse=st.booleans(),
+    swaps=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4),
+)
+def test_engine_matches_reference_on_random_disks(shape, size, seed, edge, flip, sparse, swaps):
+    if shape == "stacked":
+        G = gen_stacked(size, seed)
+    elif shape == "fan":
+        G = fan(size)
+    elif shape == "ladder":
+        G = ladder(max(2, size // 2))
+    else:
+        b = 3 + seed % (size - 2)
+        G = polygon_disk(b, size - b, seed)
+    if sparse:
+        G = relabel(G, seed)
+    b = G.boundary
+    u, v = b[edge % len(b)], b[(edge + 1) % len(b)]
+    if flip:
+        u, v = v, u
+    order = list(shedding_sequence(G, u, v).order)
+    bad = []
+    for x, y in swaps:
+        order[x % G.n], order[y % G.n] = order[y % G.n], order[x % G.n]
+        bad.append(tuple(order))
+    bad.append(tuple(order[:-1]))
+    assert_engine_matches_reference(G, u, v, bad)
+
+
+# -- work counts: a peel is linear in n -------------------------------------------
+
+
+def test_greedy_peel_work_grows_linearly(monkeypatch):
+    """Doubling n at most about doubles the shedding tests and the link
+    walks of the greedy peel (a full boundary rescan per step grows 4x)."""
+    tests, walked = [0], [0]
+    is_shedding, link = PeelEngine.is_shedding, PeelEngine.link
+
+    def counted_test(self, x):
+        tests[0] += 1
+        return is_shedding(self, x)
+
+    def counted_link(self, v):
+        out = link(self, v)
+        walked[0] += len(out)
+        return out
+
+    monkeypatch.setattr(PeelEngine, "is_shedding", counted_test)
+    monkeypatch.setattr(PeelEngine, "link", counted_link)
+
+    def work(G):
+        tests[0] = walked[0] = 0
+        shedding_sequence(G, G.boundary[0], G.boundary[1])
+        return tests[0], walked[0]
+
+    for small, large in ((fan(1100), fan(2200)), (gen_stacked(500, 0), gen_stacked(1000, 0))):
+        (t1, w1), (t2, w2) = work(small), work(large)
+        assert t2 <= 2.5 * t1 and w2 <= 2.5 * w1, (small, t1, t2, w1, w2)

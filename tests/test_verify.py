@@ -344,7 +344,7 @@ def test_grid_bounds_on_corpus():
         assert cert.passed, cert.line()
         tau = tau_profile(G, a).tau
         assert cert.detail.endswith(f"(500n^8)^{tau}")
-        assert P.max_height <= (500 * n**8) ** n
+        assert oracles.max_height(P) <= (500 * n**8) ** n
 
 
 def test_grid_bounds_catches_tall_lift():
