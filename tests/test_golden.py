@@ -18,7 +18,7 @@ from shedpoly.cli import entry
 from shedpoly.corpus import pentagon_fan, split_square, stacked_k4
 from shedpoly.fileio import read_triangulation, write_triangulation
 from shedpoly.griddiam import uniform_grid_triangulation
-from shedpoly.triangulation import PlaneTriangulation
+from shedpoly.triangulation import PlaneTriangulation, shedding_sequence
 
 
 def run(argv, stdin_text=""):
@@ -218,8 +218,125 @@ def test_bench_output_matches_golden_digests():
     assert not changed, f"bench output changed for: {changed}"
 
 
+def _with_height(off: str, index: int, change) -> str:
+    """The OFF document with vertex ``index``'s height z replaced by change(z)."""
+    lines = off.splitlines()
+    at = next(i for i, line in enumerate(lines) if line and line[0] not in "#O")
+    x, y, z = lines[at + 1 + index].split()
+    lines[at + 1 + index] = f"{x} {y} {change(int(z))}"
+    return "\n".join(lines) + "\n"
+
+
+def _drawing(G: PlaneTriangulation, coords, order=None) -> str:
+    return write_triangulation(
+        PlaneTriangulation(G.vertices, G.triangles, G.boundary, coords), order
+    )
+
+
+def _greedy(G: PlaneTriangulation) -> tuple[int, ...]:
+    return shedding_sequence(G, G.boundary[0], G.boundary[1]).order
+
+
+def pentagram_wheel(r: int = 1000):
+    """A 5-wheel whose rim is drawn as a pentagram around the hub: every
+    face is ccw, but the outer cycle winds twice and crosses itself."""
+    import math
+
+    rim = {
+        i: (round(r * math.cos(math.radians(90 + 144 * i))),
+            round(r * math.sin(math.radians(90 + 144 * i))))
+        for i in range(5)
+    }
+    G = PlaneTriangulation(range(6), [(i, (i + 1) % 5, 5) for i in range(5)], range(5))
+    return G, {**rim, 5: (0, 0)}
+
+
+def failing_documents() -> dict[str, str]:
+    """Tampered lifts and drawings for verify: the certificate paths that end
+    in FAIL, plus a flat boundary vertex and a pentagram that a convexity
+    shortcut must not pass.  The stacked-40 and fan-40 ids are dense, so an
+    id is also the OFF vertex index."""
+    docs = instances()
+    s40 = docs["stacked-40"]
+    G40 = read_triangulation(s40).G
+    interior = max(v for v in G40.vertices if v not in G40.boundary)
+    off = run(["lift"], s40)[1]
+    out = {
+        "off-interior-lowered": _with_height(off, interior, lambda z: z - 1),
+        "truncated-raised-above-top": _with_height(
+            run(["lift", "--truncate"], s40)[1], interior, lambda z: z + 10**40
+        ),
+    }
+    grid_off = run(["lift"], docs["grid-5x5-l3"])[1]
+    out["grid-off-lowered"] = _with_height(grid_off, 12, lambda z: z - 1)
+
+    spiral = PlaneTriangulation(range(10), [(0, i, i + 1) for i in range(1, 9)], range(10))
+    coords = {0: (0, 0), 1: (5, 0), 2: (0, 6), 3: (-7, 0), 4: (0, -8),
+              5: (9, 0), 6: (0, 10), 7: (-11, 0), 8: (0, -12), 9: (13, 1)}
+    out["drawing-self-crossing"] = _drawing(spiral, coords, _greedy(spiral))
+
+    s10 = read_triangulation(run(["embed"], docs["stacked-10"])[1])
+    flipped = {v: (-x, y) for v, (x, y) in s10.G.coords.items()}
+    out["drawing-cw"] = _drawing(s10.G, flipped, s10.order)
+
+    f40 = read_triangulation(run(["embed"], docs["fan-40"])[1])
+    raised = dict(f40.G.coords)
+    x, y = raised[f40.order[11]]
+    raised[f40.order[11]] = (x, 3 * y)
+    out["drawing-prefix-12-reflex"] = _drawing(f40.G, raised, f40.order)
+
+    d40 = read_triangulation(run(["embed"], s40)[1])
+    lifted = dict(d40.G.coords)
+    x, y = lifted[d40.order[4]]
+    lifted[d40.order[4]] = (x, y + 10**6)  # faces stay ccw; prefix 6 turns reflex
+    out["drawing-prefix-6-reflex"] = _drawing(d40.G, lifted, d40.order)
+
+    flat = {0: (0, -1), 1: (6, 0), 2: (6, 6), 3: (3, 3), 4: (2, 2)}
+    out["drawing-flat-boundary-vertex"] = _drawing(pentagon_fan(), flat, _greedy(pentagon_fan()))
+    wheel, star = pentagram_wheel()
+    out["drawing-pentagram"] = _drawing(wheel, star, _greedy(wheel))
+    lines = ["OFF", "# a " + " ".join(map(str, _greedy(wheel))), "6 5 10"]
+    lines += [f"{x} {y} {0 if v == 5 else 1}" for v, (x, y) in sorted(star.items())]
+    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in wheel.triangles]
+    out["off-pentagram"] = "\n".join(lines) + "\n"
+    return out
+
+
+def failing_digests() -> dict[str, str]:
+    return {
+        f"{label} verify": digest(*run(["verify"], doc))
+        for label, doc in failing_documents().items()
+    }
+
+
+FAILING_GOLDEN: dict[str, str] = {
+    "off-interior-lowered verify": "00a6181c68302477e3841c7f45675dc908b19b9e1bacbcda12408194f4305ec9",
+    "truncated-raised-above-top verify": "927e7bc4a5471be3972f3b5dc36dd91ab8ebb5c394ba89dec52b73096b485e53",
+    "grid-off-lowered verify": "b10ccb5bb0e7c06896ac94fead7f62e54080df587f42009593610949e0dfd61a",
+    "drawing-self-crossing verify": "f44b2fba1e087995ab5456e8afcfaf7c3378b69de2d74916eb00fa7401a7f2ba",
+    "drawing-cw verify": "83c0c8bf2223522c67957c780e9d8c909e13b62c5562a58bb3b4d449d141fcad",
+    "drawing-prefix-12-reflex verify": "a78c48abd6764a91765421eb0bb3b2c47cede0396e8ad88a668347485eafaccf",
+    "drawing-prefix-6-reflex verify": "6937e307cd6b6521a33ccd94ef325e1b12a32ce039d9cf2d3eb9bc97c8fb8d31",
+    "drawing-flat-boundary-vertex verify": "12c880f629aa3b3629b1c7b44854ff118a73c2f8be0174f65518207634e0fc6c",
+    "drawing-pentagram verify": "afae9c8c87d7fcc260221c8f3a521fd00818ef327ae91083d5a194a0476d31f6",
+    "off-pentagram verify": "c1af19810a549196a0fe92c1d29127e65fd015b8741cd52148493a45ec26b533",
+}
+
+
+def test_failing_verify_reports_match_golden_digests():
+    got = failing_digests()
+    changed = sorted(
+        k for k in FAILING_GOLDEN.keys() | got.keys() if FAILING_GOLDEN.get(k) != got.get(k)
+    )
+    assert not changed, f"verify output changed for: {changed}"
+
+
 if __name__ == "__main__":
     print("GOLDEN: dict[str, str] = {")
     for key, value in digests().items():
+        print(f'    "{key}": "{value}",')
+    print("}")
+    print("FAILING_GOLDEN: dict[str, str] = {")
+    for key, value in failing_digests().items():
         print(f'    "{key}": "{value}",')
     print("}")
