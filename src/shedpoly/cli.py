@@ -29,7 +29,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .corpus import gen_stacked
-from .embedding import grid_embed
+from .embedding import first_faulty_prefix, grid_embed
 from .exactgeom import GeometryError
 from .fileio import (
     ParseError,
@@ -107,9 +107,38 @@ def _sequence_for(tf: TriangulationFile) -> SheddingSequence:
 
 def _prefix_convexity(coords, a: SheddingSequence) -> Certificate:
     """One certificate summarizing check_projectively_convex over all prefix
-    boundaries that the sequence recorded."""
+    boundaries that the sequence recorded.
+
+    Fast proof.  With both base endpoints on the x-axis, the upper-chain walk
+    of embedding.first_faulty_prefix proves every prefix before the first
+    one it flags: an x-monotone chain with strictly decreasing slopes from
+    lb to rb is strictly concave, so its other points are distinct and
+    strictly above the base, which is everything check_projectively_convex
+    asks of that prefix.  The scan then starts at the flagged prefix (or
+    does not run), so its first failure, witness and text are unchanged.
+
+    Why the walk reads the same boundaries as the scan.  Both read the one
+    sequence a: the verifier's own re-peel (sequence_from_order on the parsed
+    faces and order, the sequence the shedding-order certificate accepts),
+    never the state of the command that drew the input.  The walk reads a's
+    links and the scan its cycles, and the peel engine writes each cycle as
+    the next one with a_i replaced by the inner run of a_i's link, which is
+    exactly UpperChain.splice; so the walk's chain at step i is
+    boundary(i) read clockwise from lb to rb.  The walk shares UpperChain
+    and slopes_decrease with grid_embed's audit; the differential tests
+    compare it with the scan.
+    """
+    start = 3
+    if coords[a.order[0]][1] == coords[a.order[1]][1] == 0:
+        bad = first_faulty_prefix(coords, a)
+        start = a.n + 1 if bad is None else bad[0]
+    return _prefix_scan(coords, a, start)
+
+
+def _prefix_scan(coords, a: SheddingSequence, start: int) -> Certificate:
+    """_prefix_convexity's full scan of the prefixes start..n."""
     base = (coords[a.order[0]], coords[a.order[1]])
-    for i in range(3, a.n + 1):
+    for i in range(start, a.n + 1):
         cert = check_projectively_convex([coords[v] for v in a.boundary(i)], base)
         if not cert.passed:
             return Certificate(cert.kind, False, cert.witness, f"prefix {i}: {cert.detail}")

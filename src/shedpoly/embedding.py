@@ -13,7 +13,9 @@ The upper chain of the growing prefix lives in an :class:`UpperChain`, which
 splices in each new vertex's link, and the audit is incremental: at step i
 only the chain window around a_i can lose convexity, so each step costs O(1)
 plus the splice.  The window check rests on exactgeom.slopes_decrease, the
-one chain-convexity predicate, which the lift's prefix check shares.
+one chain-convexity predicate.  first_faulty_prefix runs the same walk over a
+finished drawing, for the lift's prefix check and the verifier's fast proof
+of prefix convexity.
 
 The drawing reads the links and prefix boundary cycles that the
 SheddingSequence carries; it deletes no vertex.  Left and right are read off
@@ -250,6 +252,31 @@ class UpperChain:
             if j >= 2 and not slopes_decrease(coords[win[j - 2]], coords[u], coords[w]):
                 return "slope", u, w
         return None
+
+
+def first_faulty_prefix(
+    coords: dict[int, tuple], a: SheddingSequence
+) -> Optional[tuple[int, Optional[tuple[str, int, int]]]]:
+    """The first prefix i whose upper chain is not strictly convex and
+    x-monotone, as (i, fault): UpperChain.first_fault's fault, or None when
+    the link of a_i is not a run of the chain.  None if every prefix passes.
+
+    The walk is grid_embed's audit walk: prefix 3 is the chain lb, a_3, rb,
+    and at step i only the chain edges and pairs in the window around a_i are
+    new, since every other edge and consecutive pair of G_i's chain was one
+    of G_{i-1}'s.  first_fault checks the window left to right, so the walk
+    finds what a scan of every whole chain would, in O(n) over all prefixes.
+    """
+    lb, rb = _base_lr(a)
+    chain = UpperChain(lb, a.order[2], rb)
+    for i in range(3, a.n + 1):
+        v = a.order[i - 1]
+        if i > 3 and not chain.splice(v, a.link(i)):
+            return i, None
+        fault = chain.first_fault(v, coords)
+        if fault is not None:
+            return i, fault
+    return None
 
 
 def _ratio(num: int, den: int) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .embedding import GridEmbedding, UpperChain, _base_lr
+from .embedding import GridEmbedding, first_faulty_prefix
 from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
 from .triangulation import SheddingSequence, peeled_from, rot_min_first
@@ -63,25 +63,17 @@ class LiftedPolyhedron:
 def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) -> None:
     """Every prefix boundary must be a strictly convex x-monotone chain over
     the base edge.  Raises NotSequentiallyConvex with the first offending
-    prefix and its leftmost offending chain edge.
-
-    The walk is grid_embed's audit walk: prefix 3 is the chain lb, a_3, rb,
-    and at step i only the chain edges and pairs in the window around a_i are
-    new, since every other edge and consecutive pair of G_i's chain was one
-    of G_{i-1}'s.  UpperChain.first_fault checks the window left to right, so
-    it finds what a scan of the whole chain would, in O(n) over all prefixes.
-    """
-    lb, rb = _base_lr(a)
-    chain = UpperChain(lb, a.order[2], rb)
-    for i in range(3, a.n + 1):
-        v = a.order[i - 1]
-        if i > 3 and not chain.splice(v, a.link(i)):
-            raise NotSequentiallyConvex(f"prefix {i}: link of {v} is not a run of the chain")
-        fault = chain.first_fault(v, coords)
-        if fault is not None:
-            test, u, w = fault
-            what = "x not increasing" if test == "x" else "slopes not strictly decreasing"
-            raise NotSequentiallyConvex(f"prefix {i}: chain {what} at {u}-{w}")
+    prefix and its leftmost offending chain edge (embedding.first_faulty_prefix
+    walks the chains in O(n) over all prefixes)."""
+    bad = first_faulty_prefix(coords, a)
+    if bad is None:
+        return
+    i, fault = bad
+    if fault is None:
+        raise NotSequentiallyConvex(f"prefix {i}: link of {a.order[i - 1]} is not a run of the chain")
+    test, u, w = fault
+    what = "x not increasing" if test == "x" else "slopes not strictly decreasing"
+    raise NotSequentiallyConvex(f"prefix {i}: chain {what} at {u}-{w}")
 
 
 def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:

@@ -13,6 +13,27 @@ the outer cycle is simple and ccw, the face cycles sum to the outer cycle as
 winding number under the outer cycle -- once inside, zero outside.  The
 triangles then tile the boundary polygon simply, which forces the straight-line
 drawing to be a plane embedding whose bounded faces are exactly the triangles.
+
+Fast proofs and the fallback rule.  Three certificates would otherwise check
+all pairs: the outer-cycle crossings of check_face_isomorphic, the
+vertex-facet pairs of lift_convex_globally, and every prefix boundary in
+cli._prefix_convexity.  Each first tries an O(n) proof that can only answer
+PASS:
+
+* check_face_isomorphic: G is a valid disk drawn with every face strictly
+  ccw and a strictly convex outer cycle (_convex_disk_drawing).  A strictly
+  convex polygon is simple.
+* lift_convex_globally: the same predicate on the projected surface facets,
+  a strict crease across every interior edge and, for a truncated lift,
+  every other vertex strictly below the top facet (proof in its docstring).
+* cli._prefix_convexity: the upper-chain window walk of
+  embedding.first_faulty_prefix over the verifier's own re-peel proves every
+  prefix before the first faulty one.
+
+When a precondition of a proof fails, the full scan runs (from the first
+unproved prefix, for the prefix check).  The scans are unchanged, so every
+verdict, witness and detail text is exactly the scan's; only inputs that
+the proof covers skip them.
 """
 
 from __future__ import annotations
@@ -29,6 +50,7 @@ from .exactgeom import (
     plane_through,
     slopes_decrease,
 )
+from .fileio import ParseError, disk_from_facets
 from .lifting import LiftedPolyhedron
 from .triangulation import PlaneTriangulation, edge_key, validate
 
@@ -108,6 +130,49 @@ def _doubled_area(pts: Sequence[Point2]):
     return total
 
 
+def _strictly_convex(cyc: Sequence[Point2]) -> bool:
+    """Is the closed polygon cyc strictly convex and ccw?
+
+    Every turn must be strictly left and the total turning exactly 2*pi.
+    With every turn strictly left, each edge direction is the previous one
+    turned ccw by less than pi, so a step moves the direction between the
+    upper half-plane ((dy, dx) > (0, 0), lexicographically) and the lower
+    one at most once, and a total turning of 2*pi*k takes exactly 2k such
+    moves.  Two moves (k = 1) is a simple strictly convex polygon; a
+    pentagram (k = 2) makes four.  Horizontal edges count on the side of
+    their dx, so dy = 0 edges are handled exactly.
+    """
+    dirs = [(q.y - p.y, q.x - p.x) for p, q in zip(cyc, cyc[1:] + cyc[:1])]
+    moves = 0
+    for (dy0, dx0), (dy1, dx1) in zip(dirs[-1:] + dirs[:-1], dirs):
+        if dx0 * dy1 - dy0 * dx1 <= 0:
+            return False
+        moves += ((dy0, dx0) > (0, 0)) != ((dy1, dx1) > (0, 0))
+    return moves == 2
+
+
+def _convex_disk_drawing(G: PlaneTriangulation, coords: Mapping[int, XY]) -> bool:
+    """The O(n) predicate behind both fast proofs, for a G that validate()
+    accepts: coords draws exactly G's vertices, every face strictly ccw, and
+    the outer cycle as a strictly convex polygon.  By the covering argument
+    of the module docstring the faces then tile that polygon once, so the
+    drawing is a plane embedding; in particular no two vertices coincide
+    (their stars would cover the common point twice)."""
+    if set(coords) != set(G.vertices):
+        return False
+    pts = {v: _p2(coords[v]) for v in G.vertices}
+    if any(orient2d(pts[a], pts[b], pts[c]) != 1 for a, b, c in G.triangles):
+        return False
+    return _strictly_convex([pts[v] for v in G.boundary])
+
+
+def _face_isomorphic_passed(G: PlaneTriangulation) -> Certificate:
+    return Certificate(
+        "face-isomorphic", True, None,
+        f"{len(G.triangles)} faces ccw, outer {len(G.boundary)}-cycle simple",
+    )
+
+
 def check_face_isomorphic(
     G: PlaneTriangulation, coords: Mapping[int, XY]
 ) -> Certificate:
@@ -118,7 +183,20 @@ def check_face_isomorphic(
     module docstring, that is equivalent to: G is a valid triangulated disk,
     every triangle is drawn strictly ccw, and the outer cycle is drawn as a
     simple ccw polygon.  Those three conditions are what gets checked.
+
+    A strictly convex outer cycle is simple, so a valid G for which
+    _convex_disk_drawing holds passes, in O(n).  Any other drawing (a flat boundary vertex, a crossing,
+    a cw face, ...) goes to the full scan, whose outer-cycle loop is O(b^2).
     """
+    if not validate(G) and _convex_disk_drawing(G, coords):
+        return _face_isomorphic_passed(G)
+    return _face_isomorphic_scan(G, coords)
+
+
+def _face_isomorphic_scan(
+    G: PlaneTriangulation, coords: Mapping[int, XY]
+) -> Certificate:
+    """check_face_isomorphic's full scan: the first violation in scan order."""
     kind = "face-isomorphic"
     bad = validate(G)
     if bad:
@@ -159,9 +237,7 @@ def check_face_isomorphic(
                 ei = (G.boundary[i], G.boundary[(i + 1) % b])
                 ej = (G.boundary[j], G.boundary[(j + 1) % b])
                 return _fail(kind, (ei, ej), "outer cycle self-intersects")
-    return Certificate(
-        kind, True, None, f"{len(G.triangles)} faces ccw, outer {b}-cycle simple"
-    )
+    return _face_isomorphic_passed(G)
 
 
 def check_projectively_convex(
@@ -251,13 +327,87 @@ def check_lift_convex(P: LiftedPolyhedron) -> Certificate:
     return Certificate(kind, True, None, f"{len(wings)} edges, all shared ones strictly convex")
 
 
+def _convex_lift(P: LiftedPolyhedron) -> bool:
+    """The O(n) proof behind lift_convex_globally's PASS; False means only
+    that this proof does not apply."""
+    top = P.truncated
+    surface = [t if top is None else (t[2], t[1], t[0]) for t in P.facets if t != top]
+    try:
+        disk = disk_from_facets(surface)  # validated
+    except ParseError:
+        return False
+    pts = P.points
+    if not _convex_disk_drawing(disk, {v: (p.x, p.y) for v, p in pts.items()}):
+        return False
+    third = disk.third()
+    for t in disk.triangles:
+        pl = plane_through(*(pts[w] for w in t))
+        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            x = third.get((v, u))
+            if u < v and x is not None and above_plane(pl, *pts[x]) <= 0:
+                return False
+    if top is not None:
+        try:
+            pl = plane_through(*(pts[w] for w in top))
+        except DegenerateFace:
+            return False
+        if any(above_plane(pl, *p) >= 0 for v, p in pts.items() if v not in top):
+            return False
+    return True
+
+
+def _lift_globally_passed(P: LiftedPolyhedron) -> Certificate:
+    return Certificate(
+        "lift-convex-global", True, None,
+        f"{len(P.facets)} facets support all {len(P.points)} vertices",
+    )
+
+
 def lift_convex_globally(P: LiftedPolyhedron) -> Certificate:
     """Every vertex against every facet plane: incident ones exactly on it,
-    all others strictly on its inner side.  Quadratic but exact, and pure
-    integer: d = det*z - A*x - B*y - D has the sign of the vertex's height
-    over the plane because det > 0.  The local certificate must agree with
-    this one (they are equivalent for lifts of a disk, and the test suite
-    checks that on every instance it builds)."""
+    all others strictly on its inner side (above a surface facet, below the
+    closing top facet of a truncated lift).
+
+    Fast proof, O(n), PASS only.  Take the surface facets (all but the top
+    one) in their ccw orientation seen from above, and suppose that
+    (1) they form a valid disk D on all of P's vertices whose projection has
+        strictly ccw faces and a strictly convex outer cycle Q
+        (_convex_disk_drawing);
+    (2) across every interior edge of D, the far vertex of one wing lies
+        strictly above the other wing's plane (a strict crease; one wing
+        suffices, since the difference of the two planes vanishes on the
+        edge's line and so has opposite signs at the two far vertices);
+    (3) for a truncated lift, every vertex off the top facet lies strictly
+        below its plane.
+    By (1) and the covering argument of the module docstring, the projected
+    faces tile the convex polygon Q, and the heights define a piecewise
+    linear f on Q.  Along a segment that misses every vertex, f breaks only
+    at crossings of interior edges, where (2) makes it strictly convex; by
+    continuity f is convex along every segment, so f is convex on Q
+    (Tietze-Nakajima: locally convex on a convex domain is convex).  Hence
+    f >= l_F for the plane l_F of each face F.  If a vertex v off F had
+    f(v) = l_F(v), the convex f - l_F >= 0 would vanish near a generic
+    point c inside F and at v, hence on all of the segment cv; but cv
+    leaves F through the inside of an edge, interior because Q is convex,
+    and the strict crease there makes f - l_F > 0 just beyond it.  So every
+    vertex off a surface facet lies strictly above its plane, (3) is the
+    same statement for the top facet, and plane_through is exact, so a
+    facet's own vertices lie on its plane.  That is the whole all-pairs
+    statement.
+
+    Otherwise the full scan runs: O(facets x vertices), pure integer
+    (d = det*z - A*x - B*y - D has the sign of the vertex's height over the
+    plane because det > 0), reporting the first violation in scan order.
+    The local certificate must agree with this one (they are equivalent for
+    lifts of a disk with a convex drawing, and the test suite checks that on
+    every instance it builds)."""
+    if _convex_lift(P):
+        return _lift_globally_passed(P)
+    return _lift_convex_globally_scan(P)
+
+
+def _lift_convex_globally_scan(P: LiftedPolyhedron) -> Certificate:
+    """lift_convex_globally's full scan: every vertex against every facet."""
     kind = "lift-convex-global"
     try:
         facets = _facet_data(P)
@@ -272,9 +422,7 @@ def lift_convex_globally(P: LiftedPolyhedron) -> Certificate:
                     return _fail(kind, (t, v), "facet vertex off its own plane")
             elif side * d <= 0:
                 return _fail(kind, (t, v), "vertex not strictly inside facet plane")
-    return Certificate(
-        kind, True, None, f"{len(facets)} facets support all {len(P.points)} vertices"
-    )
+    return _lift_globally_passed(P)
 
 
 # -- grid bounds -----------------------------------------------------------------

@@ -247,6 +247,28 @@ def test_embed_at_n_2000():
         assert check_grid_bounds(G.coords, G.n).passed
 
 
+def test_verify_fan_drawing_at_n_2000():
+    # size smoke test: a drawing document gets five certificates, among them
+    # face-isomorphic over a 2000-cycle and all 1998 prefix boundaries
+    fan = PlaneTriangulation(range(2000), [(0, i, i + 1) for i in range(1, 1999)], range(2000))
+    drawn = run(["embed"], write_triangulation(fan))[1]
+    code, out, err = run(["verify"], drawn)
+    assert code == EXIT_OK, err
+    kinds = [line.split()[1].rstrip(":") for line in out.splitlines()]
+    assert kinds == ["parse", "shedding-order", "face-isomorphic", "grid-bounds",
+                     "projectively-convex"]
+    assert out.count("PASS ") == 5
+
+
+def test_lift_truncate_verify_at_n_2000():
+    # size smoke test: a truncated lift document gets all seven certificates
+    _, off, _ = run(["lift", "--truncate"], run(["gen-stacked", "2000"])[1])
+    code, out, err = run(["verify"], off)
+    assert code == EXIT_OK, err
+    assert out.count("PASS ") == 7 == len(out.splitlines())
+    assert "PASS lift-convex-global: 3996 facets support all 2000 vertices" in out
+
+
 def test_domain_errors_exit_5():
     assert run(["gen-grid", "3", "3", "5"])[0] == EXIT_DOMAIN  # ell > min(p, q)
     square = write_triangulation(split_square())

@@ -7,8 +7,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from shedpoly import cli, verify
 from shedpoly.corpus import (
     gen_stacked,
     pentagon_fan,
@@ -19,7 +22,13 @@ from shedpoly.corpus import (
 )
 from shedpoly.embedding import grid_embed
 from shedpoly.exactgeom import Point3
-from shedpoly.griddiam import gen_grid_triangulation, grid_shedding, tau_profile
+from shedpoly.fileio import write_triangulation
+from shedpoly.griddiam import (
+    gen_grid_triangulation,
+    grid_shedding,
+    tau_profile,
+    uniform_grid_triangulation,
+)
 from shedpoly.lifting import LiftedPolyhedron, lift, truncate_to_polytope
 from shedpoly.triangulation import (
     PlaneTriangulation,
@@ -36,6 +45,9 @@ from shedpoly.verify import (
     report,
     segments_intersect,
 )
+from test_golden import failing_documents, pentagram_wheel
+from test_golden import instances as golden_instances
+from test_golden import run as golden_run
 
 
 def embed_of(G):
@@ -375,3 +387,240 @@ def test_report_lines_are_stable():
         assert line.startswith("PASS ")
     fail = Certificate("grid-bounds", False, ("x", 9, 4), "width exceeds 4n^3")
     assert fail.line() == "FAIL grid-bounds: width exceeds 4n^3 [witness: ('x', 9, 4)]"
+
+
+# -- fast proofs against the full scans ------------------------------------------
+#
+# check_face_isomorphic and lift_convex_globally first try an O(n) proof that
+# can only answer PASS, and cli._prefix_convexity proves the prefixes before
+# the first one the chain walk flags; everything else goes to the full scans
+# (_face_isomorphic_scan, _lift_convex_globally_scan, cli._prefix_scan).  The
+# public certificates must equal the scans' on every input.
+
+
+def fan(n):
+    return PlaneTriangulation(range(n), [(0, i, i + 1) for i in range(1, n - 1)], range(n))
+
+
+def ladder(k):
+    return uniform_grid_triangulation(k, 2).T
+
+
+def assert_paths_agree(G, coords, a, P=None):
+    assert check_face_isomorphic(G, coords) == verify._face_isomorphic_scan(G, coords)
+    assert cli._prefix_convexity(coords, a) == cli._prefix_scan(coords, a, 3)
+    if P is not None:
+        assert lift_convex_globally(P) == verify._lift_convex_globally_scan(P)
+
+
+def _moved(P, coords):
+    pts = {v: Point3(*coords[v], p.z) for v, p in P.points.items()}
+    return replace(P, points=pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder")),
+    size=st.integers(4, 24),
+    seed=st.integers(0, 10**6),
+    edge=st.integers(0, 10**6),
+    flip=st.booleans(),
+    edit=st.sampled_from(("none", "height", "move", "swap", "flat", "mirror")),
+    pick=st.integers(0, 10**6),
+    amount=st.sampled_from((1, -1, 7, -10**6, 10**6, 10**12)),
+)
+def test_fast_proofs_equal_full_scans_on_random_disks(
+    shape, size, seed, edge, flip, edit, pick, amount
+):
+    if shape == "stacked":
+        G = gen_stacked(size, seed)
+    elif shape == "fan":
+        G = fan(size)
+    else:
+        G = ladder(max(2, size // 2))
+    b = G.boundary
+    u, v = b[edge % len(b)], b[(edge + 1) % len(b)]
+    if flip:
+        u, v = v, u
+    a = shedding_sequence(G, u, v)
+    emb = grid_embed(G, a)
+    P = lift(emb, a)
+    if len(b) == 3:
+        P = truncate_to_polytope(P, emb)
+    coords = {w: (2 * x, 2 * y) for w, (x, y) in emb.coords.items()}
+    P = _moved(P, coords)
+    assert_paths_agree(G, coords, a, P)
+    assert check_face_isomorphic(G, coords).passed
+    assert lift_convex_globally(P).passed
+    w = G.vertices[pick % G.n]
+    if edit == "height":
+        P = _with_height(P, w, P.points[w].z + amount)
+    elif edit == "move":
+        x, y = coords[w]
+        coords[w] = (x + amount * (pick % 3 - 1), y + amount)
+    elif edit == "swap":
+        w2 = G.vertices[(pick // G.n) % G.n]
+        coords[w], coords[w2] = coords[w2], coords[w]
+    elif edit == "flat":  # a boundary vertex onto the segment of its neighbours
+        j = pick % len(b)
+        (x1, y1), (x2, y2) = coords[b[j - 1]], coords[b[(j + 1) % len(b)]]
+        coords[b[j]] = ((x1 + x2) // 2, (y1 + y2) // 2)
+    elif edit == "mirror":
+        coords = {w: (-x, y) for w, (x, y) in coords.items()}
+    assert_paths_agree(G, coords, a, _moved(P, coords))
+
+
+def test_fast_proofs_equal_full_scans_on_hand_made_drawings():
+    wheel, star = pentagram_wheel()
+    a = shedding_sequence(wheel, 0, 1)
+    spiral, coords = spiral_fan()
+    rows = [
+        (wheel, star, a),
+        (spiral, coords, shedding_sequence(spiral, 0, 1)),
+        (pentagon_fan(), {0: (0, -1), 1: (6, 0), 2: (6, 6), 3: (3, 3), 4: (2, 2)},
+         shedding_sequence(pentagon_fan(), 0, 1)),
+    ]
+    # every boundary vertex of a convex pentagon collinear with its neighbours
+    # in turn: a flat corner must leave the proof and still pass the scan
+    for j in range(5):
+        pent = {0: (0, 0), 1: (4, 0), 2: (6, 4), 3: (2, 8), 4: (-2, 4)}
+        pent[j] = ((pent[(j - 1) % 5][0] + pent[(j + 1) % 5][0]) // 2,
+                   (pent[(j - 1) % 5][1] + pent[(j + 1) % 5][1]) // 2)
+        rows.append((pentagon_fan(), pent, shedding_sequence(pentagon_fan(), 0, 1)))
+    for G, xy, seq in rows:
+        assert_paths_agree(G, xy, seq)
+    # the pentagram: every face ccw and every turn left, but it winds twice
+    assert not verify._convex_disk_drawing(wheel, star)
+    assert not check_face_isomorphic(wheel, star).passed
+    assert check_face_isomorphic(pentagon_fan(), rows[2][1]).passed
+    # lifted over the pentagram, the hub below the rim: every crease is
+    # strict, yet vertex 3 is below the plane of face (0, 1, 5)
+    pts = {w: Point3(x, y, 0 if w == 5 else 1) for w, (x, y) in star.items()}
+    P = LiftedPolyhedron({w: p.z for w, p in pts.items()}, pts, wheel.triangles, {}, None)
+    assert check_lift_convex(P).passed
+    glob = lift_convex_globally(P)
+    assert glob == verify._lift_convex_globally_scan(P) and not glob.passed
+
+
+def test_fast_proofs_equal_full_scans_on_off_frame_inputs():
+    G = gen_stacked(12, 3)
+    emb, a = embed_of(G)
+    Q = truncate_to_polytope(lift(emb, a), emb)
+    b1, b2, _ = G.boundary
+    inner = next(v for v in a.order[3:] if v not in G.boundary)
+    # a top facet that is not the surface's boundary triangle
+    top = (b1, b2, inner)
+    lifts = [replace(Q, facets=Q.facets[:-1] + (top,), truncated=top)]
+    # a lifted point that no facet uses, below the surface
+    spare = max(Q.points) + 1
+    lifts.append(replace(Q, points={**Q.points, spare: Point3(*emb.coords[inner], 0)}))
+    for P in lifts:
+        glob = lift_convex_globally(P)
+        assert glob == verify._lift_convex_globally_scan(P) and not glob.passed
+    # an interior vertex dragged below the base: the outer cycle is still
+    # strictly convex, but some faces turn clockwise
+    far = {**emb.coords, inner: (0, -10**9)}
+    cert = check_face_isomorphic(G, far)
+    assert cert == verify._face_isomorphic_scan(G, far) and not cert.passed
+    # the whole drawing one unit up: every chain convex, base off the x-axis
+    up = {v: (x, y + 1) for v, (x, y) in emb.coords.items()}
+    assert cli._prefix_convexity(up, a) == cli._prefix_scan(up, a, 3)
+    assert not cli._prefix_convexity(up, a).passed
+    # a link recorded backwards: the walk gives up at prefix 4, the scan of
+    # the recorded cycles decides
+    bad = replace(a, links=(a.link(4)[::-1],) + a.links[1:])
+    assert cli._prefix_convexity(emb.coords, bad) == cli._prefix_scan(emb.coords, bad, 3)
+
+
+def test_strict_convexity_counts_turning_with_horizontal_edges():
+    from shedpoly.exactgeom import Point2 as Pt
+
+    square = [Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)]
+    assert verify._strictly_convex(square)
+    assert not verify._strictly_convex(square[::-1])  # cw
+    assert not verify._strictly_convex([Pt(0, 0), Pt(2, 0), Pt(4, 0), Pt(2, 3)])  # flat
+    # a pentagram with a horizontal edge: all turns left, total turning 4*pi
+    star = [Pt(0, 0), Pt(10, 0), Pt(2, 6), Pt(5, -3), Pt(8, 6)]
+    assert all(orient(star[i - 1], star[i], star[(i + 1) % 5]) == 1 for i in range(5))
+    assert not verify._strictly_convex(star)
+
+
+def orient(p, q, r):
+    from shedpoly.exactgeom import orient2d
+
+    return orient2d(p, q, r)
+
+
+def _fast_off(monkeypatch):
+    """Make every certificate take its full scan."""
+    monkeypatch.setattr(verify, "_convex_disk_drawing", lambda G, coords: False)
+    monkeypatch.setattr(cli, "first_faulty_prefix", lambda coords, a: (3, None))
+
+
+def test_verify_reports_equal_full_scan_reports_on_tampered_documents(monkeypatch):
+    docs = dict(failing_documents())
+    for label, doc in golden_instances().items():
+        if label in ("stacked-40", "fan-40", "grid-5x5-l3", "pentagon-fan"):
+            docs[f"{label} drawn"] = golden_run(["embed"], doc)[1]
+            docs[f"{label} off"] = golden_run(["lift"], doc)[1]
+            docs[f"{label} truncated"] = golden_run(["lift", "--truncate"], doc)[1]
+    fast = {label: golden_run(["verify"], doc) for label, doc in docs.items()}
+    _fast_off(monkeypatch)
+    for label, doc in docs.items():
+        assert golden_run(["verify"], doc) == fast[label], label
+
+
+class ScanCalled(AssertionError):
+    pass
+
+
+def _refuse(*args):
+    raise ScanCalled("a full scan ran")
+
+
+@pytest.mark.parametrize(
+    "label, start, lift_argv",
+    [
+        ("stacked-160", ("gen-stacked", "160", "--seed", "0"), ("lift", "--truncate")),
+        ("grid-12x12-l3", ("gen-grid", "12", "12", "3", "--seed", "0"), ("lift",)),
+        ("fan-200", None, ("lift",)),
+        ("ladder-100x2", None, ("lift",)),
+    ],
+)
+def test_benchmark_shaped_outputs_take_only_the_fast_proofs(monkeypatch, label, start, lift_argv):
+    if start is not None:
+        doc = golden_run(list(start))[1]
+    elif label == "fan-200":
+        doc = write_triangulation(fan(200))
+    else:
+        doc = write_triangulation(ladder(100))
+    monkeypatch.setattr(verify, "_face_isomorphic_scan", _refuse)
+    monkeypatch.setattr(verify, "_lift_convex_globally_scan", _refuse)
+    monkeypatch.setattr(cli, "check_projectively_convex", _refuse)
+    code, drawn, audit = golden_run(["embed", "--audit"], doc)
+    assert code == 0 and "FAIL" not in audit
+    code, off, audit = golden_run(list(lift_argv) + ["--audit"], doc)
+    assert code == 0 and "FAIL" not in audit
+    for text, lines in ((drawn, 5), (off, 7)):
+        code, report_text, _ = golden_run(["verify"], text)
+        assert code == 0
+        assert report_text.count("PASS ") == lines == len(report_text.splitlines())
+
+
+def test_corpus_outputs_take_only_the_fast_proofs(monkeypatch):
+    monkeypatch.setattr(verify, "_face_isomorphic_scan", _refuse)
+    monkeypatch.setattr(verify, "_lift_convex_globally_scan", _refuse)
+    monkeypatch.setattr(cli, "_prefix_scan", lambda coords, a, start: _refuse()
+                        if start <= a.n else cli.Certificate("projectively-convex", True))
+    for G, emb, a in instances():
+        assert check_face_isomorphic(G, emb.coords).passed
+        assert cli._prefix_convexity(emb.coords, a).passed
+        P = lift(emb, a)
+        assert lift_convex_globally(P).passed
+        if len(G.boundary) == 3 and G.n > 3:
+            assert lift_convex_globally(truncate_to_polytope(P, emb)).passed
+    for G in (fan(30), ladder(12), gen_stacked(60, 4)):
+        emb, a = embed_of(G)
+        assert check_face_isomorphic(G, emb.coords).passed
+        assert cli._prefix_convexity(emb.coords, a).passed
+        assert lift_convex_globally(lift(emb, a)).passed
