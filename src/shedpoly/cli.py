@@ -121,12 +121,13 @@ def _prefix_convexity(coords, a: SheddingSequence) -> Certificate:
     sequence a: the verifier's own re-peel (sequence_from_order on the parsed
     faces and order, the sequence the shedding-order certificate accepts),
     never the state of the command that drew the input.  The walk reads a's
-    links and the scan its cycles, and the peel engine writes each cycle as
-    the next one with a_i replaced by the inner run of a_i's link, which is
-    exactly UpperChain.splice; so the walk's chain at step i is
-    boundary(i) read clockwise from lb to rb.  The walk shares UpperChain
-    and slopes_decrease with grid_embed's audit; the differential tests
-    compare it with the scan.
+    links and the scan its cycles, and the peel engine derives
+    boundary(i - 1) from boundary(i) by replacing a_i with the inner run of
+    a_i's link, which UpperChain.splice undoes; so the walk's chain at step
+    i is boundary(i) read clockwise from lb to rb, and the ccw cycle steps
+    from lb straight to rb.  The walk shares UpperChain and slopes_decrease
+    with grid_embed's audit; the differential tests compare it with the
+    scan.
     """
     start = 3
     if coords[a.order[0]][1] == coords[a.order[1]][1] == 0:
