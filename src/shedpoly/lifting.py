@@ -70,7 +70,8 @@ def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) ->
         return
     i, fault = bad
     if fault is None:
-        raise NotSequentiallyConvex(f"prefix {i}: link of {a.order[i - 1]} is not a run of the chain")
+        v = a.order[i - 1]
+        raise NotSequentiallyConvex(f"prefix {i}: link of {v} is not a run of the chain")
     test, u, w = fault
     what = "x not increasing" if test == "x" else "slopes not strictly decreasing"
     raise NotSequentiallyConvex(f"prefix {i}: chain {what} at {u}-{w}")

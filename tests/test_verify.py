@@ -21,7 +21,7 @@ from shedpoly.corpus import (
     two_triangles_pinched,
 )
 from shedpoly.embedding import grid_embed
-from shedpoly.exactgeom import Point3
+from shedpoly.exactgeom import Point2, Point3, orient2d
 from shedpoly.fileio import write_triangulation
 from shedpoly.griddiam import (
     gen_grid_triangulation,
@@ -533,28 +533,15 @@ def test_fast_proofs_equal_full_scans_on_off_frame_inputs():
 
 
 def test_strict_convexity_counts_turning_with_horizontal_edges():
-    from shedpoly.exactgeom import Point2 as Pt
-
-    square = [Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)]
+    square = [Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)]
     assert verify._strictly_convex(square)
     assert not verify._strictly_convex(square[::-1])  # cw
-    assert not verify._strictly_convex([Pt(0, 0), Pt(2, 0), Pt(4, 0), Pt(2, 3)])  # flat
+    flat = [Point2(0, 0), Point2(2, 0), Point2(4, 0), Point2(2, 3)]
+    assert not verify._strictly_convex(flat)
     # a pentagram with a horizontal edge: all turns left, total turning 4*pi
-    star = [Pt(0, 0), Pt(10, 0), Pt(2, 6), Pt(5, -3), Pt(8, 6)]
-    assert all(orient(star[i - 1], star[i], star[(i + 1) % 5]) == 1 for i in range(5))
+    star = [Point2(0, 0), Point2(10, 0), Point2(2, 6), Point2(5, -3), Point2(8, 6)]
+    assert all(orient2d(star[i - 1], star[i], star[(i + 1) % 5]) == 1 for i in range(5))
     assert not verify._strictly_convex(star)
-
-
-def orient(p, q, r):
-    from shedpoly.exactgeom import orient2d
-
-    return orient2d(p, q, r)
-
-
-def _fast_off(monkeypatch):
-    """Make every certificate take its full scan."""
-    monkeypatch.setattr(verify, "_convex_disk_drawing", lambda G, coords: False)
-    monkeypatch.setattr(cli, "first_faulty_prefix", lambda coords, a: (3, None))
 
 
 def test_verify_reports_equal_full_scan_reports_on_tampered_documents(monkeypatch):
@@ -565,7 +552,9 @@ def test_verify_reports_equal_full_scan_reports_on_tampered_documents(monkeypatc
             docs[f"{label} off"] = golden_run(["lift"], doc)[1]
             docs[f"{label} truncated"] = golden_run(["lift", "--truncate"], doc)[1]
     fast = {label: golden_run(["verify"], doc) for label, doc in docs.items()}
-    _fast_off(monkeypatch)
+    # every certificate takes its full scan
+    monkeypatch.setattr(verify, "_convex_disk_drawing", lambda G, coords: False)
+    monkeypatch.setattr(cli, "first_faulty_prefix", lambda coords, a: (3, None))
     for label, doc in docs.items():
         assert golden_run(["verify"], doc) == fast[label], label
 
