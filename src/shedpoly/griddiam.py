@@ -24,7 +24,6 @@ from .triangulation import (
     edge_key,
     peel_order,
     rot_min_first,
-    split_by_diagonal,
     validate,
 )
 
@@ -34,7 +33,8 @@ class TooLarge(Exception):
 
 
 class BadParams(Exception):
-    """Grid parameters out of range (need 2 <= ell <= min(p, q))."""
+    """Grid parameters out of range (need 2 <= ell <= min(p, q)), or a disk
+    that is not the lattice grid its parameters describe."""
 
 
 class InvariantViolation(Exception):
@@ -141,6 +141,37 @@ def _rect_boundary(p: int, q: int) -> tuple[int, ...]:
     cyc += [vid(x, q) for x in range(p - 1, 0, -1)]
     cyc += [vid(1, y) for y in range(q - 1, 1, -1)]
     return tuple(cyc)
+
+
+def _check_lattice(gt: GridTriangulation) -> None:
+    """Raise BadParams unless gt.T triangulates the p x q lattice rectangle
+    with every edge inside an ell x ell subgrid, the hypotheses of the staged
+    schedule.
+
+    Checked on the lattice points the row-major ids stand for: the ids are
+    0..p*q-1, the boundary runs once ccw around the rectangle, every face is
+    strictly ccw, and every edge spans at most ell-1 in each coordinate.  A
+    disk whose faces are all positively oriented and whose boundary goes
+    once around the rectangle covers each point of it exactly once (every
+    preimage of a generic point counts +1 towards the boundary's winding
+    number, which is 1), so it is a triangulation of the rectangle.
+    """
+    p, q, ell, T = gt.p, gt.q, gt.ell, gt.T
+    if not 2 <= ell <= min(p, q):
+        raise BadParams(f"need 2 <= ell <= min(p, q), got ell={ell}, p={p}, q={q}")
+    if list(T.vertices) != list(range(p * q)):
+        raise BadParams("grid instances must use row-major ids 0..p*q-1")
+    cyc = T.boundary
+    j = cyc.index(0) if 0 in cyc else 0
+    if cyc[j:] + cyc[:j] != _rect_boundary(p, q):
+        raise BadParams(f"boundary is not the {p}x{q} rectangle")
+    for t in T.triangles:
+        pts = [gt.xy(v) for v in t]
+        if orient2d(*pts) <= 0:
+            raise BadParams(f"face {t} is not ccw on the lattice")
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            if abs(a[0] - b[0]) >= ell or abs(a[1] - b[1]) >= ell:
+                raise BadParams(f"face {t} has an edge outside every {ell}x{ell} subgrid")
 
 
 def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTriangulation:
@@ -296,7 +327,15 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
     per active block per round, so every round's removals are pairwise
     non-adjacent (edges span fewer than ell columns, and consecutive
     tricolumns are separated by a full untouched-stage-1 column).
+
+    The carve regions come from the peel engine's own state.  A block top vk
+    that does not shed meets a diagonal: its partner uk is the largest-key
+    boundary neighbour of vk other than succ(vk) and pred(vk), because an
+    edge with both ends on the boundary is a diagonal exactly when it is not
+    a boundary edge.  PeelEngine.chord_sides floods the two sides of vk uk,
+    and exactly one of them must be admissible.
     """
+    _check_lattice(gt)
     p, q, ell = gt.p, gt.q, gt.ell
     T = gt.T
 
@@ -361,18 +400,17 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                 if peel.is_shedding(vk):
                     batch.append(vk)
                     continue
-                H = peel.snapshot()
-                partners = [u for e in H.diagonals() if vk in e for u in e if u != vk]
+                ends = (peel.succ[vk], peel.pred[vk])
+                partners = [u for u in peel.nbrs[vk] if peel.on_boundary(u) and u not in ends]
                 if not partners:
                     raise InvariantViolation(f"{vk} neither sheds nor meets a diagonal")
                 uk = max(partners, key=lambda v: (y_of(v), x_of(v)))
-                left, right = split_by_diagonal(H, (vk, uk))
-                good = [S for S in (left, right) if region_ok(S)]
+                good = [S for S in peel.chord_sides(vk, uk) if region_ok(S)]
                 if len(good) != 1:
                     raise InvariantViolation(
                         f"diagonal ({vk},{uk}) has {len(good)} admissible sides"
                     )
-                regions[k] = set(good[0])
+                regions[k] = good[0]
                 batch.append(greatest_shedding_in(regions[k]))
             if not batch:
                 return

@@ -31,13 +31,12 @@ class MalformedTreeSequence(Exception):
 
 
 class TreeNode:
-    __slots__ = ("key", "step", "parent", "side", "left", "right")
+    __slots__ = ("key", "step", "parent", "left", "right")
 
-    def __init__(self, key: EdgeKey, step: int, parent: Optional["TreeNode"], side: Optional[str]):
+    def __init__(self, key: EdgeKey, step: int, parent: Optional["TreeNode"]):
         self.key = key
         self.step = step
         self.parent = parent
-        self.side = side  # 'L' | 'R' | None for the root
         self.left: Optional[TreeNode] = None
         self.right: Optional[TreeNode] = None
 
@@ -46,10 +45,12 @@ class TreeNode:
 
 
 class TreeStore:
-    """Shared node store for the whole family T_2..T_n."""
+    """Shared node store for the whole family T_2..T_n: the tree T_i is the
+    set of nodes created at a step <= i."""
 
-    def __init__(self, root_key: EdgeKey):
-        self.root = TreeNode(root_key, 2, None, None)
+    def __init__(self, root_key: EdgeKey, n: int):
+        self.n = n
+        self.root = TreeNode(root_key, 2, None)
         self.by_key: dict[EdgeKey, TreeNode] = {root_key: self.root}
         # created[i] = (left-attached node, right-attached node) for step i >= 3
         self.created: dict[int, tuple[TreeNode, TreeNode]] = {}
@@ -61,8 +62,8 @@ class TreeStore:
             raise MalformedTreeSequence(f"edge node created twice at step {i}")
         if xi.left is not None or xip.right is not None:
             raise MalformedTreeSequence(f"child slot already taken at step {i}")
-        nu = TreeNode(nu_key, i, xi, "L")
-        nup = TreeNode(nup_key, i, xip, "R")
+        nu = TreeNode(nu_key, i, xi)
+        nup = TreeNode(nup_key, i, xip)
         xi.left = nu
         xip.right = nup
         self.by_key[nu_key] = nu
@@ -70,20 +71,12 @@ class TreeStore:
         self.created[i] = (nu, nup)
 
 
-@dataclass(frozen=True)
-class SheddingTree:
-    """View of the tree T_i: the nodes of the shared store with step <= i."""
-
-    store: TreeStore
-    upto: int
-
-
 def build_shedding_trees(
     G: PlaneTriangulation,
     a: SheddingSequence,
     trace: Optional[SheddingSequence] = None,
-) -> tuple[SheddingTree, ...]:
-    """The trees T_2..T_n of (G, a).
+) -> TreeStore:
+    """The trees T_2..T_n of (G, a), as one shared store.
 
     T_i records the boundary-edge history of the prefix G_i; node identity is
     the undirected edge.  Left/right is combinatorial (from the boundary-cycle
@@ -94,7 +87,7 @@ def build_shedding_trees(
         trace = peeled_from(G, a)
     n = trace.n
     a1, a2, a3 = trace.order[0], trace.order[1], trace.order[2]
-    store = TreeStore(edge_key(a1, a2))
+    store = TreeStore(edge_key(a1, a2), n)
     for i in range(3, n + 1):
         ai = trace.order[i - 1]
         if i == 3:
@@ -112,14 +105,14 @@ def build_shedding_trees(
             edge_key(ai, wk),
             edge_key(wk1, wk),
         )
-    return tuple(SheddingTree(store, i) for i in range(2, n + 1))
+    return store
 
 
 @dataclass(frozen=True)
 class ReducedStructure:
     """Index set R, rank maps, and the edge contraction of the tree family."""
 
-    trees: tuple[SheddingTree, ...]
+    store: TreeStore
     R: tuple[int, ...]
     rho: dict[int, int]
     h: tuple[int, ...]  # h[i-1] = #{r in R : r <= i}
@@ -129,12 +122,8 @@ class ReducedStructure:
     pairs: dict[int, tuple[EdgeKey, EdgeKey, EdgeKey]]
 
     @property
-    def store(self) -> TreeStore:
-        return self.trees[-1].store
-
-    @property
     def n(self) -> int:
-        return self.trees[-1].upto
+        return self.store.n
 
     def internal_counts(self) -> tuple[int, int]:
         """(m, m'): internal nodes strictly left/right of the root in the final
@@ -162,11 +151,10 @@ class ReducedStructure:
         return out
 
 
-def reduce_trees(trees: tuple[SheddingTree, ...], a: SheddingSequence) -> ReducedStructure:
+def reduce_trees(store: TreeStore, a: SheddingSequence) -> ReducedStructure:
     """Contract every tree edge whose child node was created at a step of
     degree > 2.  Returns the bookkeeping the template construction needs."""
-    store = trees[-1].store
-    n = trees[-1].upto
+    n = store.n
     R = [1, 2, 3] + [i for i in range(4, n + 1) if a.degrees[i - 1] == 2]
     rset = set(R)
     rho = {i: q + 1 for q, i in enumerate(R)}
@@ -209,7 +197,7 @@ def reduce_trees(trees: tuple[SheddingTree, ...], a: SheddingSequence) -> Reduce
         seen_parents.add(pk)
         pairs[rho[i]] = (pk, nu.key, nup.key)
 
-    rs = ReducedStructure(trees, tuple(R), rho, tuple(h), rep_cache, pairs)
+    rs = ReducedStructure(store, tuple(R), rho, tuple(h), rep_cache, pairs)
 
     # hypothesis checks: every contracted tree is the right size and full;
     # got runs through the node count of T*_i for i = 2..n

@@ -16,9 +16,11 @@ the disk, the link of every deleted vertex and the boundary cycle of every
 prefix.  All sequences come out of one mutable peel engine (PeelEngine),
 which edits a rotation system in place, keeps every vertex's shedding status
 by a count, and so deletes in O(deg); the downstream constructions read the
-history instead of deleting again.  PlaneTriangulation stays the immutable
-value that I/O and the certificates use, and validate() is the definition the
-engine's shedding test must agree with.
+history instead of deleting again.  The engine also answers questions about
+the current prefix in place, such as the two sides of a chord that the grid
+schedule carves along.  PlaneTriangulation stays the immutable value that I/O
+and the certificates use, and validate() is the definition the engine's
+shedding test must agree with.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 class InvalidTriangulation(Exception):
     """Operation applied to an object that is not a valid plane triangulation."""
-
-
-class NotADiagonal(InvalidTriangulation):
-    """Edge expected to be a diagonal (interior edge with boundary endpoints) is not."""
 
 
 class NoSheddingVertex(InvalidTriangulation):
@@ -174,17 +172,6 @@ class PlaneTriangulation:
     def boundary_edges(self) -> set[tuple[int, int]]:
         cyc = self.boundary
         return {edge_key(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
-
-    def is_boundary_vertex(self, v: int) -> bool:
-        return v in self.boundary_set()
-
-    def diagonals(self) -> list[tuple[int, int]]:
-        """Interior edges whose endpoints are both boundary vertices, sorted."""
-        bs = self.boundary_set()
-        bedges = self.boundary_edges()
-        return sorted(
-            e for e in self.edges() if e not in bedges and e[0] in bs and e[1] in bs
-        )
 
 
 # -- validation ---------------------------------------------------------------
@@ -335,10 +322,6 @@ def validate(G: PlaneTriangulation) -> list[Violation]:
     return out
 
 
-def is_valid(G: PlaneTriangulation) -> bool:
-    return not validate(G)
-
-
 # -- shedding sequences and the peel engine -------------------------------------
 
 
@@ -448,8 +431,9 @@ class PeelEngine:
     current prefix (else ``refuse(i, v)`` is raised, i the prefix size).  It
     then appends the vertex, its link and the boundary cycle of the prefix
     it is deleted from to ``removed``, ``links`` and ``cycles``, which
-    ``sequence`` turns into a SheddingSequence.  ``snapshot`` builds the
-    current prefix as an immutable PlaneTriangulation.
+    ``sequence`` turns into a SheddingSequence.  ``chord_sides`` splits the
+    current prefix along a chord, and ``snapshot`` builds the current prefix
+    as an immutable PlaneTriangulation.
     """
 
     def __init__(self, G: PlaneTriangulation):
@@ -491,6 +475,37 @@ class PeelEngine:
             w = third[(v, w)]
             link.append(w)
         return tuple(link)
+
+    def chord_sides(self, v: int, u: int) -> tuple[set[int], set[int]]:
+        """The vertices strictly on either side of the chord v u, an interior
+        edge with both ends on the boundary: first the side that holds
+        succ(v), then the side that holds pred(v).
+
+        Each side is a flood over ``nbrs`` from succ(v), resp. pred(v), that
+        never enters v or u.  The boundary runs v, succ(v), ..., u, ...,
+        pred(v), so the two starts lie on different arcs between the chord's
+        ends.  No flood leaks: an edge joining the two sides would cross the
+        chord.  No flood falls short either.  A vertex of a side that its
+        flood missed would lie in a part K of G - {v, u} that holds no
+        boundary vertex, since the boundary arc of the side is a path.  So
+        the faces that meet K cover a disk with K inside, and the rim of
+        that disk is a cycle through neighbours of K.  But every neighbour
+        of K is v or u, and two vertices make no cycle.  That is, in a
+        triangulated disk a 2-vertex cut is always the pair of ends of a
+        chord, so each side stays connected once the chord's ends are
+        removed.
+        """
+        sides = []
+        for start in (self.succ[v], self.pred[v]):
+            side = {start}
+            stack = [start]
+            while stack:
+                for w in self.nbrs[stack.pop()]:
+                    if w not in side and w != v and w != u:
+                        side.add(w)
+                        stack.append(w)
+            sides.append(side)
+        return sides[0], sides[1]
 
     def delete(
         self, v: int, refuse: Callable[[int, int], Exception] = _not_shedding
@@ -624,59 +639,6 @@ def deletion_trace(G: PlaneTriangulation, a: SheddingSequence) -> SheddingSequen
 def peeled_from(G: PlaneTriangulation, a: SheddingSequence) -> SheddingSequence:
     """a itself when it was peeled from this very G, else deletion_trace(G, a)."""
     return a if a.G is G else deletion_trace(G, a)
-
-
-# -- diagonals and regions ----------------------------------------------------
-
-
-def split_by_diagonal(
-    G: PlaneTriangulation, diag: tuple[int, int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Vertex sets strictly inside the two components of the disk minus a diagonal.
-
-    Returned deterministically: first the component on the left of the
-    directed edge (min id -> max id), then the other.  The diagonal's own
-    endpoints belong to neither side.
-    """
-    u, v = edge_key(*diag)
-    bset = G.boundary_set()
-    if (
-        edge_key(u, v) not in G.edges()
-        or edge_key(u, v) in G.boundary_edges()
-        or u not in bset
-        or v not in bset
-    ):
-        raise NotADiagonal(f"({u},{v}) is not a diagonal")
-    third = G.third()
-    # face-dual flood fill from each side of the diagonal
-    tri_of: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for t in G.triangles:
-        a, b, c = t
-        tri_of[(a, b)] = t
-        tri_of[(b, c)] = t
-        tri_of[(c, a)] = t
-    bedges = G.boundary_edges()
-
-    def flood(start: tuple[int, int, int]) -> set[tuple[int, int, int]]:
-        comp = {start}
-        stack = [start]
-        while stack:
-            a, b, c = stack.pop()
-            for d_edge in ((a, b), (b, c), (c, a)):
-                ek = edge_key(*d_edge)
-                if ek == (u, v) or ek in bedges:
-                    continue
-                nbr = tri_of.get((d_edge[1], d_edge[0]))
-                if nbr is not None and nbr not in comp:
-                    comp.add(nbr)
-                    stack.append(nbr)
-        return comp
-
-    left = flood(tri_of[(u, v)])
-    right = flood(tri_of[(v, u)])
-    lverts = frozenset(x for t in left for x in t) - {u, v}
-    rverts = frozenset(x for t in right for x in t) - {u, v}
-    return lverts, rverts
 
 
 def mirror(G: PlaneTriangulation) -> PlaneTriangulation:

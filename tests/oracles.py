@@ -9,7 +9,9 @@ instead of the incremental integer audits of the drawing and the lift.
 It also holds a second, rational drawing, made without the template or any
 rounding, for the certificate tests to check, and the copy-on-delete peel
 (a fresh PlaneTriangulation per deletion, a full boundary scan per greedy
-step) that the mutable peel engine is compared with.
+step) that the mutable peel engine is compared with, and the face-dual
+split of a disk along a diagonal that the engine's chord flood is compared
+with.
 """
 
 from __future__ import annotations
@@ -596,7 +598,7 @@ def link_of_boundary_vertex(G: PlaneTriangulation, v: int) -> tuple[int, ...]:
     "Left" is the ccw-successor side: w_1 is v's successor on the boundary
     cycle, w_k its predecessor, and consecutive w_j, w_{j+1} span a face with v.
     """
-    if not G.is_boundary_vertex(v):
+    if not v in G.boundary_set():
         raise NotBoundary(f"vertex {v} is not on the boundary")
     third = G.third()
     w = G.boundary_succ()[v]
@@ -630,7 +632,7 @@ def is_shedding_vertex(G: PlaneTriangulation, v: int) -> bool:
     criterion: no middle vertex of v's link lies on the boundary."""
     if G.n < 4:
         raise InvalidTriangulation(f"shedding undefined for n={G.n} < 4")
-    if not G.is_boundary_vertex(v):
+    if not v in G.boundary_set():
         raise NotBoundary(f"vertex {v} is not on the boundary")
     link = link_of_boundary_vertex(G, v)
     bset = G.boundary_set()
@@ -655,7 +657,7 @@ class Peel:
     def run(self, victims, refuse=_not_shedding) -> "Peel":
         for v in victims:
             H = self.H
-            if not (H.n > 3 and H.is_boundary_vertex(v) and is_shedding_vertex(H, v)):
+            if not (H.n > 3 and v in H.boundary_set() and is_shedding_vertex(H, v)):
                 raise refuse(H.n, v)
             self._cycles.append(H.boundary)
             self.H, link = delete_boundary_vertex(H, v)
@@ -709,6 +711,60 @@ def shedding_sequence_reference(G: PlaneTriangulation, u: int, v: int) -> Sheddi
     return peel.sequence((u, v, w3))
 
 
+# -- diagonals and regions (reference for PeelEngine.chord_sides) ----------------
+
+
+class NotADiagonal(InvalidTriangulation):
+    """Edge expected to be a diagonal (interior edge with boundary endpoints) is not."""
+
+
+def diagonals(G: PlaneTriangulation) -> list[tuple[int, int]]:
+    """Interior edges whose endpoints are both boundary vertices, sorted."""
+    bs = G.boundary_set()
+    bedges = G.boundary_edges()
+    return sorted(e for e in G.edges() if e not in bedges and e[0] in bs and e[1] in bs)
+
+
+def split_by_diagonal(
+    G: PlaneTriangulation, diag: tuple[int, int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Vertex sets strictly inside the two components of the disk minus a
+    diagonal, by a flood over the dual graph of faces that crosses neither
+    the diagonal nor a boundary edge.
+
+    Returned deterministically: first the component on the left of the
+    directed edge (min id -> max id), then the other.  The diagonal's own
+    endpoints belong to neither side.
+    """
+    u, v = edge_key(*diag)
+    bset = G.boundary_set()
+    bedges = G.boundary_edges()
+    if (u, v) not in G.edges() or (u, v) in bedges or u not in bset or v not in bset:
+        raise NotADiagonal(f"({u},{v}) is not a diagonal")
+    tri_of: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for t in G.triangles:
+        a, b, c = t
+        tri_of[(a, b)] = t
+        tri_of[(b, c)] = t
+        tri_of[(c, a)] = t
+
+    def flood(start: tuple[int, int, int]) -> frozenset[int]:
+        comp = {start}
+        stack = [start]
+        while stack:
+            a, b, c = stack.pop()
+            for x, y in ((a, b), (b, c), (c, a)):
+                if edge_key(x, y) == (u, v) or edge_key(x, y) in bedges:
+                    continue
+                nbr = tri_of.get((y, x))
+                if nbr is not None and nbr not in comp:
+                    comp.add(nbr)
+                    stack.append(nbr)
+        return frozenset(x for t in comp for x in t) - {u, v}
+
+    return flood(tri_of[(u, v)]), flood(tri_of[(v, u)])
+
+
 # -- read-outs of library structures that only the tests use ----------------------
 
 
@@ -728,9 +784,21 @@ def _shape(root, children):
     return done[root]
 
 
+class SheddingTree(NamedTuple):
+    """View of the tree T_i: the nodes of the shared store with step <= i."""
+
+    store: object
+    upto: int
+
+
+def shedding_trees(store) -> tuple[SheddingTree, ...]:
+    """The views T_2..T_n of a reduction.TreeStore, T_i at index i - 2."""
+    return tuple(SheddingTree(store, i) for i in range(2, store.n + 1))
+
+
 def tree_shape(T):
     """Canonical nested-tuple form (left, right) of the shedding tree T_i
-    (a reduction.SheddingTree), None for an absent child."""
+    (a SheddingTree view), None for an absent child."""
 
     def child(c):
         return c if c is not None and c.step <= T.upto else None

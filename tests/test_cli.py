@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import io
+import re
 import sys
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shedpoly.cli import (
     EXIT_CERT,
@@ -269,6 +273,33 @@ def test_lift_truncate_verify_at_n_2000():
     assert "PASS lift-convex-global: 3996 facets support all 2000 vertices" in out
 
 
+def test_grid_pipeline_at_32x32():
+    # size smoke test for the staged schedule: gen-grid runs grid_shedding on
+    # n = 1024, and the lift document gets all seven certificates
+    code, gen, err = run(["gen-grid", "32", "32", "3", "--seed", "1"])
+    assert code == EXIT_OK, err
+    for argv in (["embed"], ["lift"], ["verify"]):
+        code, gen, err = run(argv, gen)
+        assert code == EXIT_OK, (argv, err)
+    assert gen.count("PASS ") == 7 == len(gen.splitlines())
+
+
+def test_diameter_grid_rejects_a_disk_its_header_does_not_describe():
+    # the staged schedule holds only for the lattice the header names: a
+    # smaller l, another p x q with the same n or an out-of-range l are
+    # domain errors, not failed invariants
+    gen = run(["gen-grid", "12", "12", "3", "--seed", "1"])[1]
+    assert run(["diameter", "--grid"], gen)[0] == EXIT_OK
+    cases = {
+        "l=2": gen.replace("l=3", "l=2", 1),
+        "6x24": gen.replace("p=12 q=12", "p=6 q=24", 1),
+        "l=0": gen.replace("l=3", "l=0", 1),
+    }
+    for label, doc in cases.items():
+        code, _, err = run(["diameter", "--grid"], doc)
+        assert code == EXIT_DOMAIN and err.startswith("domain error: "), (label, err)
+
+
 def test_domain_errors_exit_5():
     assert run(["gen-grid", "3", "3", "5"])[0] == EXIT_DOMAIN  # ell > min(p, q)
     square = write_triangulation(split_square())
@@ -310,3 +341,65 @@ def test_verify_rejects_unknown_document():
     code, _, err = run(["verify"], "PLY\n0 0 0\n")
     assert code == EXIT_PARSE
     assert "neither" in err
+
+
+# -- parser fuzz: every mutated document ends in a documented exit code ------------
+
+
+@cache
+def fuzz_documents():
+    """Six documents to mutate, made once per session: triangulations
+    (stacked and grid), a `shed` output, a drawing and two OFF lifts."""
+    stacked = run(["gen-stacked", "8", "--seed", "2"])[1]
+    grid = run(["gen-grid", "5", "5", "3", "--seed", "1"])[1]
+    docs = (
+        stacked,
+        grid,
+        run(["shed"], stacked)[1],
+        run(["embed"], stacked)[1],
+        run(["lift", "--truncate"], stacked)[1],
+        run(["lift"], grid)[1],
+    )
+    assert all(docs)
+    return docs
+
+
+FUZZ_COMMANDS = (
+    ["embed"], ["lift"], ["verify"], ["shed"], ["diameter"], ["diameter", "--grid"],
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """One document with one line dropped, duplicated or swapped, one integer
+    token changed, or the text cut short."""
+    docs = fuzz_documents()
+    doc = docs[draw(st.integers(0, len(docs) - 1))]
+    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "integer", "truncate")))
+    if kind == "truncate":
+        return doc[: draw(st.integers(0, len(doc) - 1))]
+    if kind == "integer":
+        tokens = list(re.finditer(r"-?\d+", doc))
+        tok = tokens[draw(st.integers(0, len(tokens) - 1))]
+        value = draw(st.one_of(st.integers(-2, 30), st.just(int(tok.group()) + 1)))
+        return doc[: tok.start()] + str(value) + doc[tok.end() :]
+    lines = doc.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_documents())
+def test_mutated_documents_exit_with_a_documented_code(doc):
+    # 1 would be an uncaught exception: run() lets it propagate, so it fails
+    # here with its traceback
+    for argv in FUZZ_COMMANDS:
+        code = run(argv, doc)[0]
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_CERT, EXIT_DOMAIN), (argv, code)

@@ -11,6 +11,7 @@ import oracles
 from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
 from shedpoly.griddiam import (
     BadParams,
+    GridTriangulation,
     TooLarge,
     gen_grid_triangulation,
     grid_shedding,
@@ -18,7 +19,14 @@ from shedpoly.griddiam import (
     tau_profile,
     uniform_grid_triangulation,
 )
-from shedpoly.triangulation import deletion_trace, edge_key, shedding_sequence, validate
+from shedpoly.triangulation import (
+    PlaneTriangulation,
+    deletion_trace,
+    edge_key,
+    mirror,
+    shedding_sequence,
+    validate,
+)
 
 
 def seq_of(G, u=0, v=1):
@@ -256,6 +264,45 @@ def test_grid_shedding_plans_match_the_copy_on_delete_peel():
         plan = grid_shedding(gt)
         assert plan_digest(plan) == want, label
         assert plan.sequence == oracles.peel_order_reference(gt.T, plan.sequence.order)
+
+
+def test_grid_shedding_snapshots_only_the_final_triangle(monkeypatch):
+    # the carve regions come from the engine itself; the one snapshot left is
+    # sequence()'s check that G_3 is a triangle (one per carve before that:
+    # 119 on this grid)
+    import shedpoly.triangulation as tri
+
+    calls = [0]
+    real = tri.PeelEngine.snapshot
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(tri.PeelEngine, "snapshot", counting)
+    grid_shedding(gen_grid_triangulation(32, 32, 3, seed=1))
+    assert calls[0] == 1
+
+
+def test_grid_shedding_refuses_a_disk_that_is_not_its_lattice():
+    T = uniform_grid_triangulation(4, 4).T
+    # swapping the ids of two interior points folds the faces around them
+    swap = {5: 6, 6: 5}
+    folded = PlaneTriangulation(
+        T.vertices, [tuple(swap.get(v, v) for v in t) for t in T.triangles], T.boundary
+    )
+    assert not validate(folded)
+    cases = [
+        (GridTriangulation(4, 4, 4, folded), "is not ccw on the lattice"),
+        (GridTriangulation(4, 4, 2, gen_grid_triangulation(4, 4, 4, 0).T), "outside every 2x2"),
+        (GridTriangulation(4, 4, 2, mirror(T)), "boundary is not the 4x4 rectangle"),
+        (GridTriangulation(2, 8, 2, T), "boundary is not the 2x8 rectangle"),
+        (GridTriangulation(4, 4, 5, T), "got ell=5, p=4, q=4"),
+        (GridTriangulation(5, 3, 2, T), "row-major ids"),
+    ]
+    for gt, text in cases:
+        with pytest.raises(BadParams, match=text):
+            grid_shedding(gt)
 
 
 def test_grid_dimension_bounds_formula():

@@ -30,9 +30,9 @@ def seq_of(G):
 
 def pipeline(G, a=None):
     a = a or seq_of(G)
-    trees = build_shedding_trees(G, a)
-    rs = reduce_trees(trees, a)
-    return a, trees, rs
+    store = build_shedding_trees(G, a)
+    rs = reduce_trees(store, a)
+    return a, oracles.shedding_trees(store), rs
 
 
 def instances():
@@ -84,7 +84,7 @@ def test_tree_matches_prefix_trees():
     for i in (5, 8, 12):
         P = oracles.induced_disk(G, a.order[:i])
         pref = peel_order(P, a.order[:i])
-        ptrees = build_shedding_trees(P, pref)
+        ptrees = oracles.shedding_trees(build_shedding_trees(P, pref))
         assert oracles.tree_shape(ptrees[-1]) == oracles.tree_shape(trees[i - 2])
 
 
@@ -139,8 +139,7 @@ def test_size_check_names_the_first_tree_a_missing_node_shrinks():
     for G in (split_square(), pentagon_fan(), gen_stacked(16, 13), gen_stacked(30, 14)):
         a, _, rs = pipeline(G)
         for i in rs.R[1:]:
-            trees = build_shedding_trees(G, a)
-            store = trees[-1].store
+            store = build_shedding_trees(G, a)
             node = store.root if i == 2 else store.created[i][0]
             del store.by_key[node.key]
             want = None
@@ -152,7 +151,7 @@ def test_size_check_names_the_first_tree_a_missing_node_shrinks():
                     break
             assert want is not None and want.startswith(f"T*_{i} ")
             with pytest.raises(MalformedTreeSequence) as info:
-                reduce_trees(trees, a)
+                reduce_trees(store, a)
             assert str(info.value) == want
 
 
@@ -181,9 +180,7 @@ def test_base_case_coordinates():
 def mirrored_pipeline(G):
     a = seq_of(G)
     M = mirror(G)
-    trees = build_shedding_trees(M, a)
-    rs = reduce_trees(trees, a)
-    return rs
+    return reduce_trees(build_shedding_trees(M, a), a)
 
 
 def rt_for(G):
@@ -239,7 +236,7 @@ def test_template_tree_isomorphism():
         rt = rt_for(G)
         rs = rt.rs
         astar = peel_order(rt.Gstar, range(rt.size))
-        star_trees = build_shedding_trees(rt.Gstar, astar)
+        star_trees = oracles.shedding_trees(build_shedding_trees(rt.Gstar, astar))
         for i in range(2, rs.n + 1):
             h = oracles.h_of(rs, i) if i >= 3 else 1
             if i == 2:

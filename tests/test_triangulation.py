@@ -22,19 +22,16 @@ from shedpoly.corpus import (
     triangle,
     two_triangles_pinched,
 )
-from shedpoly.griddiam import uniform_grid_triangulation
+from shedpoly.griddiam import gen_grid_triangulation, uniform_grid_triangulation
 from shedpoly.triangulation import (
     InvalidTriangulation,
     NoSheddingVertex,
-    NotADiagonal,
     PeelEngine,
     PlaneTriangulation,
     deletion_trace,
-    is_valid,
     mirror,
     peel_order,
     shedding_sequence,
-    split_by_diagonal,
     validate,
 )
 
@@ -104,7 +101,7 @@ def test_delete_boundary_vertex_square():
     assert link == (0, 2)
     assert H.vertices == (0, 1, 2)
     assert H.boundary == (0, 1, 2)
-    assert is_valid(H)
+    assert not validate(H)
     assert H.coords == {0: (1, 1), 1: (2, 1), 2: (2, 2)}
 
 
@@ -129,7 +126,7 @@ def test_shedding_fast_equals_definitional_equals_oracle():
         engine = PeelEngine(G)
         for v in G.boundary:
             fast = is_shedding_vertex(G, v)
-            slow = is_valid(delete_boundary_vertex(G, v)[0])
+            slow = not validate(delete_boundary_vertex(G, v)[0])
             indep = oracles.shedding_definitional(G, v)
             assert engine.is_shedding(v) == fast == slow == indep, (repr(G), v)
 
@@ -139,7 +136,7 @@ def test_shedding_dichotomy():
     for G in sample_instances():
         if G.n < 4:
             continue
-        diag_ends = {x for d in G.diagonals() for x in d}
+        diag_ends = {x for d in oracles.diagonals(G) for x in d}
         for v in G.boundary:
             assert is_shedding_vertex(G, v) or v in diag_ends
 
@@ -231,16 +228,16 @@ def test_trace_rejects_bad_sequence():
 
 def test_split_by_diagonal_square():
     G = split_square()
-    sides = split_by_diagonal(G, (0, 2))
+    sides = oracles.split_by_diagonal(G, (0, 2))
     assert set(map(frozenset, sides)) == {frozenset({1}), frozenset({3})}
 
 
 def test_find_shedding_not_a_diagonal():
     # a boundary edge, and an edge to an interior vertex
-    with pytest.raises(NotADiagonal):
-        split_by_diagonal(split_square(), (0, 1))
-    with pytest.raises(NotADiagonal):
-        split_by_diagonal(stacked_k4(), (0, 3))
+    with pytest.raises(oracles.NotADiagonal):
+        oracles.split_by_diagonal(split_square(), (0, 1))
+    with pytest.raises(oracles.NotADiagonal):
+        oracles.split_by_diagonal(stacked_k4(), (0, 3))
 
 
 def test_no_shedding_vertex_error_exists():
@@ -357,6 +354,73 @@ def test_engine_matches_reference_on_random_disks(shape, size, seed, edge, flip,
         bad.append(tuple(order))
     bad.append(tuple(order[:-1]))
     assert_engine_matches_reference(G, u, v, bad)
+
+
+# -- chord sides against the face-dual split ---------------------------------------
+
+
+def peel_part_way(G, steps, seed):
+    """A peel engine on G after up to ``steps`` deletions, each of a random
+    shedding vertex of the current prefix."""
+    rng = random.Random(seed)
+    peel = PeelEngine(G)
+    for _ in range(steps):
+        cands = sorted(x for x in peel.cycle if peel.is_shedding(x))
+        if not cands:
+            break
+        peel.delete(rng.choice(cands))
+    return peel
+
+
+def assert_chord_sides_match_the_dual_split(peel) -> int:
+    """Every diagonal of the current prefix splits the same way under the
+    engine's vertex flood and the oracle's face flood; returns how many
+    diagonals there were."""
+    H = peel.snapshot()
+    diags = oracles.diagonals(H)
+    for u, v in diags:
+        left, right = oracles.split_by_diagonal(H, (u, v))
+        # the left of u -> v is bounded by the arc v, succ(v), ..., pred(u)
+        assert peel.chord_sides(u, v) == (right, left), (u, v)
+        assert peel.chord_sides(v, u) == (left, right), (u, v)
+    return len(diags)
+
+
+def test_chord_sides_square_and_part_way_peels():
+    peel = PeelEngine(split_square())
+    assert peel.chord_sides(0, 2) == ({1}, {3})
+    assert peel.chord_sides(2, 0) == ({3}, {1})
+    seen = 0
+    for G in (gen_grid_triangulation(12, 12, 3, 0).T, gen_stacked(60, 4), polygon_disk(12, 20, 3)):
+        for steps in (0, G.n // 4, G.n // 2, G.n - 4):
+            seen += assert_chord_sides_match_the_dual_split(peel_part_way(G, steps, steps))
+    assert seen > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(5, 16),
+    q=st.integers(5, 16),
+    ell=st.integers(2, 4),
+    seed=st.integers(0, 10**6),
+    percent=st.integers(0, 100),
+)
+def test_chord_sides_match_the_dual_split_on_grids(p, q, ell, seed, percent):
+    G = gen_grid_triangulation(p, q, ell, seed).T
+    peel = peel_part_way(G, percent * (G.n - 3) // 100, seed)
+    assert_chord_sides_match_the_dual_split(peel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 120),
+    seed=st.integers(0, 10**6),
+    percent=st.integers(0, 100),
+)
+def test_chord_sides_match_the_dual_split_on_stacked_disks(n, seed, percent):
+    G = gen_stacked(n, seed)
+    peel = peel_part_way(G, percent * (G.n - 3) // 100, seed)
+    assert_chord_sides_match_the_dual_split(peel)
 
 
 # -- work counts: a peel is linear in n -------------------------------------------
