@@ -112,6 +112,16 @@ def min_tau_exhaustive(G: PlaneTriangulation, limit: int = 9) -> tuple[int, Shed
 # -- lattice grid triangulations ------------------------------------------------
 
 
+def _vid(p: int, x: int, y: int) -> int:
+    """The row-major id of the 1-based lattice point (x, y), p points a row."""
+    return (y - 1) * p + (x - 1)
+
+
+def _xy(p: int, v: int) -> tuple[int, int]:
+    """The lattice point of the row-major id v; the inverse of _vid."""
+    return v % p + 1, v // p + 1
+
+
 @dataclass(frozen=True)
 class GridTriangulation:
     """A triangulation of the p x q integer lattice rectangle.
@@ -126,20 +136,17 @@ class GridTriangulation:
     T: PlaneTriangulation
 
     def vid(self, x: int, y: int) -> int:
-        return (y - 1) * self.p + (x - 1)
+        return _vid(self.p, x, y)
 
     def xy(self, v: int) -> tuple[int, int]:
-        return v % self.p + 1, v // self.p + 1
+        return _xy(self.p, v)
 
 
 def _rect_boundary(p: int, q: int) -> tuple[int, ...]:
-    def vid(x: int, y: int) -> int:
-        return (y - 1) * p + (x - 1)
-
-    cyc = [vid(x, 1) for x in range(1, p + 1)]
-    cyc += [vid(p, y) for y in range(2, q + 1)]
-    cyc += [vid(x, q) for x in range(p - 1, 0, -1)]
-    cyc += [vid(1, y) for y in range(q - 1, 1, -1)]
+    cyc = [_vid(p, x, 1) for x in range(1, p + 1)]
+    cyc += [_vid(p, p, y) for y in range(2, q + 1)]
+    cyc += [_vid(p, x, q) for x in range(p - 1, 0, -1)]
+    cyc += [_vid(p, 1, y) for y in range(q - 1, 1, -1)]
     return tuple(cyc)
 
 
@@ -185,13 +192,7 @@ def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTrian
     if not 2 <= ell <= min(p, q):
         raise BadParams(f"need 2 <= ell <= min(p, q), got ell={ell}, p={p}, q={q}")
     rng = random.Random(seed)
-
-    def vid(x: int, y: int) -> int:
-        return (y - 1) * p + (x - 1)
-
-    def xy(v: int) -> tuple[int, int]:
-        return v % p + 1, v // p + 1
-
+    coords = {v: _xy(p, v) for v in range(p * q)}
     tris: set[tuple[int, int, int]] = set()
     third: dict[tuple[int, int], int] = {}
 
@@ -211,8 +212,8 @@ def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTrian
 
     for cy in range(1, q):
         for cx in range(1, p):
-            a, b = vid(cx, cy), vid(cx + 1, cy)
-            c, d = vid(cx + 1, cy + 1), vid(cx, cy + 1)
+            a, b = _vid(p, cx, cy), _vid(p, cx + 1, cy)
+            c, d = _vid(p, cx + 1, cy + 1), _vid(p, cx, cy + 1)
             if rng.random() < 0.5:
                 add((a, b, c))
                 add((a, c, d))
@@ -224,14 +225,14 @@ def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTrian
         from bisect import insort
 
         interior = sorted({edge_key(*k) for k in third if (k[1], k[0]) in third})
-        pt = {v: Point2(*xy(v)) for v in range(p * q)}
+        pt = {v: Point2(*xy) for v, xy in coords.items()}
         for _ in range(10 * p * q):
             u, v = interior[rng.randrange(len(interior))]
             c = third[(u, v)]
             d = third[(v, u)]
             nk = edge_key(c, d)
-            cx_, cy_ = xy(c)
-            dx_, dy_ = xy(d)
+            cx_, cy_ = coords[c]
+            dx_, dy_ = coords[d]
             if abs(cx_ - dx_) > ell - 1 or abs(cy_ - dy_) > ell - 1:
                 continue
             if nk in third or (nk[1], nk[0]) in third:
@@ -251,7 +252,7 @@ def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTrian
         range(p * q),
         sorted(tris),
         _rect_boundary(p, q),
-        {v: xy(v) for v in range(p * q)},
+        coords,
     )
     errs = validate(T)
     if errs:
@@ -263,22 +264,18 @@ def uniform_grid_triangulation(p: int, q: int) -> GridTriangulation:
     """The all-one-way-diagonals triangulation of the p x q lattice (ell = 2)."""
     if min(p, q) < 2:
         raise BadParams(f"need p, q >= 2, got p={p}, q={q}")
-
-    def vid(x: int, y: int) -> int:
-        return (y - 1) * p + (x - 1)
-
     tris = []
     for cy in range(1, q):
         for cx in range(1, p):
-            a, b = vid(cx, cy), vid(cx + 1, cy)
-            c, d = vid(cx + 1, cy + 1), vid(cx, cy + 1)
+            a, b = _vid(p, cx, cy), _vid(p, cx + 1, cy)
+            c, d = _vid(p, cx + 1, cy + 1), _vid(p, cx, cy + 1)
             tris.append(rot_min_first((a, b, c)))
             tris.append(rot_min_first((a, c, d)))
     T = PlaneTriangulation(
         range(p * q),
         sorted(tris),
         _rect_boundary(p, q),
-        {v: (v % p + 1, v // p + 1) for v in range(p * q)},
+        {v: _xy(p, v) for v in range(p * q)},
     )
     assert not validate(T)
     return GridTriangulation(p, q, 2, T)
@@ -339,11 +336,10 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
     p, q, ell = gt.p, gt.q, gt.ell
     T = gt.T
 
-    def x_of(v: int) -> int:
-        return v % p + 1
-
-    def y_of(v: int) -> int:
-        return v // p + 1
+    # row-major ids order the lattice points like (y, x), so the highest
+    # vertex, the rightmost among the highest, is the one with the largest id
+    col = {v: gt.xy(v)[0] for v in T.vertices}
+    row = {v: gt.xy(v)[1] for v in T.vertices}
 
     imax = (p + ell - 1) // ell
     group_cols = {
@@ -365,7 +361,7 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         cands = [w for w in region if peel.is_shedding(w)]
         if not cands:
             raise InvariantViolation("carve region contains no shedding vertex")
-        return max(cands, key=lambda v: (y_of(v), x_of(v)))
+        return max(cands)
 
     def run_stage(blocks: list[frozenset[int]], ymin: int, cand_ok, region_ok, label: int):
         """One deletion per active block per round; a block finishes its carve
@@ -380,7 +376,7 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         engine before the first of its members is deleted.
         """
         regions: list[set[int]] = [set() for _ in blocks]
-        block_of = [[v for v in T.vertices if x_of(v) in cols] for cols in blocks]
+        block_of = [[v for v in T.vertices if col[v] in cols] for cols in blocks]
         while True:
             batch: list[int] = []
             for k in range(len(blocks)):
@@ -389,12 +385,12 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                     batch.append(greatest_shedding_in(regions[k]))
                     continue
                 block = block_of[k] = [v for v in block_of[k] if v in live]
-                if not any(y_of(v) > ymin for v in block):
+                if not any(row[v] > ymin for v in block):
                     continue
                 cand = [v for v in block if cand_ok(v)]
                 if not cand:
                     raise InvariantViolation("active block has no admissible vertex")
-                vk = max(cand, key=lambda v: (y_of(v), x_of(v)))
+                vk = max(cand)
                 if not peel.on_boundary(vk):
                     raise InvariantViolation(f"block-top vertex {vk} is interior")
                 if peel.is_shedding(vk):
@@ -404,7 +400,7 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                 partners = [u for u in peel.nbrs[vk] if peel.on_boundary(u) and u not in ends]
                 if not partners:
                     raise InvariantViolation(f"{vk} neither sheds nor meets a diagonal")
-                uk = max(partners, key=lambda v: (y_of(v), x_of(v)))
+                uk = max(partners)
                 good = [S for S in peel.chord_sides(vk, uk) if region_ok(S)]
                 if len(good) != 1:
                     raise InvariantViolation(
@@ -426,22 +422,22 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
             batches_del_order.append(frozenset(batch))
 
     def stage1_ok(S) -> bool:
-        return all(y_of(w) > 1 and x_of(w) not in far_cols for w in S)
+        return all(row[w] > 1 and col[w] not in far_cols for w in S)
 
     def stage1_cand(v) -> bool:
-        return y_of(v) > 1 and peel.on_boundary(v)
+        return row[v] > 1 and peel.on_boundary(v)
 
     stage1_blocks = [group_cols[i] for i in range(1, imax + 1) if i % 4 == 1]
     peel.run(run_stage(stage1_blocks, ell, stage1_cand, stage1_ok, 1), stopped)
     for v in T.vertices:
-        if x_of(v) in far_cols and v not in live:
+        if col[v] in far_cols and v not in live:
             raise InvariantViolation(f"far-column vertex {v} deleted in stage 1")
     for x in range(1, p + 1):
         if gt.vid(x, 1) not in live:
             raise InvariantViolation(f"bottom-row vertex at x={x} deleted in stage 1")
 
     # rows 1..ell must form a connected induced strip before stage 2 trusts it
-    low = [v for v in live if y_of(v) <= ell]
+    low = [v for v in live if row[v] <= ell]
     adj = peel.nbrs
     seen = {low[0]}
     stack = [low[0]]
@@ -470,25 +466,25 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         t += 4
 
     def stage2_ok(S) -> bool:
-        return all(y_of(w) > ell for w in S)
+        return all(row[w] > ell for w in S)
 
     def stage2_cand(v) -> bool:
-        return y_of(v) > 2 * ell
+        return row[v] > 2 * ell
 
     peel.run(run_stage(stage2_blocks, 2 * ell, stage2_cand, stage2_ok, 2), stopped)
     for v in live:
-        if y_of(v) > 2 * ell:
+        if row[v] > 2 * ell:
             raise InvariantViolation(f"vertex {v} above row 2*ell after stage 2")
 
     done = len(peel.removed)
-    if not peel.peel_smallest(lambda v: (-y_of(v), -x_of(v))):
+    if not peel.peel_smallest(lambda v: -v):
         raise InvariantViolation("no shedding vertex in stage 3")
     for w in peel.removed[done:]:
         stage_of[w] = 3
         batches_del_order.append(frozenset((w,)))
 
     base_edges = T.boundary_edges()
-    final = sorted(live, key=lambda v: (y_of(v), x_of(v)))
+    final = sorted(live)
     order = None
     if edge_key(final[0], final[1]) in base_edges:
         order = tuple(final)

@@ -1,16 +1,20 @@
 """Lift a sequentially convex drawing to a convex surface with integer heights.
 
-The base triangle stays at height 0.  Every later vertex gets the smallest
-integer height that puts it strictly above the planes of the faces its
-predecessors bound -- because every drawing prefix is in convex position with
-respect to the base edge, clearing those local planes already clears every
-face plane of the partial surface, so the result is convex.  We take the
-greedy minimal height and *assert* the closed-form ceilings (499*n^8*m_i + 1
-per step, (500*n^8)^depth per vertex) instead of constructing with them.
+The base triangle stays at height 0.  Every later vertex a_i gets the
+smallest integer height that puts it strictly above the planes of the faces
+of the previous prefix.  Because every drawing prefix is in convex position
+with respect to the base edge, the highest of those planes above a_i is the
+plane of a face across one of its link edges, so the lift reads k_i - 1
+faces for a vertex with k_i link vertices (the argument is in lift's
+docstring).  We take the greedy minimal height and *assert* the closed-form
+ceilings (499*n^8*m_i + 1 per step, (500*n^8)^tau for the tallest height)
+instead of constructing with them; the per-vertex (500*n^8)^depth bound
+follows from the per-step one.
 
 Heights are exact Python ints; they can grow to thousands of bits on deep
-instances, which is fine.  The links and prefix boundary cycles come from the
-SheddingSequence itself, so lifting deletes no vertex.
+instances, which is fine.  The links come from the SheddingSequence itself,
+and the faces across them from G's own face map, so lifting deletes no
+vertex.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .embedding import GridEmbedding, first_faulty_prefix
-from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
+from .exactgeom import Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
 from .triangulation import SheddingSequence, peeled_from, rot_min_first
 
@@ -80,69 +84,61 @@ def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) ->
 def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
     """Greedy minimal convex lift of a sequentially convex drawing.
 
-    For each i >= 4 the height of a_i is the smallest integer strictly above
-    the planes of all faces of the previous prefix that touch a neighbor of
-    a_i; those neighbors are the link that the sequence recorded when it was
-    peeled.  The per-step and per-chain height ceilings are asserted.
+    Let a_i have the link w_1..w_k in G_i (recorded when it was peeled), and
+    let F_j = (w_{j+1}, w_j, third[(w_{j+1}, w_j)]) be the face of G_{i-1}
+    across the link edge w_j w_{j+1}.  The height of a_i is one more than the
+    largest floor of the planes of F_1..F_{k-1} above its point p, so the
+    lift reads k - 1 faces per vertex.
+
+    The max is at some F_j: no face of G_{i-1} has a higher plane above p.
+    Take any face T of G_{i-1} and a generic point c inside it.  The segment
+    from c to p leaves the convex polygon D_{i-1} that G_{i-1} covers, and
+    it leaves through a link edge, because sequential convexity (checked
+    first) puts p strictly inside the half-plane of every other boundary
+    edge of D_{i-1}.  Just before it leaves, the segment is in some F_j.
+    Along the segment, l_{F_j} - l_T is linear.  It is <= 0 at c and >= 0 at
+    the exit point, because every face plane lies below the convex lift of
+    G_{i-1}; so it is >= 0 at p.  Floor is monotone, so the floor of the
+    highest plane is the highest floor, the same number a scan of every face
+    around the link would find.
+
+    The per-step ceiling h(a_i) <= 499*n^8*m_i + 1 is asserted, and so is
+    max h <= B^tau with B = 500*n^8.  The per-vertex bound h(v) <= B^depth(v)
+    needs no check of its own.  The link of a_i is exactly its set of
+    earlier neighbours, so depth(a_i) = 1 + the largest depth on the link,
+    and by induction m_i <= B^(depth(a_i) - 1); then
+    h(a_i) <= 499*n^8*B^(d-1) + 1 <= 500*n^8*B^(d-1) = B^d.
     """
     G = emb.G
     coords = emb.coords
     a = peeled_from(G, a)
     _check_sequentially_convex(coords, a)
 
-    pos = a.position()
-    birth = {t: max(pos[w] for w in t) for t in G.triangles}
-    by_vertex: dict[int, list[tuple[int, int, int]]] = {v: [] for v in G.vertices}
-    for t in G.triangles:
-        for w in t:
-            by_vertex[w].append(t)
-
     n = G.n
+    third = G.third()
     heights = {a.order[0]: 0, a.order[1]: 0, a.order[2]: 0}
-    m = {a.order[0]: 0, a.order[1]: 0, a.order[2]: 0}
-    planes: dict[tuple[int, int, int], Plane] = {}
-    profile = tau_profile(G, a)
+    m = dict(heights)
 
-    def plane_of(t: tuple[int, int, int]) -> Plane:
-        pl = planes.get(t)
-        if pl is None:
-            p1, p2, p3 = (
-                Point3(coords[w][0], coords[w][1], heights[w]) for w in t
-            )
-            pl = plane_through(p1, p2, p3)
-            planes[t] = pl
-        return pl
+    def point(w: int) -> Point3:
+        return Point3(coords[w][0], coords[w][1], heights[w])
 
     for i in range(4, n + 1):
         v = a.order[i - 1]
         link = a.link(i)
         x, y = coords[v]
-        # floor is monotone, so the floor of the highest plane is the highest floor
-        best: Optional[int] = None
-        seen: set[tuple[int, int, int]] = set()
-        for u in link:
-            for t in by_vertex[u]:
-                if birth[t] <= i - 1 and t not in seen:
-                    seen.add(t)
-                    val = floor_plane(plane_of(t), x, y)
-                    if best is None or val > best:
-                        best = val
-        assert best is not None, "link of a shedding vertex bounds no face"
-        hv = best + 1
+        hv = 1 + max(
+            floor_plane(plane_through(point(s), point(r), point(third[(s, r)])), x, y)
+            for r, s in zip(link, link[1:])
+        )
         heights[v] = hv
         m[v] = max(heights[u] for u in link)
         assert hv <= height_bound(n, m[v]), (
             f"height {hv} of vertex {v} exceeds 499*n^8*m+1 with m={m[v]}"
         )
-        assert hv <= (500 * n**8) ** profile.depth[v], (
-            f"height of vertex {v} exceeds (500n^8)^depth"
-        )
 
-    assert max(heights.values()) <= (500 * n**8) ** profile.tau
+    assert max(heights.values()) <= (500 * n**8) ** tau_profile(G, a).tau
 
-    points = {
-        w: Point3(coords[w][0], coords[w][1], heights[w]) for w in G.vertices
-    }
+    points = {w: point(w) for w in G.vertices}
     return LiftedPolyhedron(
         heights=heights,
         points=points,

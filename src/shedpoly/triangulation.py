@@ -73,10 +73,8 @@ class PlaneTriangulation:
         "coords",
         "_third",
         "_adj",
-        "_bset",
         "_bsucc",
         "_bpred",
-        "_eset",
     )
 
     def __init__(
@@ -96,10 +94,8 @@ class PlaneTriangulation:
         )
         self._third = None
         self._adj = None
-        self._bset = None
         self._bsucc = None
         self._bpred = None
-        self._eset = None
 
     # -- basic accessors -----------------------------------------------------
 
@@ -142,21 +138,6 @@ class PlaneTriangulation:
                 adj[c].update((a, b))
             self._adj = adj
         return self._adj
-
-    def edges(self) -> set[tuple[int, int]]:
-        if self._eset is None:
-            es = set()
-            for a, b, c in self.triangles:
-                es.add(edge_key(a, b))
-                es.add(edge_key(b, c))
-                es.add(edge_key(a, c))
-            self._eset = es
-        return self._eset
-
-    def boundary_set(self) -> frozenset[int]:
-        if self._bset is None:
-            self._bset = frozenset(self.boundary)
-        return self._bset
 
     def boundary_succ(self) -> dict[int, int]:
         if self._bsucc is None:

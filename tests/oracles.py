@@ -4,8 +4,10 @@ Everything here recomputes expected values by a *different* method than the
 library under test: induced subcomplexes instead of incremental deletion,
 brute-force permutation enumeration instead of guided search, networkx longest
 paths instead of the height recursion, raw formula evaluation for the
-worked coordinate examples, and full Fraction scans of every prefix boundary
-instead of the incremental integer audits of the drawing and the lift.
+worked coordinate examples, full Fraction scans of every prefix boundary
+instead of the incremental integer audits of the drawing and the lift, and
+the star scan of every face around a vertex's link instead of the lift's one
+face per link edge.
 It also holds a second, rational drawing, made without the template or any
 rounding, for the certificate tests to check, and the copy-on-delete peel
 (a fresh PlaneTriangulation per deletion, a full boundary scan per greedy
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import networkx as nx
 
 from shedpoly.embedding import PropertyViolation, UpperChain, _base_lr
-from shedpoly.exactgeom import Point2, orient2d
+from shedpoly.exactgeom import Point2, Point3, floor_plane, orient2d, plane_through
 from shedpoly.triangulation import (
     InvalidTriangulation,
     NoSheddingVertex,
@@ -35,6 +37,11 @@ from shedpoly.triangulation import (
     validate,
 )
 from shedpoly.verify import Certificate
+
+
+def edges(G: PlaneTriangulation) -> set[tuple[int, int]]:
+    """The undirected edges of G as edge_key pairs, read off its triangles."""
+    return {edge_key(*e) for a, b, c in G.triangles for e in ((a, b), (b, c), (c, a))}
 
 
 def induced_disk(G: PlaneTriangulation, ids) -> PlaneTriangulation | None:
@@ -114,7 +121,7 @@ def tau_by_longest_path(G: PlaneTriangulation, order) -> int:
     pos = {v: i for i, v in enumerate(order)}
     dag = nx.DiGraph()
     dag.add_nodes_from(order)
-    for u, v in G.edges():
+    for u, v in edges(G):
         if pos[u] < pos[v]:
             dag.add_edge(u, v)
         else:
@@ -199,6 +206,33 @@ def greedy_lift_heights(G: PlaneTriangulation, order, coords) -> dict:
                     best = val
         f = Fraction(best)
         h[v] = f.numerator // f.denominator + 1
+    return h
+
+
+def lift_heights_star_scan(emb, a) -> dict:
+    """The lift's heights by the star scan: a_i clears every face of the
+    previous prefix that touches a vertex of its link, with integer planes.
+
+    The library reads only the faces across the link edges; equal heights
+    are the claim that those faces hold the max.
+    """
+    G, coords = emb.G, emb.coords
+    a = peeled_from(G, a)
+    pos = a.position()
+    birth = {t: max(pos[w] for w in t) for t in G.triangles}
+    by_vertex = {v: [] for v in G.vertices}
+    for t in G.triangles:
+        for w in t:
+            by_vertex[w].append(t)
+    h = {a.order[0]: 0, a.order[1]: 0, a.order[2]: 0}
+    for i in range(4, G.n + 1):
+        v = a.order[i - 1]
+        x, y = coords[v]
+        star = {t for u in a.link(i) for t in by_vertex[u] if birth[t] <= i - 1}
+        h[v] = 1 + max(
+            floor_plane(plane_through(*(Point3(*coords[w], h[w]) for w in t)), x, y)
+            for t in star
+        )
     return h
 
 
@@ -598,7 +632,7 @@ def link_of_boundary_vertex(G: PlaneTriangulation, v: int) -> tuple[int, ...]:
     "Left" is the ccw-successor side: w_1 is v's successor on the boundary
     cycle, w_k its predecessor, and consecutive w_j, w_{j+1} span a face with v.
     """
-    if not v in G.boundary_set():
+    if v not in G.boundary:
         raise NotBoundary(f"vertex {v} is not on the boundary")
     third = G.third()
     w = G.boundary_succ()[v]
@@ -632,10 +666,10 @@ def is_shedding_vertex(G: PlaneTriangulation, v: int) -> bool:
     criterion: no middle vertex of v's link lies on the boundary."""
     if G.n < 4:
         raise InvalidTriangulation(f"shedding undefined for n={G.n} < 4")
-    if not v in G.boundary_set():
+    bset = set(G.boundary)
+    if v not in bset:
         raise NotBoundary(f"vertex {v} is not on the boundary")
     link = link_of_boundary_vertex(G, v)
-    bset = G.boundary_set()
     return not any(w in bset for w in link[1:-1])
 
 
@@ -657,7 +691,7 @@ class Peel:
     def run(self, victims, refuse=_not_shedding) -> "Peel":
         for v in victims:
             H = self.H
-            if not (H.n > 3 and v in H.boundary_set() and is_shedding_vertex(H, v)):
+            if not (H.n > 3 and v in H.boundary and is_shedding_vertex(H, v)):
                 raise refuse(H.n, v)
             self._cycles.append(H.boundary)
             self.H, link = delete_boundary_vertex(H, v)
@@ -720,9 +754,9 @@ class NotADiagonal(InvalidTriangulation):
 
 def diagonals(G: PlaneTriangulation) -> list[tuple[int, int]]:
     """Interior edges whose endpoints are both boundary vertices, sorted."""
-    bs = G.boundary_set()
+    bs = set(G.boundary)
     bedges = G.boundary_edges()
-    return sorted(e for e in G.edges() if e not in bedges and e[0] in bs and e[1] in bs)
+    return sorted(e for e in edges(G) if e not in bedges and e[0] in bs and e[1] in bs)
 
 
 def split_by_diagonal(
@@ -737,9 +771,9 @@ def split_by_diagonal(
     endpoints belong to neither side.
     """
     u, v = edge_key(*diag)
-    bset = G.boundary_set()
+    bset = set(G.boundary)
     bedges = G.boundary_edges()
-    if (u, v) not in G.edges() or (u, v) in bedges or u not in bset or v not in bset:
+    if (u, v) not in edges(G) or (u, v) in bedges or u not in bset or v not in bset:
         raise NotADiagonal(f"({u},{v}) is not a diagonal")
     tri_of: dict[tuple[int, int], tuple[int, int, int]] = {}
     for t in G.triangles:

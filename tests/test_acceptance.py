@@ -266,7 +266,7 @@ def test_criterion_4_grid_schedule_depth_and_batch_bounds():
         cover = [v for b in batches for v in b]
         assert len(cover) == len(set(cover)) == T.n - 3, item.label
         assert set(cover) == set(T.vertices) - set(a.order[:3]), item.label
-        edges = set(map(frozenset, T.edges()))
+        edges = set(map(frozenset, oracles.edges(T)))
         for b in batches:
             b = sorted(b)
             for ia in range(len(b)):

@@ -264,6 +264,17 @@ def test_verify_fan_drawing_at_n_2000():
     assert out.count("PASS ") == 5
 
 
+def test_fan_pipeline_at_n_2000():
+    # size smoke test: every later vertex is in the apex's 1998-face star,
+    # and the lift document gets all seven certificates
+    fan = PlaneTriangulation(range(2000), [(0, i, i + 1) for i in range(1, 1999)], range(2000))
+    doc = write_triangulation(fan)
+    for argv in (["embed"], ["lift"], ["verify"]):
+        code, doc, err = run(argv, doc)
+        assert code == EXIT_OK, (argv, err)
+    assert doc.count("PASS ") == 7 == len(doc.splitlines())
+
+
 def test_lift_truncate_verify_at_n_2000():
     # size smoke test: a truncated lift document gets all seven certificates
     _, off, _ = run(["lift", "--truncate"], run(["gen-stacked", "2000"])[1])

@@ -236,7 +236,7 @@ def test_grid_corpus_certified():
         assert emb.correspondence[edge_key(*a.order[:2])] == (0, 1)
         M = oracles.template_max_slope(emb.template)
         # slopes of all edges stay within M + n of the template, so within 2n^2 + n
-        for u, v in G.edges():
+        for u, v in oracles.edges(G):
             (xu, yu), (xv, yv) = emb.coords[u], emb.coords[v]
             if xu != xv:
                 s = Fraction(yv - yu, xv - xu)
@@ -411,7 +411,7 @@ def test_audit_chain_pairs_match_the_oracle_on_tampered_drawings():
         a = shedding_sequence(G, G.boundary[0], G.boundary[1])
         emb = grid_embed(G, a)
         work, lb, rb, clean = oracles.construction_frame(emb)
-        zmap = {edge_key(u, v): (u, v) for u, v in G.edges()}
+        zmap = {edge_key(u, v): (u, v) for u, v in oracles.edges(G)}
         for j in range(4, G.n + 1):
             v = work.order[j - 1]
             x, y = clean[v]
@@ -438,7 +438,7 @@ def test_audit_edge_bounds_match_the_oracle_on_tampered_templates():
         a = shedding_sequence(G, G.boundary[0], G.boundary[1])
         emb = grid_embed(G, a)
         work, lb, rb, coords = oracles.construction_frame(emb)
-        zmap = {edge_key(u, v): (u, v) for u, v in G.edges()}
+        zmap = {edge_key(u, v): (u, v) for u, v in oracles.edges(G)}
         adj = G.adjacency()
         for j in range(4, G.n + 1):
             v = work.order[j - 1]

@@ -6,8 +6,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import shedpoly.lifting as lifting
 from shedpoly.corpus import (
     gen_stacked,
     pentagon_fan,
@@ -16,7 +19,7 @@ from shedpoly.corpus import (
     triangle,
 )
 from shedpoly.embedding import grid_embed
-from shedpoly.griddiam import gen_grid_triangulation, grid_shedding
+from shedpoly.griddiam import gen_grid_triangulation, grid_shedding, tau_profile
 from shedpoly.lifting import (
     BoundaryNotTriangle,
     NotSequentiallyConvex,
@@ -26,6 +29,8 @@ from shedpoly.lifting import (
     truncate_to_polytope,
 )
 from shedpoly.triangulation import PlaneTriangulation, shedding_sequence
+from test_acceptance import corpus
+from test_triangulation import fan, ladder, polygon_disk, relabel
 
 
 def embed_of(G):
@@ -83,12 +88,78 @@ def test_split_square_heights():
 
 
 def test_heights_match_global_oracle():
-    # the library clears only the faces its predecessors touch; the oracle
+    # the library clears only the faces across the link edges; the oracle
     # clears every face of the prefix -- the two must coincide
     for G, emb, a in small_instances():
         P = lift(emb, a)
         want = oracles.greedy_lift_heights(G, a.order, emb.coords)
         assert P.heights == want, f"n={G.n}"
+
+
+def assert_star_scan_heights(G, emb, a, P):
+    """P's heights equal the star scan's, and h(v) <= (500n^8)^depth(v) for
+    every vertex: the bound lift no longer asserts per vertex."""
+    assert P.heights == oracles.lift_heights_star_scan(emb, a)
+    B = 500 * G.n**8
+    depth = tau_profile(G, a).depth
+    for v, h in P.heights.items():
+        assert h <= B ** depth[v], v
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder", "polygon", "grid")),
+    size=st.integers(4, 40),
+    seed=st.integers(0, 10**6),
+    edge=st.integers(0, 10**6),
+    flip=st.booleans(),
+    sparse=st.booleans(),
+)
+def test_heights_match_the_star_scan(shape, size, seed, edge, flip, sparse):
+    # the faces across the link edges hold the highest plane of the prefix
+    if shape == "grid":
+        gt = gen_grid_triangulation(5 + size % 10, 5 + seed % 10, 2 + edge % 3, seed)
+        G, a = gt.T, grid_shedding(gt).sequence
+    else:
+        if shape == "stacked":
+            G = gen_stacked(size, seed)
+        elif shape == "fan":
+            G = fan(size)
+        elif shape == "ladder":
+            G = ladder(max(2, size // 2))
+        else:
+            b = 3 + seed % (size - 2)
+            G = polygon_disk(b, size - b, seed)
+        if sparse:
+            G = relabel(G, seed)
+        b = G.boundary
+        u, v = b[edge % len(b)], b[(edge + 1) % len(b)]
+        a = shedding_sequence(G, *((v, u) if flip else (u, v)))
+    emb = grid_embed(G, a)
+    assert_star_scan_heights(G, emb, a, lift(emb, a))
+
+
+def test_heights_match_the_star_scan_on_the_acceptance_corpus():
+    for item in corpus():
+        assert_star_scan_heights(item.G, item.emb, item.a, item.P)
+
+
+def test_lift_reads_one_face_per_link_edge(monkeypatch):
+    # sum over i of (k_i - 1) floor_plane calls: 1997 on fan-2000, where the
+    # star scan around the apex made 1,995,003
+    calls = 0
+    real = lifting.floor_plane
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    G = fan(2000)
+    emb, a = embed_of(G)
+    monkeypatch.setattr(lifting, "floor_plane", counting)
+    lift(emb, a)
+    assert calls == sum(len(link) - 1 for link in a.links) == 1997
 
 
 def test_lift_is_convex():
