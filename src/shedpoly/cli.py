@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from typing import Optional, Sequence
 
 from .corpus import gen_stacked
@@ -258,7 +259,8 @@ def _verify_off(text: str) -> list[Certificate]:
     if top is None:
         disk = disk_from_facets(facets)
     else:
-        match = [t for t in facets if rot_min_first(t) == rot_min_first(top)]
+        key = rot_min_first(top)
+        match = [t for t in facets if rot_min_first(t) == key]
         if len(match) != 1:
             raise ParseError(f"'top' comment names a missing face {top}")
         top = match[0]
@@ -281,7 +283,7 @@ def _verify_off(text: str) -> list[Certificate]:
         truncated=top,
     )
     certs.append(check_lift_convex(P))
-    certs.append(lift_convex_globally(P))
+    certs.append(lift_convex_globally(P, disk))
     if aorder is not None:
         try:
             seq = sequence_from_order(disk, aorder)
@@ -443,9 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing does not change the parser,
+    and building its nine subparsers costs more than a small command."""
+    return build_parser()
+
+
 def entry(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on --help / bad usage
         return int(exc.code or 0)
     try:

@@ -36,7 +36,6 @@ from .triangulation import (
     InvalidTriangulation,
     PlaneTriangulation,
     SheddingSequence,
-    edge_key,
     peel_order,
     rot_min_first,
     validate,
@@ -198,9 +197,9 @@ class MeshExport:
 def _edge_count(facets: Sequence[tuple[int, int, int]]) -> int:
     return len(
         {
-            edge_key(t[j], t[(j + 1) % 3])
+            (u, v) if u < v else (v, u)
             for t in facets
-            for j in range(3)
+            for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
         }
     )
 
@@ -262,18 +261,26 @@ def read_off(
     body = lines[2:]
     if len(body) != nv + nf:
         raise ParseError(f"expected {nv} vertex and {nf} face lines, got {len(body)}")
+    # int() on the whole line first; only a line it rejects goes token by
+    # token through _int, which names the first bad token
     points: dict[int, Point3] = {}
     for i, toks in enumerate(body[:nv]):
         if len(toks) != 3:
             raise ParseError(f"vertex line needs x y z, got {toks}")
-        x, y, z = (_int(tok, "coordinate") for tok in toks)
-        points[i] = Point3(x, y, z)
+        try:
+            points[i] = Point3(*map(int, toks))
+        except ValueError:
+            points[i] = Point3(*(_int(tok, "coordinate") for tok in toks))
     facets: list[tuple[int, int, int]] = []
     for toks in body[nv:]:
         if len(toks) != 4 or toks[0] != "3":
             raise ParseError(f"face line must read '3 i j k', got {toks}")
-        t = tuple(_int(tok, "face index") for tok in toks[1:])
-        if any(i not in points for i in t) or len(set(t)) != 3:
+        try:
+            t = (int(toks[1]), int(toks[2]), int(toks[3]))
+        except ValueError:
+            t = tuple(_int(tok, "face index") for tok in toks[1:])
+        a, b, c = t
+        if a not in points or b not in points or c not in points or a == b or b == c or a == c:
             raise ParseError(f"face indices out of range: {t}")
         facets.append(t)  # type: ignore[arg-type]
     if ne != 0 and ne != _edge_count(facets):

@@ -20,10 +20,11 @@ vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .embedding import GridEmbedding, first_faulty_prefix
-from .exactgeom import Point3, above_plane, floor_plane, plane_through
+from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
 from .triangulation import SheddingSequence, peeled_from, rot_min_first
 
@@ -62,6 +63,18 @@ class LiftedPolyhedron:
     def height_bits(self) -> int:
         """Bit length of the tallest height (benchmark statistic)."""
         return max(h.bit_length() for h in self.heights.values())
+
+    @cached_property
+    def facet_planes(self) -> tuple[Plane, ...]:
+        """plane_through each facet's lifted points, in facet order.
+
+        Computed once per instance, as the value is frozen; the certificates
+        in verify all read this one tuple.  plane_through normalizes det > 0,
+        so the plane does not depend on the facet's orientation.  Raises
+        DegenerateFace for the first facet whose projection is collinear.
+        """
+        pts = self.points
+        return tuple(plane_through(pts[t[0]], pts[t[1]], pts[t[2]]) for t in self.facets)
 
 
 def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) -> None:

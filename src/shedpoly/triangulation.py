@@ -63,7 +63,9 @@ class PlaneTriangulation:
     coords:    optional map id -> (x, y) integer lattice point.
 
     Derived adjacency structures are built lazily and cached; treat instances
-    as frozen values (deletion returns a new instance).
+    as frozen values (deletion returns a new instance).  validate()'s verdict
+    is cached the same way (``_verdict``), and so is the one drawing verdict
+    the certificates share (``_drawn``, see verify._convex_disk_drawing).
     """
 
     __slots__ = (
@@ -75,6 +77,8 @@ class PlaneTriangulation:
         "_adj",
         "_bsucc",
         "_bpred",
+        "_verdict",
+        "_drawn",
     )
 
     def __init__(
@@ -96,6 +100,8 @@ class PlaneTriangulation:
         self._adj = None
         self._bsucc = None
         self._bpred = None
+        self._verdict = None
+        self._drawn = None
 
     # -- basic accessors -----------------------------------------------------
 
@@ -167,7 +173,18 @@ def validate(G: PlaneTriangulation) -> list[Violation]:
     the Euler counts #t = 2n - b - 2 and #e = 3n - b - 3, a single fan/cycle
     of faces around every vertex, and connectivity.  Together these certify
     that the complex is a triangulated disk with the declared boundary.
+
+    The verdict is a pure function of the frozen value G, so the checks run
+    once per instance (_validate) and every call returns a fresh list equal
+    to the first one.
     """
+    if G._verdict is None:
+        G._verdict = tuple(_validate(G))
+    return list(G._verdict)
+
+
+def _validate(G: PlaneTriangulation) -> list[Violation]:
+    """validate()'s checks, uncached."""
     out: list[Violation] = []
     verts = set(G.vertices)
     n = len(verts)
@@ -216,7 +233,8 @@ def validate(G: PlaneTriangulation) -> list[Violation]:
     # undirected edge census: boundary edges border 1 triangle, interior 2
     und: dict[tuple[int, int], int] = {}
     for e in directed:
-        und[edge_key(*e)] = und.get(edge_key(*e), 0) + 1
+        k = edge_key(*e)
+        und[k] = und.get(k, 0) + 1
     bedges = {edge_key(cyc[i], cyc[(i + 1) % b]) for i in range(b)}
     for e, cnt in und.items():
         if e in bedges:

@@ -34,12 +34,28 @@ When a precondition of a proof fails, the full scan runs (from the first
 unproved prefix, for the prefix check).  The scans are unchanged, so every
 verdict, witness and detail text is exactly the scan's; only inputs that
 the proof covers skip them.
+
+Shared values.  An OFF verify (cli._verify_off) parses and validates the
+surface disk once and hands that one value to every certificate that reads
+a disk: lift_convex_globally, the shedding-order re-peel and
+check_face_isomorphic.  validate() keeps its verdict on the disk, the facet
+planes are computed once per LiftedPolyhedron (facet_planes) and read by
+check_lift_convex, the lift proof and the full scan, and
+_convex_disk_drawing keeps its verdict on the disk for the projection it
+was asked about.  This weakens no certificate: each of these is a pure
+function of an immutable parsed value, so computing it again from the same
+input could only give the same answer and adds no independence.  A
+certificate still checks everything it checked before; it no longer
+recomputes a fact another one already derived from the same bytes.
+lift_convex_globally uses a caller's disk only when the disk validates and
+its faces are exactly the surface facets; otherwise it rebuilds the disk
+from the facets, so a mismatched disk cannot change a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .embedding import GridEmbedding
 from .exactgeom import (
@@ -47,12 +63,11 @@ from .exactgeom import (
     Point2,
     above_plane,
     orient2d,
-    plane_through,
     slopes_decrease,
 )
 from .fileio import ParseError, disk_from_facets
 from .lifting import LiftedPolyhedron
-from .triangulation import PlaneTriangulation, edge_key, validate
+from .triangulation import PlaneTriangulation, validate
 
 XY = Sequence  # any (x, y) pair of exact numbers: tuple, Point2, ...
 
@@ -157,7 +172,20 @@ def _convex_disk_drawing(G: PlaneTriangulation, coords: Mapping[int, XY]) -> boo
     the outer cycle as a strictly convex polygon.  By the covering argument
     of the module docstring the faces then tile that polygon once, so the
     drawing is a plane embedding; in particular no two vertices coincide
-    (their stars would cover the common point twice)."""
+    (their stars would cover the common point twice).
+
+    The verdict is kept on G with a copy of the points it read, and reused
+    while coords compares equal to that copy: check_face_isomorphic and the
+    lift proof ask it of the same disk and projection in one verify run."""
+    memo = G._drawn
+    if memo is None or memo[0] != coords:
+        drawn = {v: (p[0], p[1]) for v, p in coords.items()}
+        memo = G._drawn = (drawn, _draws_convex(G, drawn))
+    return memo[1]
+
+
+def _draws_convex(G: PlaneTriangulation, coords: Mapping[int, XY]) -> bool:
+    """_convex_disk_drawing's verdict, uncached."""
     if set(coords) != set(G.vertices):
         return False
     pts = {v: _p2(coords[v]) for v in G.vertices}
@@ -286,14 +314,14 @@ def check_projectively_convex(
 
 
 def _facet_data(P: LiftedPolyhedron):
-    """Per-facet plane and inner-side sign: +1 above for the lifted surface,
-    -1 below for the closing top face of a truncated polytope."""
-    out = []
-    for t in P.facets:
-        pl = plane_through(P.points[t[0]], P.points[t[1]], P.points[t[2]])
-        side = -1 if (P.truncated is not None and t == P.truncated) else 1
-        out.append((t, pl, side))
-    return out
+    """Per-facet plane (P.facet_planes) and inner-side sign: +1 above for the
+    lifted surface, -1 below for the closing top face of a truncated
+    polytope.  Raises DegenerateFace as P.facet_planes does."""
+    top = P.truncated
+    return [
+        (t, pl, -1 if (top is not None and t == top) else 1)
+        for t, pl in zip(P.facets, P.facet_planes)
+    ]
 
 
 def check_lift_convex(P: LiftedPolyhedron) -> Certificate:
@@ -308,49 +336,59 @@ def check_lift_convex(P: LiftedPolyhedron) -> Certificate:
         facets = _facet_data(P)
     except DegenerateFace as exc:
         return _fail(kind, str(exc), "degenerate facet")
-    wings: dict[tuple[int, int], list[int]] = {}
+    # edge -> (facet index, the facet's vertex off the edge) per incident
+    # facet; a facet with a plane has three distinct vertices
+    wings: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for idx, (t, _, _) in enumerate(facets):
-        for e in (edge_key(t[0], t[1]), edge_key(t[1], t[2]), edge_key(t[0], t[2])):
-            wings.setdefault(e, []).append(idx)
+        a, b, c = t[0], t[1], t[2]
+        for u, v, w in ((a, b, c), (b, c, a), (a, c, b)):
+            wings.setdefault((u, v) if u < v else (v, u), []).append((idx, w))
+    pts = P.points
     for e in sorted(wings):
         inc = wings[e]
         if len(inc) == 1:
             continue
         if len(inc) > 2:
             return _fail(kind, e, f"edge on {len(inc)} facets")
-        for i, j in ((inc[0], inc[1]), (inc[1], inc[0])):
-            t, pl, side = facets[i]
-            other = facets[j][0]
-            (w,) = set(other) - set(e)
-            if side * above_plane(pl, *P.points[w]) <= 0:
-                return _fail(kind, e, f"facets {t} and {other} not strictly convex across it")
+        (i, wi), (j, wj) = inc
+        for f, g, w in ((i, j, wj), (j, i, wi)):
+            t, pl, side = facets[f]
+            if side * above_plane(pl, *pts[w]) <= 0:
+                return _fail(kind, e, f"facets {t} and {facets[g][0]} not strictly convex across it")
     return Certificate(kind, True, None, f"{len(wings)} edges, all shared ones strictly convex")
 
 
-def _convex_lift(P: LiftedPolyhedron) -> bool:
+def _convex_lift(P: LiftedPolyhedron, disk: Optional[PlaneTriangulation]) -> bool:
     """The O(n) proof behind lift_convex_globally's PASS; False means only
-    that this proof does not apply."""
+    that this proof does not apply.  disk is used only when it is a valid
+    disk whose faces are exactly the surface facets, in order; otherwise the
+    surface disk is rebuilt from the facets."""
     top = P.truncated
-    surface = [t if top is None else (t[2], t[1], t[0]) for t in P.facets if t != top]
-    try:
-        disk = disk_from_facets(surface)  # validated
-    except ParseError:
-        return False
+    surface = tuple(t if top is None else (t[2], t[1], t[0]) for t in P.facets if t != top)
+    if disk is None or disk.triangles != surface or validate(disk):
+        try:
+            disk = disk_from_facets(surface)  # validated
+        except ParseError:
+            return False
     pts = P.points
     if not _convex_disk_drawing(disk, {v: (p.x, p.y) for v, p in pts.items()}):
         return False
+    try:
+        facets = _facet_data(P)
+    except DegenerateFace:  # only the top facet can be degenerate here
+        return False
     third = disk.third()
-    for t in disk.triangles:
-        pl = plane_through(*(pts[w] for w in t))
+    surface_planes = [pl for _, pl, side in facets if side == 1]
+    for t, pl in zip(disk.triangles, surface_planes):
         for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
             x = third.get((v, u))
             if u < v and x is not None and above_plane(pl, *pts[x]) <= 0:
                 return False
     if top is not None:
-        try:
-            pl = plane_through(*(pts[w] for w in top))
-        except DegenerateFace:
+        top_planes = [pl for _, pl, side in facets if side == -1]
+        if not top_planes:  # the proof covers only a top that is a facet
             return False
+        pl = top_planes[0]
         if any(above_plane(pl, *p) >= 0 for v, p in pts.items() if v not in top):
             return False
     return True
@@ -363,7 +401,9 @@ def _lift_globally_passed(P: LiftedPolyhedron) -> Certificate:
     )
 
 
-def lift_convex_globally(P: LiftedPolyhedron) -> Certificate:
+def lift_convex_globally(
+    P: LiftedPolyhedron, disk: Optional[PlaneTriangulation] = None
+) -> Certificate:
     """Every vertex against every facet plane: incident ones exactly on it,
     all others strictly on its inner side (above a surface facet, below the
     closing top facet of a truncated lift).
@@ -400,8 +440,12 @@ def lift_convex_globally(P: LiftedPolyhedron) -> Certificate:
     plane because det > 0), reporting the first violation in scan order.
     The local certificate must agree with this one (they are equivalent for
     lifts of a disk with a convex drawing, and the test suite checks that on
-    every instance it builds)."""
-    if _convex_lift(P):
+    every instance it builds).
+
+    disk may be the caller's already validated surface disk (cli._verify_off
+    passes the one it parsed); the proof uses it only when its faces are
+    exactly the surface facets, so the verdict is the same as without it."""
+    if _convex_lift(P, disk):
         return _lift_globally_passed(P)
     return _lift_convex_globally_scan(P)
 

@@ -13,20 +13,25 @@ rounding, for the certificate tests to check, and the copy-on-delete peel
 (a fresh PlaneTriangulation per deletion, a full boundary scan per greedy
 step) that the mutable peel engine is compared with, and the face-dual
 split of a disk along a diagonal that the engine's chord flood is compared
-with.
+with, and an OFF verify that shares nothing between its certificates, for
+the verify that parses the surface disk once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from dataclasses import replace
 from itertools import permutations
 from typing import NamedTuple
 
 import networkx as nx
 
+from shedpoly import cli
 from shedpoly.embedding import PropertyViolation, UpperChain, _base_lr
 from shedpoly.exactgeom import Point2, Point3, floor_plane, orient2d, plane_through
+from shedpoly.fileio import ParseError, disk_from_facets, read_off, sequence_from_order
+from shedpoly.lifting import LiftedPolyhedron
 from shedpoly.triangulation import (
     InvalidTriangulation,
     NoSheddingVertex,
@@ -34,9 +39,16 @@ from shedpoly.triangulation import (
     SheddingSequence,
     edge_key,
     peeled_from,
+    rot_min_first,
     validate,
 )
-from shedpoly.verify import Certificate
+from shedpoly.verify import (
+    Certificate,
+    check_face_isomorphic,
+    check_grid_bounds,
+    check_lift_convex,
+    lift_convex_globally,
+)
 
 
 def edges(G: PlaneTriangulation) -> set[tuple[int, int]]:
@@ -873,3 +885,63 @@ def grid_dimension_bounds(p: int, q: int, ell: int) -> tuple[int, int, int]:
     n = p*q these are 4n^3, 8n^5 and (500 n^8)^(6 ell (p+q))."""
     n = p * q
     return 4 * n**3, 8 * n**5, (500 * n**8) ** (6 * ell * (p + q))
+
+
+# -- an OFF verify whose certificates share nothing -----------------------------
+
+
+def _parse_lift(text: str):
+    """(lift, surface disk, shedding order) freshly parsed from an OFF lift,
+    as cli._verify_off parses it."""
+    points, facets, comments = read_off(text)
+    top = cli._off_comment(comments, "top")
+    aorder = cli._off_comment(comments, "a")
+    if top is None:
+        disk = disk_from_facets(facets)
+    else:
+        match = [t for t in facets if rot_min_first(t) == rot_min_first(top)]
+        if len(match) != 1:
+            raise ParseError(f"'top' comment names a missing face {top}")
+        top = match[0]
+        disk = disk_from_facets([(t[2], t[1], t[0]) for t in facets if t != top])
+    P = LiftedPolyhedron(
+        heights={i: p.z for i, p in points.items()},
+        points=points,
+        facets=facets,
+        m={},
+        sequence=None,
+        truncated=top,
+    )
+    return P, disk, aorder
+
+
+def verify_off_unshared(text: str) -> list[Certificate]:
+    """cli._verify_off's certificate list with nothing shared: every
+    certificate reads its own freshly parsed lift and disk (so no cached
+    verdict, plane or drawing test carries over), and lift_convex_globally
+    rebuilds its disk from the facets."""
+    P, disk, aorder = _parse_lift(text)
+    certs = [
+        Certificate(
+            "parse", True, None,
+            f"lift of a triangulated disk, n={disk.n}"
+            + (", truncated" if P.truncated else ""),
+        )
+    ]
+    certs.append(check_lift_convex(_parse_lift(text)[0]))
+    certs.append(lift_convex_globally(_parse_lift(text)[0]))
+    if aorder is not None:
+        try:
+            seq = sequence_from_order(_parse_lift(text)[1], aorder)
+        except InvalidTriangulation as exc:
+            certs.append(Certificate("shedding-order", False, aorder, str(exc)))
+            return certs
+        certs.append(
+            Certificate("shedding-order", True, None, f"valid over {len(aorder)} vertices")
+        )
+        P2, disk2, _ = _parse_lift(text)
+        xy = {i: (p.x, p.y) for i, p in P2.points.items()}
+        certs.append(check_face_isomorphic(disk2, xy))
+        certs.append(cli._prefix_convexity(xy, seq))
+        certs.append(check_grid_bounds(replace(_parse_lift(text)[0], sequence=seq), disk.n))
+    return certs

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shedpoly import cli, lifting, triangulation, verify
 from shedpoly.cli import (
     EXIT_CERT,
     EXIT_DOMAIN,
@@ -20,7 +21,7 @@ from shedpoly.cli import (
     entry,
 )
 from shedpoly.corpus import gen_stacked, split_square, triangle
-from shedpoly.fileio import read_triangulation, sequence_from_order, write_triangulation
+from shedpoly.fileio import read_off, read_triangulation, sequence_from_order, write_triangulation
 from shedpoly.griddiam import GridTriangulation, grid_shedding, min_tau_exhaustive
 from shedpoly.triangulation import PlaneTriangulation
 from shedpoly.verify import check_grid_bounds
@@ -237,6 +238,57 @@ def test_each_command_peels_once(monkeypatch):
             calls.clear()
             run(argv, text)
             assert len(calls) == n - 3, (argv, n, len(calls))
+
+
+def test_entry_builds_its_parser_once(monkeypatch):
+    # one process's entry reuses one argparse tree; a command, a usage error
+    # and another command must give the bytes of freshly built parsers
+    doc = write_triangulation(gen_stacked(12, 1))
+    calls = [(["verify"], run(["lift"], doc)[1]), (["embed", "--no-such-flag"], doc),
+             (["embed"], doc)]
+    fresh = []
+    for argv, text in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv, text))
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert [run(argv, text) for argv, text in calls] == fresh
+    assert len(built) == 1
+    assert fresh[0][0] == EXIT_OK and fresh[2][0] == EXIT_OK
+    assert fresh[1][0] == EXIT_USAGE and "unrecognized arguments: --no-such-flag" in fresh[1][2]
+
+
+@pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
+def test_verify_derives_each_fact_of_a_lift_once(monkeypatch, label):
+    # an OFF verify validates the surface disk once (and G_3 once, in the
+    # re-peel), and computes each facet's plane once
+    if label == "stacked-160":
+        off = run(["lift", "--truncate"], run(["gen-stacked", "160", "--seed", "0"])[1])[1]
+    else:
+        fan = PlaneTriangulation(range(200), [(0, i, i + 1) for i in range(1, 199)], range(200))
+        off = run(["lift"], write_triangulation(fan))[1]
+    points, facets, _ = read_off(off)
+    validated, planes = [], []
+    real_validate, real_plane = triangulation._validate, lifting.plane_through
+
+    def count_validate(G):
+        validated.append(G.n)
+        return real_validate(G)
+
+    def count_plane(*pts):
+        planes.append(pts)
+        return real_plane(*pts)
+
+    monkeypatch.setattr(triangulation, "_validate", count_validate)
+    # every module that has computed facet planes for the certificates
+    monkeypatch.setattr(lifting, "plane_through", count_plane)
+    monkeypatch.setattr(verify, "plane_through", count_plane, raising=False)
+    code, out, _ = run(["verify"], off)
+    assert code == EXIT_OK and out.count("PASS ") == 7
+    assert sorted(validated) == [3, len(points)]
+    assert len(planes) == len(facets)
 
 
 def test_embed_at_n_2000():

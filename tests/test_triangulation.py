@@ -74,6 +74,20 @@ def test_validate_bad_orientation():
     assert validate(G)
 
 
+def test_validate_returns_equal_lists_on_every_call():
+    # the verdict is cached on the instance: later calls must return an equal
+    # list, and a caller editing the list it got must not change the next one
+    for G in (
+        two_triangles_pinched(),
+        PlaneTriangulation(range(4), [(0, 1, 2)], (0, 1, 2, 3)),
+        PlaneTriangulation(range(4), [(0, 1, 2), (0, 3, 2)], (0, 1, 2, 3)),
+    ):
+        first = validate(G)
+        assert first
+        first.append("edited")
+        assert validate(G) == first[:-1] == validate(G)
+
+
 def test_validate_corpus_ok():
     for G in sample_instances():
         assert validate(G) == [], repr(G)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from shedpoly.corpus import (
 )
 from shedpoly.embedding import grid_embed
 from shedpoly.exactgeom import Point2, Point3, orient2d
-from shedpoly.fileio import write_triangulation
+from shedpoly.fileio import disk_from_facets, read_off, write_triangulation
 from shedpoly.griddiam import (
     gen_grid_triangulation,
     grid_shedding,
@@ -613,3 +614,115 @@ def test_corpus_outputs_take_only_the_fast_proofs(monkeypatch):
         assert check_face_isomorphic(G, emb.coords).passed
         assert cli._prefix_convexity(emb.coords, a).passed
         assert lift_convex_globally(lift(emb, a)).passed
+
+
+# -- shared values: one parsed surface disk, one plane per facet ------------------
+
+
+def _surface(P):
+    top = P.truncated
+    return [t if top is None else (t[2], t[1], t[0]) for t in P.facets if t != top]
+
+
+def test_lift_proof_uses_a_given_disk_only_when_it_is_the_surface():
+    # lift_convex_globally(P, disk) must equal lift_convex_globally(P) for any
+    # disk: a face dropped or flipped, another instance's disk, and P with a
+    # facet more than the disk (there the disk's own proof would pass, while
+    # the extra facet, the rim triangle as a surface facet, has every
+    # interior vertex below its plane)
+    other = lift(*embed_of(gen_stacked(20, 6)))
+    G = gen_stacked(20, 5)
+    for truncate in (False, True):
+        emb, a = embed_of(G)
+        P = lift(emb, a)
+        rim = G.boundary
+        if truncate:
+            P = truncate_to_polytope(P, emb)
+            rim = P.truncated[::-1]
+        own = disk_from_facets(_surface(P))
+        tris = list(own.triangles)
+        disks = [
+            own,
+            PlaneTriangulation(own.vertices, tris[1:], own.boundary),
+            PlaneTriangulation(own.vertices, [tris[0][::-1]] + tris[1:], own.boundary),
+            disk_from_facets(_surface(other)),
+        ]
+        inner = a.order[-1]
+        for Q, passed in (
+            (P, True),
+            (_with_height(P, inner, P.points[inner].z - 10**6), False),
+            (replace(P, facets=P.facets + (tuple(rim),)), False),
+        ):
+            want = lift_convex_globally(Q)
+            assert want == verify._lift_convex_globally_scan(Q)
+            assert want.passed == passed
+            for disk in disks:
+                assert lift_convex_globally(Q, disk) == want
+    # the faces of the surface, but not a valid disk: the pentagram wheel
+    # lifted with its hub below the rim (every crease strict, not convex),
+    # given the convex pentagon through its rim as an outer cycle
+    wheel, star = pentagram_wheel()
+    pts = {w: Point3(x, y, 0 if w == 5 else 1) for w, (x, y) in star.items()}
+    P = LiftedPolyhedron({w: p.z for w, p in pts.items()}, pts, wheel.triangles, {}, None)
+    fake = PlaneTriangulation(wheel.vertices, wheel.triangles, (2, 0, 3, 1, 4))
+    assert verify._strictly_convex([Point2(*star[v]) for v in fake.boundary])
+    want = lift_convex_globally(P)
+    assert not want.passed and lift_convex_globally(P, fake) == want
+
+
+@cache
+def off_lifts():
+    """Untampered OFF lifts: stacked (plain and truncated), fan, ladder, grid."""
+    docs = []
+    for G in (gen_stacked(14, 3), fan(9), ladder(5)):
+        doc = write_triangulation(G)
+        docs.append(golden_run(["lift"], doc)[1])
+        if len(G.boundary) == 3:
+            docs.append(golden_run(["lift", "--truncate"], doc)[1])
+    grid = golden_run(["gen-grid", "5", "5", "3", "--seed", "2"])[1]
+    docs.append(golden_run(["lift"], grid)[1])
+    return tuple(docs)
+
+
+def _off_text(points, facets, comments):
+    lines = ["OFF", *(f"# {c}" for c in comments), f"{len(points)} {len(facets)} 0"]
+    lines += [f"{p.x} {p.y} {p.z}" for _, p in sorted(points.items())]
+    lines += [f"3 {a} {b} {c}" for a, b, c in facets]
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(verify_off, text):
+    try:
+        return verify_off(text)
+    except Exception as exc:  # both sides must raise the same error
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, 10**6),
+    tamper=st.sampled_from(("none", "height", "reverse", "drop", "top")),
+    pick=st.integers(0, 10**6),
+    up=st.booleans(),
+)
+def test_verify_off_equals_the_unshared_reference_on_tampered_lifts(which, tamper, pick, up):
+    # the certificates of one OFF verify share the parsed disk, its cached
+    # validate and drawing verdicts and the facet planes; the reference
+    # parses everything afresh for every certificate
+    docs = off_lifts()
+    points, facets, comments = read_off(docs[which % len(docs)])
+    points, facets = dict(points), list(facets)
+    if tamper == "height":
+        v = pick % len(points)
+        x, y, z = points[v]
+        points[v] = Point3(x, y, z + (1 if up else -1))
+    elif tamper == "reverse":
+        facets[pick % len(facets)] = facets[pick % len(facets)][::-1]
+    elif tamper == "drop":
+        del facets[pick % len(facets)]
+    elif tamper == "top":
+        a, b, c = facets[pick % len(facets)]
+        comments = [line for line in comments if line.split()[:1] != ["top"]]
+        comments.append(f"top {b} {c} {a}" if up else f"top {a} {b} {c}")
+    text = _off_text(points, facets, comments)
+    assert _outcome(cli._verify_off, text) == _outcome(oracles.verify_off_unshared, text)
