@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import cache
 from typing import Optional, Sequence
 
 from .corpus import gen_stacked
@@ -36,7 +35,6 @@ from .fileio import (
     ParseError,
     TriangulationFile,
     _int,
-    disk_from_facets,
     export_obj,
     export_off,
     read_off,
@@ -256,24 +254,12 @@ def _verify_off(text: str) -> list[Certificate]:
     points, facets, comments = read_off(text)
     top = _off_comment(comments, "top")
     aorder = _off_comment(comments, "a")
-    if top is None:
-        disk = disk_from_facets(facets)
-    else:
+    if top is not None:
         key = rot_min_first(top)
         match = [t for t in facets if rot_min_first(t) == key]
         if len(match) != 1:
             raise ParseError(f"'top' comment names a missing face {top}")
         top = match[0]
-        disk = disk_from_facets(
-            [(t[2], t[1], t[0]) for t in facets if t != top]
-        )
-    certs = [
-        Certificate(
-            "parse", True, None,
-            f"lift of a triangulated disk, n={disk.n}"
-            + (", truncated" if top else ""),
-        )
-    ]
     P = LiftedPolyhedron(
         heights={i: p.z for i, p in points.items()},
         points=points,
@@ -282,8 +268,16 @@ def _verify_off(text: str) -> list[Certificate]:
         sequence=None,
         truncated=top,
     )
+    disk = P.surface_disk
+    certs = [
+        Certificate(
+            "parse", True, None,
+            f"lift of a triangulated disk, n={disk.n}"
+            + (", truncated" if top else ""),
+        )
+    ]
     certs.append(check_lift_convex(P))
-    certs.append(lift_convex_globally(P, disk))
+    certs.append(lift_convex_globally(P))
     if aorder is not None:
         try:
             seq = sequence_from_order(disk, aorder)
@@ -445,16 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), once per process: parsing does not change the parser,
-    and building its nine subparsers costs more than a small command."""
-    return build_parser()
-
-
 def entry(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on --help / bad usage
         return int(exc.code or 0)
     try:

@@ -26,7 +26,7 @@ from typing import Optional
 from .embedding import GridEmbedding, first_faulty_prefix
 from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
-from .triangulation import SheddingSequence, peeled_from, rot_min_first
+from .triangulation import PlaneTriangulation, SheddingSequence, peeled_from, rot_min_first
 
 
 class NotSequentiallyConvex(Exception):
@@ -75,6 +75,23 @@ class LiftedPolyhedron:
         """
         pts = self.points
         return tuple(plane_through(pts[t[0]], pts[t[1]], pts[t[2]]) for t in self.facets)
+
+    @cached_property
+    def surface_disk(self) -> PlaneTriangulation:
+        """The validated disk of the surface facets, in facet order: every
+        facet but the closing top one, turned back to ccw seen from above
+        when the lift is truncated.
+
+        Computed once per instance, like facet_planes; an OFF verify and
+        verify's lift proof read this one disk.  Raises fileio.ParseError
+        when the surface facets do not form a triangulated disk.
+        """
+        from .fileio import disk_from_facets  # fileio imports this module
+
+        top = self.truncated
+        if top is None:
+            return disk_from_facets(self.facets)
+        return disk_from_facets([(t[2], t[1], t[0]) for t in self.facets if t != top])
 
 
 def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) -> None:

@@ -64,8 +64,7 @@ class PlaneTriangulation:
 
     Derived adjacency structures are built lazily and cached; treat instances
     as frozen values (deletion returns a new instance).  validate()'s verdict
-    is cached the same way (``_verdict``), and so is the one drawing verdict
-    the certificates share (``_drawn``, see verify._convex_disk_drawing).
+    is cached the same way (``_verdict``).
     """
 
     __slots__ = (
@@ -78,7 +77,7 @@ class PlaneTriangulation:
         "_bsucc",
         "_bpred",
         "_verdict",
-        "_drawn",
+        "_drawn",  # belongs to verify, which alone reads and writes it
     )
 
     def __init__(

@@ -35,9 +35,10 @@ unproved prefix, for the prefix check).  The scans are unchanged, so every
 verdict, witness and detail text is exactly the scan's; only inputs that
 the proof covers skip them.
 
-Shared values.  An OFF verify (cli._verify_off) parses and validates the
-surface disk once and hands that one value to every certificate that reads
-a disk: lift_convex_globally, the shedding-order re-peel and
+Shared values.  An OFF verify (cli._verify_off) builds one
+LiftedPolyhedron and reads the surface disk off it (surface_disk, parsed
+and validated once per instance); that one value goes to every certificate
+that reads a disk: the lift proof, the shedding-order re-peel and
 check_face_isomorphic.  validate() keeps its verdict on the disk, the facet
 planes are computed once per LiftedPolyhedron (facet_planes) and read by
 check_lift_convex, the lift proof and the full scan, and
@@ -47,15 +48,12 @@ function of an immutable parsed value, so computing it again from the same
 input could only give the same answer and adds no independence.  A
 certificate still checks everything it checked before; it no longer
 recomputes a fact another one already derived from the same bytes.
-lift_convex_globally uses a caller's disk only when the disk validates and
-its faces are exactly the surface facets; otherwise it rebuilds the disk
-from the facets, so a mismatched disk cannot change a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .embedding import GridEmbedding
 from .exactgeom import (
@@ -65,7 +63,7 @@ from .exactgeom import (
     orient2d,
     slopes_decrease,
 )
-from .fileio import ParseError, disk_from_facets
+from .fileio import ParseError
 from .lifting import LiftedPolyhedron
 from .triangulation import PlaneTriangulation, validate
 
@@ -358,18 +356,14 @@ def check_lift_convex(P: LiftedPolyhedron) -> Certificate:
     return Certificate(kind, True, None, f"{len(wings)} edges, all shared ones strictly convex")
 
 
-def _convex_lift(P: LiftedPolyhedron, disk: Optional[PlaneTriangulation]) -> bool:
+def _convex_lift(P: LiftedPolyhedron) -> bool:
     """The O(n) proof behind lift_convex_globally's PASS; False means only
-    that this proof does not apply.  disk is used only when it is a valid
-    disk whose faces are exactly the surface facets, in order; otherwise the
-    surface disk is rebuilt from the facets."""
+    that this proof does not apply."""
     top = P.truncated
-    surface = tuple(t if top is None else (t[2], t[1], t[0]) for t in P.facets if t != top)
-    if disk is None or disk.triangles != surface or validate(disk):
-        try:
-            disk = disk_from_facets(surface)  # validated
-        except ParseError:
-            return False
+    try:
+        disk = P.surface_disk  # validated
+    except ParseError:
+        return False
     pts = P.points
     if not _convex_disk_drawing(disk, {v: (p.x, p.y) for v, p in pts.items()}):
         return False
@@ -401,9 +395,7 @@ def _lift_globally_passed(P: LiftedPolyhedron) -> Certificate:
     )
 
 
-def lift_convex_globally(
-    P: LiftedPolyhedron, disk: Optional[PlaneTriangulation] = None
-) -> Certificate:
+def lift_convex_globally(P: LiftedPolyhedron) -> Certificate:
     """Every vertex against every facet plane: incident ones exactly on it,
     all others strictly on its inner side (above a surface facet, below the
     closing top facet of a truncated lift).
@@ -440,12 +432,8 @@ def lift_convex_globally(
     plane because det > 0), reporting the first violation in scan order.
     The local certificate must agree with this one (they are equivalent for
     lifts of a disk with a convex drawing, and the test suite checks that on
-    every instance it builds).
-
-    disk may be the caller's already validated surface disk (cli._verify_off
-    passes the one it parsed); the proof uses it only when its faces are
-    exactly the surface facets, so the verdict is the same as without it."""
-    if _convex_lift(P, disk):
+    every instance it builds)."""
+    if _convex_lift(P):
         return _lift_globally_passed(P)
     return _lift_convex_globally_scan(P)
 

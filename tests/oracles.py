@@ -892,7 +892,9 @@ def grid_dimension_bounds(p: int, q: int, ell: int) -> tuple[int, int, int]:
 
 def _parse_lift(text: str):
     """(lift, surface disk, shedding order) freshly parsed from an OFF lift,
-    as cli._verify_off parses it."""
+    as cli._verify_off parses it; the disk is built here from the facets
+    rather than read from LiftedPolyhedron.surface_disk, so the reference
+    does not share that construction."""
     points, facets, comments = read_off(text)
     top = cli._off_comment(comments, "top")
     aorder = cli._off_comment(comments, "a")
@@ -919,7 +921,7 @@ def verify_off_unshared(text: str) -> list[Certificate]:
     """cli._verify_off's certificate list with nothing shared: every
     certificate reads its own freshly parsed lift and disk (so no cached
     verdict, plane or drawing test carries over), and lift_convex_globally
-    rebuilds its disk from the facets."""
+    builds the surface disk of a lift of its own."""
     P, disk, aorder = _parse_lift(text)
     certs = [
         Certificate(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shedpoly import cli, lifting, triangulation, verify
+from shedpoly import lifting, triangulation, verify
 from shedpoly.cli import (
     EXIT_CERT,
     EXIT_DOMAIN,
@@ -238,26 +238,6 @@ def test_each_command_peels_once(monkeypatch):
             calls.clear()
             run(argv, text)
             assert len(calls) == n - 3, (argv, n, len(calls))
-
-
-def test_entry_builds_its_parser_once(monkeypatch):
-    # one process's entry reuses one argparse tree; a command, a usage error
-    # and another command must give the bytes of freshly built parsers
-    doc = write_triangulation(gen_stacked(12, 1))
-    calls = [(["verify"], run(["lift"], doc)[1]), (["embed", "--no-such-flag"], doc),
-             (["embed"], doc)]
-    fresh = []
-    for argv, text in calls:
-        cli._parser.cache_clear()
-        fresh.append(run(argv, text))
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    cli._parser.cache_clear()
-    assert [run(argv, text) for argv, text in calls] == fresh
-    assert len(built) == 1
-    assert fresh[0][0] == EXIT_OK and fresh[2][0] == EXIT_OK
-    assert fresh[1][0] == EXIT_USAGE and "unrecognized arguments: --no-such-flag" in fresh[1][2]
 
 
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])

@@ -23,7 +23,7 @@ from shedpoly.corpus import (
 )
 from shedpoly.embedding import grid_embed
 from shedpoly.exactgeom import Point2, Point3, orient2d
-from shedpoly.fileio import disk_from_facets, read_off, write_triangulation
+from shedpoly.fileio import ParseError, read_off, write_triangulation
 from shedpoly.griddiam import (
     gen_grid_triangulation,
     grid_shedding,
@@ -34,7 +34,9 @@ from shedpoly.lifting import LiftedPolyhedron, lift, truncate_to_polytope
 from shedpoly.triangulation import (
     PlaneTriangulation,
     deletion_trace,
+    rot_min_first,
     shedding_sequence,
+    validate,
 )
 from shedpoly.verify import (
     Certificate,
@@ -624,13 +626,13 @@ def _surface(P):
     return [t if top is None else (t[2], t[1], t[0]) for t in P.facets if t != top]
 
 
-def test_lift_proof_uses_a_given_disk_only_when_it_is_the_surface():
-    # lift_convex_globally(P, disk) must equal lift_convex_globally(P) for any
-    # disk: a face dropped or flipped, another instance's disk, and P with a
-    # facet more than the disk (there the disk's own proof would pass, while
-    # the extra facet, the rim triangle as a surface facet, has every
-    # interior vertex below its plane)
-    other = lift(*embed_of(gen_stacked(20, 6)))
+def test_lift_proof_reads_the_surface_disk():
+    # surface_disk is the validated disk of the surface facets (turned back to
+    # ccw after truncation), built once per lift; the lift proof that reads
+    # it agrees with the full scan as built, with an interior height lowered
+    # by 10^6 (replace() makes a new lift, so no cached disk or plane carries
+    # over), and with the rim triangle added as a surface facet (the surface
+    # then is no disk, so the proof does not apply)
     G = gen_stacked(20, 5)
     for truncate in (False, True):
         emb, a = embed_of(G)
@@ -639,35 +641,25 @@ def test_lift_proof_uses_a_given_disk_only_when_it_is_the_surface():
         if truncate:
             P = truncate_to_polytope(P, emb)
             rim = P.truncated[::-1]
-        own = disk_from_facets(_surface(P))
-        tris = list(own.triangles)
-        disks = [
-            own,
-            PlaneTriangulation(own.vertices, tris[1:], own.boundary),
-            PlaneTriangulation(own.vertices, [tris[0][::-1]] + tris[1:], own.boundary),
-            disk_from_facets(_surface(other)),
-        ]
+        disk = P.surface_disk
+        assert disk is P.surface_disk and not validate(disk)
+        assert disk.triangles == tuple(_surface(P))
+        assert {rot_min_first(t) for t in disk.triangles} == {
+            rot_min_first(t) for t in G.triangles
+        }
+        assert rot_min_first(disk.boundary) == rot_min_first(G.boundary)
         inner = a.order[-1]
+        with_rim = replace(P, facets=P.facets + (tuple(rim),))
+        with pytest.raises(ParseError):
+            with_rim.surface_disk
         for Q, passed in (
             (P, True),
             (_with_height(P, inner, P.points[inner].z - 10**6), False),
-            (replace(P, facets=P.facets + (tuple(rim),)), False),
+            (with_rim, False),
         ):
             want = lift_convex_globally(Q)
             assert want == verify._lift_convex_globally_scan(Q)
             assert want.passed == passed
-            for disk in disks:
-                assert lift_convex_globally(Q, disk) == want
-    # the faces of the surface, but not a valid disk: the pentagram wheel
-    # lifted with its hub below the rim (every crease strict, not convex),
-    # given the convex pentagon through its rim as an outer cycle
-    wheel, star = pentagram_wheel()
-    pts = {w: Point3(x, y, 0 if w == 5 else 1) for w, (x, y) in star.items()}
-    P = LiftedPolyhedron({w: p.z for w, p in pts.items()}, pts, wheel.triangles, {}, None)
-    fake = PlaneTriangulation(wheel.vertices, wheel.triangles, (2, 0, 3, 1, 4))
-    assert verify._strictly_convex([Point2(*star[v]) for v in fake.boundary])
-    want = lift_convex_globally(P)
-    assert not want.passed and lift_convex_globally(P, fake) == want
 
 
 @cache
