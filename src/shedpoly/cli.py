@@ -106,7 +106,7 @@ def _sequence_for(tf: TriangulationFile) -> SheddingSequence:
 
 def _prefix_convexity(coords, a: SheddingSequence) -> Certificate:
     """One certificate summarizing check_projectively_convex over all prefix
-    boundaries that the sequence recorded.
+    boundaries of the sequence.
 
     Fast proof.  With both base endpoints on the x-axis, the upper-chain walk
     of embedding.first_faulty_prefix proves every prefix before the first
@@ -120,12 +120,11 @@ def _prefix_convexity(coords, a: SheddingSequence) -> Certificate:
     sequence a: the verifier's own re-peel (sequence_from_order on the parsed
     faces and order, the sequence the shedding-order certificate accepts),
     never the state of the command that drew the input.  The walk reads a's
-    links and the scan its cycles, and the peel engine derives
-    boundary(i - 1) from boundary(i) by replacing a_i with the inner run of
-    a_i's link, which UpperChain.splice undoes; so the walk's chain at step
-    i is boundary(i) read clockwise from lb to rb, and the ccw cycle steps
-    from lb straight to rb.  The walk shares UpperChain and slopes_decrease
-    with grid_embed's audit; the differential tests compare it with the
+    links, and so does the scan: boundary(i) is boundary(i - 1) with a_i
+    put in place of the inner run of a_i's link, as UpperChain.splice puts
+    it; so the walk's chain at step i is boundary(i) read clockwise from lb
+    to rb, and the ccw cycle steps from lb straight to rb.  The walk shares
+    UpperChain and slopes_decrease with grid_embed's audit; the differential tests compare it with the
     scan.
     """
     start = 3

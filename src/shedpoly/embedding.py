@@ -17,12 +17,12 @@ one chain-convexity predicate.  first_faulty_prefix runs the same walk over a
 finished drawing, for the lift's prefix check and the verifier's fast proof
 of prefix convexity.
 
-The drawing reads the links and prefix boundary cycles that the
-SheddingSequence carries; it deletes no vertex.  Left and right are read off
-the boundary-cycle orientation, never from vertex labels, so the only
-normalization ever needed is mirroring the instance when its contracted tree
-is left-heavy (and negating x afterward).  The mirrored sequence is the same
-history with every link and cycle reversed.
+The drawing reads the links that the SheddingSequence carries, and the
+orientation and cycle heads it derives from them; it deletes no vertex.
+Left and right are read off the boundary-cycle orientation, never from
+vertex labels, so the only normalization ever needed is mirroring the
+instance when its contracted tree is left-heavy (and negating x afterward).
+The mirrored sequence is the same history with every link reversed.
 """
 
 from __future__ import annotations
@@ -299,12 +299,13 @@ def _audit_grid_step(
     ``chain`` holds the upper chain of G_{i-1} (a fresh UpperChain for
     i = 3) and is spliced to that of G_i here.  Step 3 checks the base
     triangle in full; a later step checks P(i,1) and P(i,2) on the two new
-    edges, in boundary-cycle order, and P(i,3) at the chain pairs around
-    a_i.  grid_embed's docstring has the argument that nothing else can fail.
+    edges, in boundary-cycle order (read from G_i's cycle head), and P(i,3)
+    at the chain pairs around a_i.  grid_embed's docstring has the argument
+    that nothing else can fail.
     """
     v = work.order[i - 1]
-    cyc = work.boundary(i)
     if i == 3:
+        cyc = work.boundary(3)
         edges = tuple(zip(cyc, cyc[1:] + cyc[:1]))
     else:
         ws = work.link(i)
@@ -313,7 +314,7 @@ def _audit_grid_step(
                 i, "correspondence", f"link {ws} of {v} is not a run of the upper chain"
             )
         edges = ((ws[-1], v), (v, ws[0]))
-        if cyc[0] == v:
+        if work.heads[i - 3] == v:
             edges = edges[::-1]
     for u, w in edges:
         (xu, yu), (xw, yw) = coords[u], coords[w]

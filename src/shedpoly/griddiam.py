@@ -96,7 +96,7 @@ def min_tau_exhaustive(G: PlaneTriangulation, limit: int = 9) -> tuple[int, Shed
         if H.n == 3:
             close(H, suffix)
             return
-        for w in sorted(H.cycle):
+        for w in sorted(H.succ):
             if H.is_shedding(w):
                 H2 = H.copy()
                 H2.delete(w)

@@ -80,8 +80,8 @@ def build_shedding_trees(
 
     T_i records the boundary-edge history of the prefix G_i; node identity is
     the undirected edge.  Left/right is combinatorial (from the boundary-cycle
-    orientation), so no embedding is needed.  The links and cycles are read
-    from trace, by default a itself when a was peeled from G.
+    orientation), so no embedding is needed.  The links and G_3's cycle are
+    read from trace, by default a itself when a was peeled from G.
     """
     if trace is None:
         trace = peeled_from(G, a)

@@ -12,15 +12,16 @@ file-loaded instances use dense ids 0..n-1, but deleting a boundary vertex
 the surviving ids, so the data model must allow gaps.
 
 A SheddingSequence is its own deletion history: besides the order it holds
-the disk, the link of every deleted vertex and the boundary cycle of every
-prefix.  All sequences come out of one mutable peel engine (PeelEngine),
-which edits a rotation system in place, keeps every vertex's shedding status
-by a count, and so deletes in O(deg); the downstream constructions read the
-history instead of deleting again.  The engine also answers questions about
-the current prefix in place, such as the two sides of a chord that the grid
-schedule carves along.  PlaneTriangulation stays the immutable value that I/O
-and the certificates use, and validate() is the definition the engine's
-shedding test must agree with.
+the disk and the link of every deleted vertex; the boundary cycle of a
+prefix is derived from these on demand.  All sequences come out of one
+mutable peel engine (PeelEngine), which edits a rotation system in place,
+keeps every vertex's shedding status by a count, and so deletes in O(deg);
+the downstream constructions read the history instead of deleting again.
+The engine also answers questions about the current prefix in place, such
+as the two sides of a chord that the grid schedule carves along.
+PlaneTriangulation stays the immutable value that I/O and the certificates
+use, and validate() is the definition the engine's shedding test must agree
+with.
 """
 
 from __future__ import annotations
@@ -329,9 +330,9 @@ class SheddingSequence:
 
     Deleting a_n, a_{n-1}, ..., a_4 peels G down to the triangle a_1 a_2 a_3
     through the prefix triangulations G_i on {a_1..a_i}.  ``links[i - 4]`` is
-    the ordered link of a_i in G_i (see PeelEngine.link) and
-    ``cycles[i - 3]`` the ccw boundary cycle of G_i.  The per-step degrees
-    d_i(a_i) are read off the links.
+    the ordered link of a_i in G_i (see PeelEngine.link).  The per-step
+    degrees d_i(a_i) are read off the links, and the ccw boundary cycle of
+    G_i is derived from them by ``boundary(i)``.
 
     Invariants: (a_1, a_2) is a boundary edge of G, and for every i >= 4 the
     vertex a_i is a shedding vertex of G_i.  Every sequence is built by
@@ -342,7 +343,6 @@ class SheddingSequence:
     G: PlaneTriangulation
     order: tuple[int, ...]
     links: tuple[tuple[int, ...], ...]
-    cycles: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -359,28 +359,59 @@ class SheddingSequence:
         """d_i(a_i) for i = 1..n: 0, 1, 2, then the link sizes."""
         return (0, 1, 2) + tuple(len(link) for link in self.links)
 
-    def degree(self, i: int) -> int:
-        return self.degrees[i - 1]
+    @cached_property
+    def heads(self) -> tuple[int, ...]:
+        """``heads[i - 3]`` is the first entry of G_i's boundary cycle.
 
-    def position(self) -> dict[int, int]:
-        """Map vertex id -> 1-based index in the order."""
-        return {v: i + 1 for i, v in enumerate(self.order)}
+        Each cycle is rotated the way a copy-on-delete peel leaves it: G's
+        boundary, with each deleted a_i replaced in place by the inner run
+        w_{k-1}..w_2 of its link.  So the head of G_n is G.boundary[0], and
+        deleting a_i moves the head only when a_i is the head, to w_{k-1} =
+        link[-2].  (When k = 2 the run is empty, and the head moves to
+        w_1 = succ(a_i), which is link[-2] too.)"""
+        head = self.G.boundary[0]
+        heads = [head]
+        for v, link in zip(reversed(self.order[3:]), reversed(self.links)):
+            if head == v:
+                head = link[-2]
+            heads.append(head)
+        return tuple(reversed(heads))
 
     def link(self, i: int) -> tuple[int, ...]:
         return self.links[i - 4]
 
     def boundary(self, i: int) -> tuple[int, ...]:
-        return self.cycles[i - 3]
+        """The ccw boundary cycle of G_i, starting at ``heads[i - 3]``.
+
+        G_3 is the face a_1 a_2 a_3 of G, oriented by G.third(); G_k comes
+        from G_{k-1} by putting a_k between the ends w_k and w_1 of its link,
+        as pred and succ.  The splice walk costs O(i + sum of link sizes);
+        boundary(3) splices no link."""
+        a1, a2, a3 = self.order[:3]
+        if self.G.third().get((a1, a2)) != a3:
+            a1, a2 = a2, a1
+        succ = {a1: a2, a2: a3, a3: a1}
+        for v, link in zip(self.order[3:i], self.links):
+            succ[link[-1]] = v
+            succ[v] = link[0]
+        return _cycle_from(succ, self.heads[i - 3])
 
     def mirrored(self) -> "SheddingSequence":
-        """The same order over mirror(G).  Reflection reverses every link and
-        every prefix boundary cycle, and nothing else changes."""
+        """The same order over mirror(G).  Reflection reverses every link,
+        and nothing else changes."""
         return SheddingSequence(
-            mirror(self.G),
-            self.order,
-            tuple(link[::-1] for link in self.links),
-            tuple(cyc[::-1] for cyc in self.cycles),
+            mirror(self.G), self.order, tuple(link[::-1] for link in self.links)
         )
+
+
+def _cycle_from(succ: Mapping[int, int], start: int) -> tuple[int, ...]:
+    """The cycle of the successor map through start, read from start."""
+    cyc = [start]
+    w = succ[start]
+    while w != start:
+        cyc.append(w)
+        w = succ[w]
+    return tuple(cyc)
 
 
 def _not_shedding(i: int, v: int) -> Exception:
@@ -395,17 +426,15 @@ class PeelEngine:
     * ``third[(x, w)]`` is the third vertex of the ccw face on the directed
       edge (x, w), as PlaneTriangulation.third();
     * ``succ`` / ``pred`` are the ccw boundary cycle as a doubly linked list,
-      and ``cycle`` is the same cycle as a tuple: G's boundary with each
-      deleted vertex replaced, in place, by the run that took its spot;
+      the only record of the boundary;
     * ``nbrs[x]`` is the neighbour set of x, and ``bn[x]`` the number of
       boundary vertices among those neighbours.
 
     Deleting the boundary vertex v walks its link w_1..w_k (w_1 = succ(v),
     w_k = pred(v), consecutive w_j, w_{j+1} span a face with v), drops its
     k - 1 faces and splices w_{k-1}..w_2 into the boundary in place of v.
-    Apart from the copy of the cycle tuple that the record needs, that is
-    O(deg v) plus O(deg u) for every vertex u that joins the boundary; a
-    vertex joins at most once, so a whole peel costs O(n) beyond the cycles.
+    That is O(deg v) plus O(deg u) for every vertex u that joins the
+    boundary; a vertex joins at most once, so a whole peel costs O(n).
 
     Shedding test.  With n > 3, a boundary vertex x is a shedding vertex
     (G_i - x is again a triangulated disk) iff no middle vertex w_2..w_{k-1}
@@ -427,8 +456,7 @@ class PeelEngine:
 
     Each deletion first checks that the vertex is a shedding vertex of the
     current prefix (else ``refuse(i, v)`` is raised, i the prefix size).  It
-    then appends the vertex, its link and the boundary cycle of the prefix
-    it is deleted from to ``removed``, ``links`` and ``cycles``, which
+    then appends the vertex and its link to ``removed`` and ``links``, which
     ``sequence`` turns into a SheddingSequence.  ``chord_sides`` splits the
     current prefix along a chord, and ``snapshot`` builds the current prefix
     as an immutable PlaneTriangulation.
@@ -438,7 +466,6 @@ class PeelEngine:
         self.G = G
         self.third: dict[tuple[int, int], int] = dict(G.third())
         self.nbrs: dict[int, set[int]] = {x: set(ws) for x, ws in G.adjacency().items()}
-        self.cycle: tuple[int, ...] = G.boundary
         self.succ: dict[int, int] = dict(G.boundary_succ())
         self.pred: dict[int, int] = dict(G.boundary_pred())
         self.bn: dict[int, int] = {
@@ -446,7 +473,6 @@ class PeelEngine:
         }
         self.removed: list[int] = []
         self.links: list[tuple[int, ...]] = []
-        self.cycles: list[tuple[int, ...]] = []
 
     @property
     def n(self) -> int:
@@ -527,10 +553,6 @@ class PeelEngine:
         for u in rev[1:-1]:
             for x in nbrs[u]:
                 bn[x] += 1
-        cyc = self.cycle
-        j = cyc.index(v)
-        self.cycles.append(cyc)
-        self.cycle = cyc[:j] + rev[1:-1] + cyc[j + 1 :]
         self.removed.append(v)
         self.links.append(link)
         return link
@@ -559,7 +581,7 @@ class PeelEngine:
         of the boundary would make.
         """
         keep = set(keep)
-        heap = [(key(x), x) for x in self.cycle if x not in keep and self.is_shedding(x)]
+        heap = [(key(x), x) for x in self.succ if x not in keep and self.is_shedding(x)]
         heapify(heap)
         while len(self.nbrs) > 3:
             while heap and not self.is_shedding(heap[0][1]):
@@ -574,7 +596,8 @@ class PeelEngine:
     def snapshot(self) -> PlaneTriangulation:
         """The current prefix as an immutable PlaneTriangulation (no coords)."""
         tris = [(a, b, c) for (a, b), c in self.third.items() if a < b and a < c]
-        return PlaneTriangulation(self.nbrs, tris, self.cycle)
+        cyc = _cycle_from(self.succ, next(iter(self.succ)))
+        return PlaneTriangulation(self.nbrs, tris, cyc)
 
     def copy(self) -> "PeelEngine":
         """An independent engine at the same prefix, over the same G."""
@@ -589,7 +612,6 @@ class PeelEngine:
             self.G,
             tuple(base) + tuple(reversed(self.removed)),
             tuple(reversed(self.links)),
-            (self.cycle,) + tuple(reversed(self.cycles)),
         )
 
 

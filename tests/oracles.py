@@ -38,6 +38,7 @@ from shedpoly.triangulation import (
     PlaneTriangulation,
     SheddingSequence,
     edge_key,
+    mirror,
     peeled_from,
     rot_min_first,
     validate,
@@ -230,7 +231,7 @@ def lift_heights_star_scan(emb, a) -> dict:
     """
     G, coords = emb.G, emb.coords
     a = peeled_from(G, a)
-    pos = a.position()
+    pos = {v: i + 1 for i, v in enumerate(a.order)}
     birth = {t: max(pos[w] for w in t) for t in G.triangles}
     by_vertex = {v: [] for v in G.vertices}
     for t in G.triangles:
@@ -691,35 +692,48 @@ def _not_shedding(i: int, v: int) -> Exception:
 
 class Peel:
     """The copy-on-delete deletion loop: a fresh PlaneTriangulation ``H`` per
-    deletion.  Same checks, records and error texts as PeelEngine."""
+    deletion.  Same checks, records and error texts as PeelEngine.
+
+    ``cycles`` keeps the boundary of every prefix, G_n first: the reference
+    for SheddingSequence.boundary.  ``sequence`` checks that the finished
+    sequence derives each of them, rotation included, and that its mirror
+    derives those of a copy-on-delete peel of mirror(G)."""
 
     def __init__(self, G: PlaneTriangulation):
         self.G = G
         self.H = G
         self._removed: list[int] = []
         self._links: list[tuple[int, ...]] = []
-        self._cycles: list[tuple[int, ...]] = []
+        self.cycles: list[tuple[int, ...]] = [G.boundary]
 
     def run(self, victims, refuse=_not_shedding) -> "Peel":
         for v in victims:
             H = self.H
             if not (H.n > 3 and v in H.boundary and is_shedding_vertex(H, v)):
                 raise refuse(H.n, v)
-            self._cycles.append(H.boundary)
             self.H, link = delete_boundary_vertex(H, v)
             self._removed.append(v)
             self._links.append(link)
+            self.cycles.append(self.H.boundary)
         return self
 
     def sequence(self, base) -> SheddingSequence:
         if validate(self.H) or set(base) != set(self.H.vertices):
             raise InvalidTriangulation("prefix G_3 is not a triangle")
-        return SheddingSequence(
+        a = SheddingSequence(
             self.G,
             tuple(base) + tuple(reversed(self._removed)),
             tuple(reversed(self._links)),
-            (self.H.boundary,) + tuple(reversed(self._cycles)),
         )
+        assert_boundaries(a, self.cycles)
+        assert_boundaries(a.mirrored(), Peel(mirror(self.G)).run(self._removed).cycles)
+        return a
+
+
+def assert_boundaries(a: SheddingSequence, cycles) -> None:
+    """a.boundary(i) is cycles[n - i] for every i = 3..n, rotation included."""
+    for i in range(3, a.n + 1):
+        assert a.boundary(i) == cycles[a.n - i], (i, a.boundary(i), cycles[a.n - i])
 
 
 def peel_order_reference(G: PlaneTriangulation, order) -> SheddingSequence:

@@ -25,6 +25,7 @@ from shedpoly.fileio import read_off, read_triangulation, sequence_from_order, w
 from shedpoly.griddiam import GridTriangulation, grid_shedding, min_tau_exhaustive
 from shedpoly.triangulation import PlaneTriangulation
 from shedpoly.verify import check_grid_bounds
+from test_triangulation import polygon_disk, relabel
 
 
 def run(argv, stdin_text=""):
@@ -119,6 +120,28 @@ def test_shed_accepts_base_flag():
     a_line = next(l for l in out.splitlines() if l.startswith("a "))
     assert a_line.split()[1:3] == ["1", "2"]
     sequence_from_order(split_square(), tuple(int(t) for t in a_line.split()[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    b=st.integers(3, 40),
+    k=st.integers(0, 10),
+    seed=st.integers(0, 10**6),
+    edge=st.integers(0, 10**6),
+    flip=st.booleans(),
+)
+def test_shed_embed_lift_verify_on_any_polygon_and_base_edge(b, k, seed, edge, flip):
+    # non-dense ids and any base edge, in either direction: the boundary
+    # head (the smallest id) is deleted partway through most peels
+    G = relabel(polygon_disk(b, k, seed), seed)
+    u, v = G.boundary[edge % b], G.boundary[(edge + 1) % b]
+    if flip:
+        u, v = v, u
+    doc = write_triangulation(G)
+    for argv in (["shed", "--base", str(u), str(v)], ["embed"], ["lift"], ["verify"]):
+        code, doc, err = run(argv, doc)
+        assert code == EXIT_OK, (argv, err)
+    assert doc.count("PASS ") == 7 == len(doc.splitlines())
 
 
 def test_lift_truncate_and_verify_off():

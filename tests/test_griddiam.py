@@ -249,7 +249,7 @@ def plan_digest(plan) -> str:
     key = (
         a.order,
         a.links,
-        a.cycles,
+        tuple(a.boundary(i) for i in range(3, a.n + 1)),
         tuple(tuple(sorted(b)) for b in plan.antichains),
         tuple(sorted(plan.stage.items())),
         plan.tau,

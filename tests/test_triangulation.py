@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -204,7 +205,7 @@ def test_trace_and_prefixes():
         u, v = G.boundary[0], G.boundary[1]
         seq = shedding_sequence(G, u, v)
         trace = deletion_trace(G, seq)
-        assert trace.degree(3) == 2 and trace.degree(1) == 0
+        assert trace.degrees[2] == 2 and trace.degrees[0] == 0
         for i in range(3, G.n + 1):
             # a valid disk, its boundary cycle derived from the faces
             indep = oracles.induced_disk(G, seq.order[:i])
@@ -370,6 +371,22 @@ def test_engine_matches_reference_on_random_disks(shape, size, seed, edge, flip,
     assert_engine_matches_reference(G, u, v, bad)
 
 
+def test_a_peel_keeps_links_not_a_copy_of_every_prefix_boundary():
+    # every vertex of a fan is on the boundary, so copies of the prefix
+    # cycles would hold sum b_i = 4.5M entries here, about 35 MiB; the
+    # links hold 2 or 3 entries per vertex
+    G = fan(3000)
+    order = shedding_sequence(G, 0, 1).order  # builds G's cached maps first
+    tracemalloc.start()
+    try:
+        a = peel_order(G, order)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.order == order
+    assert retained < 4 * 2**20, retained
+
+
 # -- chord sides against the face-dual split ---------------------------------------
 
 
@@ -379,7 +396,7 @@ def peel_part_way(G, steps, seed):
     rng = random.Random(seed)
     peel = PeelEngine(G)
     for _ in range(steps):
-        cands = sorted(x for x in peel.cycle if peel.is_shedding(x))
+        cands = sorted(x for x in peel.succ if peel.is_shedding(x))
         if not cands:
             break
         peel.delete(rng.choice(cands))
