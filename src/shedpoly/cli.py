@@ -192,7 +192,7 @@ def cmd_embed(args) -> int:
         certs = [
             check_face_isomorphic(drawn, emb.coords),
             _prefix_convexity(emb.coords, a),
-            check_grid_bounds(emb, tf.G.n),
+            check_grid_bounds(emb.coords, tf.G.n),
         ]
         return _emit_report(certs, sys.stderr)
     return EXIT_OK

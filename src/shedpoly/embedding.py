@@ -38,12 +38,7 @@ from .reduction import (
     build_shedding_trees,
     reduce_trees,
 )
-from .triangulation import (
-    PlaneTriangulation,
-    SheddingSequence,
-    edge_key,
-    peeled_from,
-)
+from .triangulation import PlaneTriangulation, SheddingSequence, edge_key
 
 
 class ParallelSupportLines(Exception):
@@ -185,16 +180,6 @@ class GridEmbedding:
         return y1 - y0
 
 
-def _base_lr(a: SheddingSequence) -> tuple[int, int]:
-    a1, a2 = a.order[0], a.order[1]
-    cyc3 = a.boundary(3)
-    succ3 = {cyc3[j]: cyc3[(j + 1) % 3] for j in range(3)}
-    if succ3[a1] == a2:
-        return a1, a2
-    assert succ3[a2] == a1
-    return a2, a1
-
-
 class UpperChain:
     """The upper chain of a drawing prefix, as left/right neighbour maps.
 
@@ -267,7 +252,7 @@ def first_faulty_prefix(
     of G_{i-1}'s.  first_fault checks the window left to right, so the walk
     finds what a scan of every whole chain would, in O(n) over all prefixes.
     """
-    lb, rb = _base_lr(a)
+    lb, rb = a.base_lr
     chain = UpperChain(lb, a.order[2], rb)
     for i in range(3, a.n + 1):
         v = a.order[i - 1]
@@ -344,7 +329,8 @@ def _audit_grid_step(
 def grid_embed(
     G: PlaneTriangulation, a: SheddingSequence, audit: bool = True
 ) -> GridEmbedding:
-    """Integer drawing of G driven by the shedding sequence a.
+    """Integer drawing of G driven by the shedding sequence a, which must
+    have been peeled from G (its links are read as given).
 
     Raises PropertyViolation / ParallelSupportLines only on implementation
     bugs; for every valid input the audits pass and the result fits the
@@ -372,7 +358,6 @@ def grid_embed(
     PropertyViolation(i, "correspondence").
     """
     n = G.n
-    a = peeled_from(G, a)
     rs = reduce_trees(build_shedding_trees(G, a), a)
     m, mp = rs.internal_counts()
     mirrored = m > mp
@@ -386,7 +371,7 @@ def grid_embed(
     tpl = make_template(rt, n)
     zmap = {key: rt.psi[rs.rep[key]] for key in rs.store.by_key}
 
-    lb, rb = _base_lr(work)
+    lb, rb = work.base_lr
     a3 = a.order[2]
     coords: dict[int, IntPoint] = {lb: tpl.z[0], rb: tpl.z[1], a3: tpl.z[2]}
     records: list[AuditRecord] = [AuditRecord(3, "base", tpl.z[2])]

@@ -204,7 +204,7 @@ def _edge_count(facets: Sequence[tuple[int, int, int]]) -> int:
     )
 
 
-def export_off(P: LiftedPolyhedron, comments: Sequence[str] = ()) -> MeshExport:
+def export_off(P: LiftedPolyhedron) -> MeshExport:
     """OFF document for a lift: exact decimal coordinates, true edge count.
 
     The shedding order (when the lift carries one) and the truncation facet
@@ -214,8 +214,6 @@ def export_off(P: LiftedPolyhedron, comments: Sequence[str] = ()) -> MeshExport:
     ids = sorted(P.points)
     index = {v: i for i, v in enumerate(ids)}
     lines = ["OFF"]
-    for c in comments:
-        lines.append(f"# {c}")
     if P.sequence is not None:
         lines.append("# a " + " ".join(str(index[v]) for v in P.sequence.order))
     if P.truncated is not None:
@@ -230,11 +228,11 @@ def export_off(P: LiftedPolyhedron, comments: Sequence[str] = ()) -> MeshExport:
     return MeshExport("\n".join(lines) + "\n", nv, nf, ne)
 
 
-def export_obj(P: LiftedPolyhedron, comments: Sequence[str] = ()) -> str:
+def export_obj(P: LiftedPolyhedron) -> str:
     """OBJ document with the same data as export_off (1-based indices)."""
     ids = sorted(P.points)
     index = {v: i + 1 for i, v in enumerate(ids)}
-    lines = [f"# {c}" for c in comments]
+    lines = []
     for v in ids:
         p = P.points[v]
         lines.append(f"v {p.x} {p.y} {p.z}")

@@ -26,7 +26,7 @@ from typing import Optional
 from .embedding import GridEmbedding, first_faulty_prefix
 from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
-from .triangulation import PlaneTriangulation, SheddingSequence, peeled_from, rot_min_first
+from .triangulation import PlaneTriangulation, SheddingSequence, rot_min_first
 
 
 class NotSequentiallyConvex(Exception):
@@ -114,6 +114,9 @@ def _check_sequentially_convex(coords: dict[int, tuple], a: SheddingSequence) ->
 def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
     """Greedy minimal convex lift of a sequentially convex drawing.
 
+    a must have been peeled from emb.G: its links are read as given, and
+    the lift keeps it as ``sequence``.
+
     Let a_i have the link w_1..w_k in G_i (recorded when it was peeled), and
     let F_j = (w_{j+1}, w_j, third[(w_{j+1}, w_j)]) be the face of G_{i-1}
     across the link edge w_j w_{j+1}.  The height of a_i is one more than the
@@ -141,7 +144,6 @@ def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
     """
     G = emb.G
     coords = emb.coords
-    a = peeled_from(G, a)
     _check_sequentially_convex(coords, a)
 
     n = G.n

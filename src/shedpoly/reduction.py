@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import Optional
 
-from .triangulation import (
-    PlaneTriangulation,
-    SheddingSequence,
-    edge_key,
-    peeled_from,
-)
+from .triangulation import PlaneTriangulation, SheddingSequence, edge_key
 
 EdgeKey = tuple[int, int]
 
@@ -80,22 +76,15 @@ def build_shedding_trees(
 
     T_i records the boundary-edge history of the prefix G_i; node identity is
     the undirected edge.  Left/right is combinatorial (from the boundary-cycle
-    orientation), so no embedding is needed.  The links and G_3's cycle are
-    read from trace, by default a itself when a was peeled from G.
+    orientation), so no embedding is needed.  The links are read from trace,
+    which must have been peeled from G; it defaults to a itself.  The link
+    of a_3 in G_3 is trace.base_lr.
     """
     if trace is None:
-        trace = peeled_from(G, a)
-    n = trace.n
-    a1, a2, a3 = trace.order[0], trace.order[1], trace.order[2]
-    store = TreeStore(edge_key(a1, a2), n)
-    for i in range(3, n + 1):
-        ai = trace.order[i - 1]
-        if i == 3:
-            cyc = trace.boundary(3)
-            j = cyc.index(a3)
-            link = (cyc[(j + 1) % 3], cyc[(j + 2) % 3])
-        else:
-            link = trace.link(i)
+        trace = a
+    store = TreeStore(edge_key(*trace.order[:2]), trace.n)
+    links = (trace.base_lr,) + trace.links
+    for i, (ai, link) in enumerate(zip(trace.order[2:], links), start=3):
         w1, w2 = link[0], link[1]
         wk1, wk = link[-2], link[-1]
         store.add_pair(
@@ -128,12 +117,14 @@ class ReducedStructure:
     def internal_counts(self) -> tuple[int, int]:
         """(m, m'): internal nodes strictly left/right of the root in the final
         contracted tree's in-order traversal."""
-        order = self._internal_inorder()
+        order = self.internal_inorder
         root_rank = order.index(self.store.root.key)
         return root_rank, len(order) - 1 - root_rank
 
-    def _internal_inorder(self) -> list[EdgeKey]:
-        """Keys of internal nodes of T*_n, in in-order (left subtree, node, right)."""
+    @cached_property
+    def internal_inorder(self) -> list[EdgeKey]:
+        """Keys of internal nodes of T*_n, in in-order (left subtree, node,
+        right).  Traversed once per instance; read, never modify."""
         kids = {pk: (lk, rk) for pk, lk, rk in self.pairs.values()}
         out: list[EdgeKey] = []
         stack: list[EdgeKey] = []
@@ -253,7 +244,7 @@ def build_reduced_triangulation(rs: ReducedStructure) -> ReducedTriangulation:
     if m > mprime:
         raise MalformedTreeSequence(f"left-heavy tree (m={m} > m'={mprime}); mirror the instance")
 
-    inorder = rs._internal_inorder()
+    inorder = rs.internal_inorder
     rank_of_key = {k: r for r, k in enumerate(inorder)}
     # creation order: q = 3 is the root, q >= 4 from pairs
     key_of_q = {3: rs.store.root.key}

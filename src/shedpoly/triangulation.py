@@ -338,6 +338,13 @@ class SheddingSequence:
     vertex a_i is a shedding vertex of G_i.  Every sequence is built by
     PeelEngine, which checks the second before every deletion; its callers
     check the first.
+
+    The sequence is the one owner of the facts derived from this history:
+    ``base_lr`` (which base vertex is left), ``degrees``, ``heads`` and the
+    prefix cycles.  The constructions that take a sequence together with a
+    disk (reduction.build_shedding_trees, embedding.grid_embed,
+    lifting.lift) read it as given, so it must have been peeled from their
+    disk; deletion_trace peels a foreign sequence again.
     """
 
     G: PlaneTriangulation
@@ -377,20 +384,28 @@ class SheddingSequence:
             heads.append(head)
         return tuple(reversed(heads))
 
+    @cached_property
+    def base_lr(self) -> tuple[int, int]:
+        """(lb, rb): a_1 and a_2 in the order in which G_3's ccw cycle
+        lb, rb, a_3 runs.  G_3 is the face a_1 a_2 a_3 of G, so the order is
+        read off G.third().  The drawing puts lb left and rb right, and
+        (lb, rb) is the link of a_3 in G_3."""
+        a1, a2, a3 = self.order[:3]
+        return (a1, a2) if self.G.third().get((a1, a2)) == a3 else (a2, a1)
+
     def link(self, i: int) -> tuple[int, ...]:
         return self.links[i - 4]
 
     def boundary(self, i: int) -> tuple[int, ...]:
         """The ccw boundary cycle of G_i, starting at ``heads[i - 3]``.
 
-        G_3 is the face a_1 a_2 a_3 of G, oriented by G.third(); G_k comes
-        from G_{k-1} by putting a_k between the ends w_k and w_1 of its link,
-        as pred and succ.  The splice walk costs O(i + sum of link sizes);
-        boundary(3) splices no link."""
-        a1, a2, a3 = self.order[:3]
-        if self.G.third().get((a1, a2)) != a3:
-            a1, a2 = a2, a1
-        succ = {a1: a2, a2: a3, a3: a1}
+        G_3 is the cycle lb, rb, a_3 (base_lr); G_k comes from G_{k-1} by
+        putting a_k between the ends w_k and w_1 of its link, as pred and
+        succ.  The splice walk costs O(i + sum of link sizes); boundary(3)
+        splices no link."""
+        lb, rb = self.base_lr
+        a3 = self.order[2]
+        succ = {lb: rb, rb: a3, a3: lb}
         for v, link in zip(self.order[3:i], self.links):
             succ[link[-1]] = v
             succ[v] = link[0]
@@ -654,11 +669,6 @@ def deletion_trace(G: PlaneTriangulation, a: SheddingSequence) -> SheddingSequen
     deleted vertex is a shedding vertex of its prefix.  Returns the sequence
     over G (a may come from another disk with the same vertex ids)."""
     return peel_order(G, a.order)
-
-
-def peeled_from(G: PlaneTriangulation, a: SheddingSequence) -> SheddingSequence:
-    """a itself when it was peeled from this very G, else deletion_trace(G, a)."""
-    return a if a.G is G else deletion_trace(G, a)
 
 
 def mirror(G: PlaneTriangulation) -> PlaneTriangulation:

@@ -39,11 +39,13 @@ Shared values.  An OFF verify (cli._verify_off) builds one
 LiftedPolyhedron and reads the surface disk off it (surface_disk, parsed
 and validated once per instance); that one value goes to every certificate
 that reads a disk: the lift proof, the shedding-order re-peel and
-check_face_isomorphic.  validate() keeps its verdict on the disk, the facet
-planes are computed once per LiftedPolyhedron (facet_planes) and read by
-check_lift_convex, the lift proof and the full scan, and
-_convex_disk_drawing keeps its verdict on the disk for the projection it
-was asked about.  This weakens no certificate: each of these is a pure
+check_face_isomorphic.  check_grid_bounds takes its depths from
+griddiam.tau_profile over the re-peel's disk, which is that same disk, so
+it reads the neighbour sets validate() already built.  validate() keeps
+its verdict on the disk, the facet planes are computed once per
+LiftedPolyhedron (facet_planes) and read by check_lift_convex, the lift
+proof and the full scan, and _convex_disk_drawing keeps its verdict on the
+disk for the projection it was asked about.  This weakens no certificate: each of these is a pure
 function of an immutable parsed value, so computing it again from the same
 input could only give the same answer and adds no independence.  A
 certificate still checks everything it checked before; it no longer
@@ -55,7 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .embedding import GridEmbedding
 from .exactgeom import (
     DegenerateFace,
     Point2,
@@ -64,6 +65,7 @@ from .exactgeom import (
     slopes_decrease,
 )
 from .fileio import ParseError
+from .griddiam import tau_profile
 from .lifting import LiftedPolyhedron
 from .triangulation import PlaneTriangulation, validate
 
@@ -460,40 +462,25 @@ def _lift_convex_globally_scan(P: LiftedPolyhedron) -> Certificate:
 # -- grid bounds -----------------------------------------------------------------
 
 
-def _depths(facets: Sequence[tuple[int, int, int]], order: Sequence[int]) -> dict[int, int]:
-    """Vertex depths under order, re-derived from facet adjacency alone."""
-    adj: dict[int, set[int]] = {v: set() for v in order}
-    for t in facets:
-        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
-            adj[u].add(v)
-            adj[v].add(u)
-    pos = {v: i for i, v in enumerate(order)}
-    depth: dict[int, int] = {}
-    for i, v in enumerate(order):
-        preds = [u for u in adj[v] if pos[u] < i]
-        depth[v] = 1 + max((depth[u] for u in preds), default=0)
-    return depth
-
-
-def check_grid_bounds(
-    obj: Union[GridEmbedding, LiftedPolyhedron, Mapping[int, XY]], n: int
-) -> Certificate:
+def check_grid_bounds(obj: Union[LiftedPolyhedron, Mapping[int, XY]], n: int) -> Certificate:
     """Bounding-box dimensions against the 4n^3 x 8n^5 grid, and, for a lift,
-    the maximum height against (500 n^8)^tau with tau re-derived from the
-    facets and the deletion order (tau <= n, so the (500 n^8)^n ceiling is
-    implied).  Accepts a drawing, a lift, or a bare coordinate mapping."""
+    the maximum height against (500 n^8)^tau (tau <= n, so the (500 n^8)^n
+    ceiling is implied).  Accepts a lift or a coordinate mapping, such as a
+    drawing's coords.
+
+    tau is griddiam.tau_profile of the lift's sequence over the disk it was
+    peeled from.  In an OFF verify that disk is the surface disk parsed from
+    these facets and peeled again along the document's order; for
+    ``lift --audit`` it is the input, whose triangles are the facets."""
     kind = "grid-bounds"
-    if isinstance(obj, GridEmbedding):
-        pts = obj.coords.values()
-        heights = None
-    elif isinstance(obj, LiftedPolyhedron):
+    if isinstance(obj, LiftedPolyhedron):
         pts = [(p.x, p.y) for p in obj.points.values()]
         heights = obj.heights
     elif isinstance(obj, Mapping):
         pts = list(obj.values())
         heights = None
     else:
-        raise TypeError(f"expected a drawing or a lift, got {type(obj).__name__}")
+        raise TypeError(f"expected a lift or a coordinate mapping, got {type(obj).__name__}")
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     dx, dy = max(xs) - min(xs), max(ys) - min(ys)
@@ -503,9 +490,7 @@ def check_grid_bounds(
         return _fail(kind, ("y", dy, 8 * n**5), "height exceeds 8n^5")
     detail = f"x {dx} <= {4 * n**3}, y {dy} <= {8 * n**5}"
     if heights is not None:
-        lower = [t for t in obj.facets if t != obj.truncated]
-        depth = _depths(lower, obj.sequence.order)
-        tau = max(depth.values())
+        tau = tau_profile(obj.sequence.G, obj.sequence).tau
         if tau > n:
             return _fail(kind, ("tau", tau, n), "depth exceeds vertex count")
         zbound = (500 * n**8) ** tau

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import networkx as nx
 
 from shedpoly import cli
-from shedpoly.embedding import PropertyViolation, UpperChain, _base_lr
+from shedpoly.embedding import PropertyViolation, UpperChain
 from shedpoly.exactgeom import Point2, Point3, floor_plane, orient2d, plane_through
 from shedpoly.fileio import ParseError, disk_from_facets, read_off, sequence_from_order
 from shedpoly.lifting import LiftedPolyhedron
@@ -38,8 +38,8 @@ from shedpoly.triangulation import (
     PlaneTriangulation,
     SheddingSequence,
     edge_key,
+    deletion_trace,
     mirror,
-    peeled_from,
     rot_min_first,
     validate,
 )
@@ -230,7 +230,7 @@ def lift_heights_star_scan(emb, a) -> dict:
     are the claim that those faces hold the max.
     """
     G, coords = emb.G, emb.coords
-    a = peeled_from(G, a)
+    a = deletion_trace(G, a)
     pos = {v: i + 1 for i, v in enumerate(a.order)}
     birth = {t: max(pos[w] for w in t) for t in G.triangles}
     by_vertex = {v: [] for v in G.vertices}
@@ -473,7 +473,7 @@ def construction_frame(emb):
     """(sequence, left and right base vertex, coords) of a GridEmbedding in
     the frame it was built in: over mirror(G), x negated, when mirrored."""
     work = emb.sequence.mirrored() if emb.mirrored else emb.sequence
-    lb, rb = _base_lr(work)
+    lb, rb = base_lr(work.G, work.order)
     sx = -1 if emb.mirrored else 1
     return work, lb, rb, {v: (sx * x, y) for v, (x, y) in emb.coords.items()}
 
@@ -587,14 +587,14 @@ def rational_embed(
     made without the template or any rounding: each new vertex goes to the
     centroid of the corners of the region cut out by four support lines.
 
-    The base endpoint that is leftmost is the one the boundary orientation
-    says.  The outer support lines at w_1 and w_k run along the chain edges
+    The base endpoint that is leftmost is the one the copy-on-delete peel's
+    G_3 cycle says (base_lr); a's links are read as given, so a must have
+    been peeled from G or from a disk equal to it.  The outer support lines at w_1 and w_k run along the chain edges
     beyond the link, read off the tracked UpperChain; the audit checks the
     chain window around each new vertex, which by the induction in
     grid_embed's docstring is the whole prefix chain's convexity.
     """
-    a = peeled_from(G, a)
-    lb, rb = _base_lr(a)
+    lb, rb = base_lr(G, a.order)
     a3 = a.order[2]
     coords: dict[int, Point2] = {
         lb: Point2(Fraction(0), Fraction(0)),
@@ -728,6 +728,14 @@ class Peel:
         assert_boundaries(a, self.cycles)
         assert_boundaries(a.mirrored(), Peel(mirror(self.G)).run(self._removed).cycles)
         return a
+
+
+def base_lr(G: PlaneTriangulation, order) -> tuple[int, int]:
+    """(a_1, a_2) in the order in which the copy-on-delete peel's G_3 cycle
+    runs: the left and right base vertex of a drawing along order."""
+    cyc = Peel(G).run(reversed(order[3:])).H.boundary
+    a1, a2 = order[:2]
+    return (a1, a2) if cyc[(cyc.index(a1) + 1) % 3] == a2 else (a2, a1)
 
 
 def assert_boundaries(a: SheddingSequence, cycles) -> None:

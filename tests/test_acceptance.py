@@ -147,7 +147,7 @@ def test_criterion_1_corpus_fits_integer_grid_with_stepwise_certificates():
         emb = grid_embed(item.G, item.a) if n >= 200 else item.emb
         assert emb.width <= 4 * n**3, item.label
         assert emb.height <= 8 * n**5, item.label
-        assert check_grid_bounds(emb, n).passed, item.label
+        assert check_grid_bounds(emb.coords, n).passed, item.label
         certify_stepwise(item)
         if n >= 200:
             elapsed = perf_counter() - start

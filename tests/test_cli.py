@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shedpoly import lifting, triangulation, verify
+from shedpoly import griddiam, lifting, triangulation, verify
 from shedpoly.cli import (
     EXIT_CERT,
     EXIT_DOMAIN,
@@ -266,19 +266,31 @@ def test_each_command_peels_once(monkeypatch):
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
 def test_verify_derives_each_fact_of_a_lift_once(monkeypatch, label):
     # an OFF verify validates the surface disk once (and G_3 once, in the
-    # re-peel), and computes each facet's plane once
+    # re-peel), computes each facet's plane once, and takes grid-bounds'
+    # depths in one pass over the re-peeled disk, whose neighbour sets
+    # validate already built
     if label == "stacked-160":
         off = run(["lift", "--truncate"], run(["gen-stacked", "160", "--seed", "0"])[1])[1]
     else:
         fan = PlaneTriangulation(range(200), [(0, i, i + 1) for i in range(1, 199)], range(200))
         off = run(["lift"], write_triangulation(fan))[1]
     points, facets, _ = read_off(off)
-    validated, planes = [], []
+    validated, planes, profiled, neighbour_sets = [], [], [], []
     real_validate, real_plane = triangulation._validate, lifting.plane_through
+    real_profile, real_adjacency = griddiam._profile, PlaneTriangulation.adjacency
 
     def count_validate(G):
         validated.append(G.n)
         return real_validate(G)
+
+    def count_profile(G, order):
+        profiled.append((G.n, G._verdict is not None))
+        return real_profile(G, order)
+
+    def count_adjacency(G):
+        if G._adj is None:
+            neighbour_sets.append(G.n)
+        return real_adjacency(G)
 
     def count_plane(*pts):
         planes.append(pts)
@@ -288,10 +300,14 @@ def test_verify_derives_each_fact_of_a_lift_once(monkeypatch, label):
     # every module that has computed facet planes for the certificates
     monkeypatch.setattr(lifting, "plane_through", count_plane)
     monkeypatch.setattr(verify, "plane_through", count_plane, raising=False)
+    monkeypatch.setattr(griddiam, "_profile", count_profile)
+    monkeypatch.setattr(PlaneTriangulation, "adjacency", count_adjacency)
     code, out, _ = run(["verify"], off)
     assert code == EXIT_OK and out.count("PASS ") == 7
     assert sorted(validated) == [3, len(points)]
     assert len(planes) == len(facets)
+    assert profiled == [(len(points), True)]
+    assert sorted(neighbour_sets) == [3, len(points)]
 
 
 def test_embed_at_n_2000():

@@ -252,7 +252,7 @@ def test_long_fan_embeds_without_recursion():
     a = shedding_sequence(G, G.boundary[0], G.boundary[1])
     emb = grid_embed(G, a)
     assert len(emb.audit) == n - 2
-    assert check_grid_bounds(emb, n).passed
+    assert check_grid_bounds(emb.coords, n).passed
 
 
 def test_grid_embed_deterministic():
@@ -509,7 +509,7 @@ def test_small_disks_with_any_base_edge_pass_the_audit_and_the_oracle(
     a = shedding_sequence(G, u, v)
     emb = grid_embed(G, a)
     oracles.grid_audit_every_prefix(emb)
-    assert check_grid_bounds(emb, G.n).passed
+    assert check_grid_bounds(emb.coords, G.n).passed
 
 
 # -- rational embeddings --------------------------------------------------------

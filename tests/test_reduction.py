@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb
 
@@ -10,12 +11,14 @@ from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4,
 from shedpoly.embedding import grid_embed
 from shedpoly.reduction import (
     MalformedTreeSequence,
+    ReducedStructure,
     build_reduced_triangulation,
     build_shedding_trees,
     reduce_trees,
 )
 from shedpoly.triangulation import (
     PlaneTriangulation,
+    deletion_trace,
     edge_key,
     mirror,
     peel_order,
@@ -180,7 +183,7 @@ def test_base_case_coordinates():
 def mirrored_pipeline(G):
     a = seq_of(G)
     M = mirror(G)
-    return reduce_trees(build_shedding_trees(M, a), a)
+    return reduce_trees(build_shedding_trees(M, a, deletion_trace(M, a)), a)
 
 
 def rt_for(G):
@@ -242,6 +245,30 @@ def test_template_tree_isomorphism():
             if i == 2:
                 continue
             assert oracles.reduced_shape(rs, i) == oracles.tree_shape(star_trees[h - 2]), (repr(G), i)
+
+
+@pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
+def test_one_inorder_traversal_per_reduced_structure(monkeypatch, label):
+    # grid_embed reads m, m' and the template's x ranks off one in-order
+    # traversal of each reduction it builds (two when it mirrors)
+    if label == "stacked-160":
+        G = gen_stacked(160, 0)
+    else:
+        G = PlaneTriangulation(range(200), [(0, i, i + 1) for i in range(1, 199)], range(200))
+    traversals = []
+    real = ReducedStructure.internal_inorder.func
+
+    def count(rs):
+        traversals.append(id(rs))
+        return real(rs)
+
+    counted = functools.cached_property(count)
+    counted.__set_name__(ReducedStructure, "internal_inorder")
+    monkeypatch.setattr(ReducedStructure, "internal_inorder", counted)
+    emb = grid_embed(G, seq_of(G))
+    assert len(traversals) == 1 + emb.mirrored
+    assert len(set(traversals)) == len(traversals)
+    assert emb.mirrored == (label == "fan-200")
 
 
 def test_template_edge_lookup():

@@ -27,7 +27,6 @@ from shedpoly.fileio import ParseError, read_off, write_triangulation
 from shedpoly.griddiam import (
     gen_grid_triangulation,
     grid_shedding,
-    tau_profile,
     uniform_grid_triangulation,
 )
 from shedpoly.lifting import LiftedPolyhedron, lift, truncate_to_polytope
@@ -344,20 +343,20 @@ def test_lift_certificates_equal_fraction_reference_on_tampered_lifts():
 def test_grid_bounds_smallest_drawing():
     emb, _ = embed_of(triangle())
     assert (emb.width, emb.height) == (44, 132)
-    cert = check_grid_bounds(emb, 3)
+    cert = check_grid_bounds(emb.coords, 3)
     assert cert.line() == "PASS grid-bounds: x 44 <= 108, y 132 <= 1944"
-    tight = check_grid_bounds(emb, 1)
+    tight = check_grid_bounds(emb.coords, 1)
     assert not tight.passed and tight.witness == ("x", 44, 4)
 
 
 def test_grid_bounds_on_corpus():
     for G, emb, a in instances():
         n = G.n
-        assert check_grid_bounds(emb, n).passed
+        assert check_grid_bounds(emb.coords, n).passed
         P = lift(emb, a)
         cert = check_grid_bounds(P, n)
         assert cert.passed, cert.line()
-        tau = tau_profile(G, a).tau
+        tau = oracles.tau_by_longest_path(G, a.order)
         assert cert.detail.endswith(f"(500n^8)^{tau}")
         assert oracles.max_height(P) <= (500 * n**8) ** n
 
@@ -381,7 +380,7 @@ def test_report_lines_are_stable():
     certs = [
         check_face_isomorphic(split_square(), emb.coords),
         check_lift_convex(P),
-        check_grid_bounds(emb, 4),
+        check_grid_bounds(emb.coords, 4),
     ]
     text = report(certs)
     assert text == report(certs)
