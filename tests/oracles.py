@@ -37,8 +37,8 @@ from shedpoly.triangulation import (
     NoSheddingVertex,
     PlaneTriangulation,
     SheddingSequence,
-    edge_key,
     deletion_trace,
+    edge_key,
     mirror,
     rot_min_first,
     validate,
@@ -589,10 +589,11 @@ def rational_embed(
 
     The base endpoint that is leftmost is the one the copy-on-delete peel's
     G_3 cycle says (base_lr); a's links are read as given, so a must have
-    been peeled from G or from a disk equal to it.  The outer support lines at w_1 and w_k run along the chain edges
-    beyond the link, read off the tracked UpperChain; the audit checks the
-    chain window around each new vertex, which by the induction in
-    grid_embed's docstring is the whole prefix chain's convexity.
+    been peeled from G or from a disk equal to it.  The outer support lines
+    at w_1 and w_k run along the chain edges beyond the link, read off the
+    tracked UpperChain; the audit checks the chain window around each new
+    vertex, which by the induction in grid_embed's docstring is the whole
+    prefix chain's convexity.
     """
     lb, rb = base_lr(G, a.order)
     a3 = a.order[2]
