@@ -12,11 +12,11 @@ ell*(2p+6q) batches of pairwise non-adjacent vertices.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .exactgeom import Point2, orient2d
 from .triangulation import (
     PeelEngine,
     PlaneTriangulation,
@@ -54,8 +54,19 @@ class TauProfile:
 
 
 def tau_profile(G: PlaneTriangulation, a: SheddingSequence) -> TauProfile:
-    """Depths: depth(a_1) = 1, else 1 + max depth over earlier neighbors."""
-    return _profile(G, a.order)
+    """Depths: depth(a_1) = 1, else 1 + max depth over earlier neighbors.
+
+    Over the disk the sequence was peeled from (G is a.G), the profile is a
+    fact of the sequence: it is computed once and kept on it, as its other
+    cached facts are, so lift's height assert and check_grid_bounds read one
+    depth pass.
+    """
+    if G is not a.G:
+        return _profile(G, a.order)
+    prof = a.__dict__.get("_tau_profile")
+    if prof is None:
+        prof = a.__dict__["_tau_profile"] = _profile(G, a.order)
+    return prof
 
 
 def _profile(G: PlaneTriangulation, order: tuple[int, ...]) -> TauProfile:
@@ -172,13 +183,19 @@ def _check_lattice(gt: GridTriangulation) -> None:
     j = cyc.index(0) if 0 in cyc else 0
     if cyc[j:] + cyc[:j] != _rect_boundary(p, q):
         raise BadParams(f"boundary is not the {p}x{q} rectangle")
+    xs = [_xy(p, v)[0] for v in range(p * q)]
+    ys = [_xy(p, v)[1] for v in range(p * q)]
     for t in T.triangles:
-        pts = [gt.xy(v) for v in t]
-        if orient2d(*pts) <= 0:
+        a, b, c = t
+        ax, ay, bx, by, cx, cy = xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
             raise BadParams(f"face {t} is not ccw on the lattice")
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            if abs(a[0] - b[0]) >= ell or abs(a[1] - b[1]) >= ell:
-                raise BadParams(f"face {t} has an edge outside every {ell}x{ell} subgrid")
+        if not (
+            -ell < ax - bx < ell and -ell < ay - by < ell
+            and -ell < bx - cx < ell and -ell < by - cy < ell
+            and -ell < cx - ax < ell and -ell < cy - ay < ell
+        ):
+            raise BadParams(f"face {t} has an edge outside every {ell}x{ell} subgrid")
 
 
 def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTriangulation:
@@ -188,69 +205,68 @@ def gen_grid_triangulation(p: int, q: int, ell: int, seed: int = 0) -> GridTrian
     edge flips then inject longer edges (a flip is applied only when the
     surrounding quadrilateral is strictly convex and the new edge still fits
     an ell x ell subgrid).  Deterministic for a fixed seed.
+
+    The random draws are part of the output: one rng.random() per cell, row
+    by row, then one rng.randrange(len(interior)) per flip attempt over the
+    sorted list of interior edge keys.  A flip deletes the edge at the rank
+    just drawn and inserts the new key in order, so the list, and with it
+    every later draw, is the one a search-and-remove would leave.  During
+    the flips the face map ``third`` is the only record of the faces; the
+    min-first triangles are read off it at the end.
     """
     if not 2 <= ell <= min(p, q):
         raise BadParams(f"need 2 <= ell <= min(p, q), got ell={ell}, p={p}, q={q}")
     rng = random.Random(seed)
     coords = {v: _xy(p, v) for v in range(p * q)}
-    tris: set[tuple[int, int, int]] = set()
     third: dict[tuple[int, int], int] = {}
-
-    def add(t: tuple[int, int, int]) -> None:
-        t = rot_min_first(t)
-        tris.add(t)
-        a, b, c = t
-        third[(a, b)] = c
-        third[(b, c)] = a
-        third[(c, a)] = b
-
-    def drop(t: tuple[int, int, int]) -> None:
-        t = rot_min_first(t)
-        tris.remove(t)
-        a, b, c = t
-        del third[(a, b)], third[(b, c)], third[(c, a)]
 
     for cy in range(1, q):
         for cx in range(1, p):
-            a, b = _vid(p, cx, cy), _vid(p, cx + 1, cy)
-            c, d = _vid(p, cx + 1, cy + 1), _vid(p, cx, cy + 1)
-            if rng.random() < 0.5:
-                add((a, b, c))
-                add((a, c, d))
-            else:
-                add((a, b, d))
-                add((b, c, d))
+            a = _vid(p, cx, cy)
+            b, c, d = a + 1, a + p + 1, a + p
+            if rng.random() < 0.5:  # faces (a, b, c) and (a, c, d)
+                third[(a, b)], third[(b, c)], third[(c, a)] = c, a, b
+                third[(a, c)], third[(c, d)], third[(d, a)] = d, a, c
+            else:  # faces (a, b, d) and (b, c, d)
+                third[(a, b)], third[(b, d)], third[(d, a)] = d, a, b
+                third[(b, c)], third[(c, d)], third[(d, b)] = d, b, c
 
     if ell > 2:
-        from bisect import insort
-
-        interior = sorted({edge_key(*k) for k in third if (k[1], k[0]) in third})
-        pt = {v: Point2(*xy) for v, xy in coords.items()}
+        interior = sorted(k for k in third if k[0] < k[1] and (k[1], k[0]) in third)
+        size = len(interior)  # a flip swaps one key for another
+        xs = [x for x, _ in coords.values()]
+        ys = [y for _, y in coords.values()]
+        span = ell - 1
         for _ in range(10 * p * q):
-            u, v = interior[rng.randrange(len(interior))]
+            i = rng.randrange(size)
+            u, v = interior[i]
             c = third[(u, v)]
             d = third[(v, u)]
-            nk = edge_key(c, d)
-            cx_, cy_ = coords[c]
-            dx_, dy_ = coords[d]
-            if abs(cx_ - dx_) > ell - 1 or abs(cy_ - dy_) > ell - 1:
+            cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
+            if not (-span <= cx - dx <= span and -span <= cy - dy <= span):
                 continue
-            if nk in third or (nk[1], nk[0]) in third:
+            if (c, d) in third or (d, c) in third:
                 continue
-            if orient2d(pt[c], pt[d], pt[u]) * orient2d(pt[c], pt[d], pt[v]) >= 0:
+            ux, uy, vx, vy = xs[u], ys[u], xs[v], ys[v]
+            # u and v strictly on opposite sides of the line c d, and c and d
+            # strictly on opposite sides of u v (a product >= 0 is a zero or
+            # one sign twice): the quadrilateral u d v c is strictly convex
+            ex, ey = dx - cx, dy - cy
+            if (ex * (uy - cy) - ey * (ux - cx)) * (ex * (vy - cy) - ey * (vx - cx)) >= 0:
                 continue
-            if orient2d(pt[u], pt[v], pt[c]) * orient2d(pt[u], pt[v], pt[d]) >= 0:
+            ex, ey = vx - ux, vy - uy
+            if (ex * (cy - uy) - ey * (cx - ux)) * (ex * (dy - uy) - ey * (dx - ux)) >= 0:
                 continue
-            drop((u, v, c))
-            drop((v, u, d))
-            add((c, u, d))
-            add((d, v, c))
-            interior.remove((u, v))
-            insort(interior, nk)
+            # faces (u, v, c) and (v, u, d) become (c, u, d) and (d, v, c)
+            del third[(u, v)], third[(v, u)]
+            third[(c, u)], third[(u, d)], third[(d, c)] = d, c, u
+            third[(d, v)], third[(v, c)], third[(c, d)] = c, d, v
+            del interior[i]
+            insort(interior, (c, d) if c < d else (d, c))
 
     T = PlaneTriangulation(
         range(p * q),
-        sorted(tris),
+        sorted((a, b, c) for (a, b), c in third.items() if a < b and a < c),
         _rect_boundary(p, q),
         coords,
     )
@@ -338,8 +354,8 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
 
     # row-major ids order the lattice points like (y, x), so the highest
     # vertex, the rightmost among the highest, is the one with the largest id
-    col = {v: gt.xy(v)[0] for v in T.vertices}
-    row = {v: gt.xy(v)[1] for v in T.vertices}
+    col = [_xy(p, v)[0] for v in range(p * q)]
+    row = [_xy(p, v)[1] for v in range(p * q)]
 
     imax = (p + ell - 1) // ell
     group_cols = {
@@ -374,23 +390,31 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         diagonal.  A generator: yields the round's batch members, which the
         peel loop deletes.  Everything a round decides is read from the
         engine before the first of its members is deleted.
+
+        region_ok(w) says whether w may lie in a carve region, and a side of
+        a diagonal is admissible when all its vertices may.  Only batch
+        members are deleted, so each round takes its batch out of the carve
+        regions instead of intersecting them with the live vertices.  Each
+        block is its ids in increasing order, that is by (row, column); dead
+        ids are popped off its end, so the last one is its highest live
+        vertex and says alone whether the block is active, and the first
+        admissible id met scanning downwards is the greatest one.
         """
         regions: list[set[int]] = [set() for _ in blocks]
         block_of = [[v for v in T.vertices if col[v] in cols] for cols in blocks]
         while True:
             batch: list[int] = []
-            for k in range(len(blocks)):
-                regions[k] &= live
+            for k, block in enumerate(block_of):
                 if regions[k]:
                     batch.append(greatest_shedding_in(regions[k]))
                     continue
-                block = block_of[k] = [v for v in block_of[k] if v in live]
-                if not any(row[v] > ymin for v in block):
+                while block and block[-1] not in live:
+                    block.pop()
+                if not block or row[block[-1]] <= ymin:
                     continue
-                cand = [v for v in block if cand_ok(v)]
-                if not cand:
+                vk = next((v for v in reversed(block) if v in live and cand_ok(v)), None)
+                if vk is None:
                     raise InvariantViolation("active block has no admissible vertex")
-                vk = max(cand)
                 if not peel.on_boundary(vk):
                     raise InvariantViolation(f"block-top vertex {vk} is interior")
                 if peel.is_shedding(vk):
@@ -401,7 +425,7 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                 if not partners:
                     raise InvariantViolation(f"{vk} neither sheds nor meets a diagonal")
                 uk = max(partners)
-                good = [S for S in peel.chord_sides(vk, uk) if region_ok(S)]
+                good = [S for S in peel.chord_sides(vk, uk, region_ok) if S is not None]
                 if len(good) != 1:
                     raise InvariantViolation(
                         f"diagonal ({vk},{uk}) has {len(good)} admissible sides"
@@ -420,9 +444,11 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                 stage_of[w] = label
                 yield w
             batches_del_order.append(frozenset(batch))
+            for region in regions:
+                region.difference_update(batch)
 
-    def stage1_ok(S) -> bool:
-        return all(row[w] > 1 and col[w] not in far_cols for w in S)
+    def stage1_ok(w) -> bool:
+        return row[w] > 1 and col[w] not in far_cols
 
     def stage1_cand(v) -> bool:
         return row[v] > 1 and peel.on_boundary(v)
@@ -465,8 +491,8 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
             stage2_blocks.append(frozenset(cols))
         t += 4
 
-    def stage2_ok(S) -> bool:
-        return all(row[w] > ell for w in S)
+    def stage2_ok(w) -> bool:
+        return row[w] > ell
 
     def stage2_cand(v) -> bool:
         return row[v] > 2 * ell

@@ -515,7 +515,9 @@ class PeelEngine:
             link.append(w)
         return tuple(link)
 
-    def chord_sides(self, v: int, u: int) -> tuple[set[int], set[int]]:
+    def chord_sides(
+        self, v: int, u: int, ok: Optional[Callable[[int], bool]] = None
+    ) -> tuple[Optional[set[int]], Optional[set[int]]]:
         """The vertices strictly on either side of the chord v u, an interior
         edge with both ends on the boundary: first the side that holds
         succ(v), then the side that holds pred(v).
@@ -533,14 +535,29 @@ class PeelEngine:
         triangulated disk a 2-vertex cut is always the pair of ends of a
         chord, so each side stays connected once the chord's ends are
         removed.
+
+        With a predicate ``ok``, a side is wanted only when every one of its
+        vertices passes: each flood stops at the first vertex that fails
+        ``ok`` and that side comes back as None.  A side is not None exactly
+        when all its vertices pass, and then it is the full side, so a
+        caller that keeps the sides passing ``ok`` everywhere reaches the
+        same verdict as one that tests each full side; the flood just does
+        not walk the rest of a side it has already ruled out.  Without
+        ``ok`` both sides are full sets.
         """
-        sides = []
+        nbrs = self.nbrs
+        sides: list[Optional[set[int]]] = []
         for start in (self.succ[v], self.pred[v]):
-            side = {start}
+            side: Optional[set[int]] = {start}
             stack = [start]
+            if ok is not None and not ok(start):
+                side, stack = None, []
             while stack:
-                for w in self.nbrs[stack.pop()]:
+                for w in nbrs[stack.pop()]:
                     if w not in side and w != v and w != u:
+                        if ok is not None and not ok(w):
+                            side, stack = None, []
+                            break
                         side.add(w)
                         stack.append(w)
             sides.append(side)

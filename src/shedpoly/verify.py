@@ -471,7 +471,9 @@ def check_grid_bounds(obj: Union[LiftedPolyhedron, Mapping[int, XY]], n: int) ->
     tau is griddiam.tau_profile of the lift's sequence over the disk it was
     peeled from.  In an OFF verify that disk is the surface disk parsed from
     these facets and peeled again along the document's order; for
-    ``lift --audit`` it is the input, whose triangles are the facets."""
+    ``lift --audit`` it is the input, whose triangles are the facets, and
+    the profile is the one the lift's own height assert already kept on the
+    sequence."""
     kind = "grid-bounds"
     if isinstance(obj, LiftedPolyhedron):
         pts = [(p.x, p.y) for p in obj.points.values()]

@@ -14,12 +14,15 @@ rounding, for the certificate tests to check, and the copy-on-delete peel
 step) that the mutable peel engine is compared with, and the face-dual
 split of a disk along a diagonal that the engine's chord flood is compared
 with, and an OFF verify that shares nothing between its certificates, for
-the verify that parses the surface disk once.
+the verify that parses the surface disk once, and the lattice grid
+generator with its search-and-remove flips, for the one that flips at the
+drawn rank.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from dataclasses import replace
 from itertools import permutations
@@ -31,6 +34,14 @@ from shedpoly import cli
 from shedpoly.embedding import PropertyViolation, UpperChain
 from shedpoly.exactgeom import Point2, Point3, floor_plane, orient2d, plane_through
 from shedpoly.fileio import ParseError, disk_from_facets, read_off, sequence_from_order
+from shedpoly.griddiam import (
+    BadParams,
+    GridTriangulation,
+    InvariantViolation,
+    _rect_boundary,
+    _vid,
+    _xy,
+)
 from shedpoly.lifting import LiftedPolyhedron
 from shedpoly.triangulation import (
     InvalidTriangulation,
@@ -778,6 +789,91 @@ def shedding_sequence_reference(G: PlaneTriangulation, u: int, v: int) -> Sheddi
     peel.run(greedy())
     (w3,) = [w for w in peel.H.vertices if w != u and w != v]
     return peel.sequence((u, v, w3))
+
+
+# -- the lattice grid generator (reference for griddiam.gen_grid_triangulation) --
+
+
+def gen_grid_triangulation_reference(p: int, q: int, ell: int, seed: int = 0) -> GridTriangulation:
+    """Random triangulation of the p x q lattice with edges inside ell x ell:
+    griddiam.gen_grid_triangulation as it was before it flipped at the drawn
+    rank, kept with its tris set, its per-face rotations and its
+    search-and-remove on the sorted interior edge list.
+
+    Each unit cell gets a random diagonal; for ell > 2 roughly 10*p*q random
+    edge flips then inject longer edges (a flip is applied only when the
+    surrounding quadrilateral is strictly convex and the new edge still fits
+    an ell x ell subgrid).  Deterministic for a fixed seed.
+    """
+    if not 2 <= ell <= min(p, q):
+        raise BadParams(f"need 2 <= ell <= min(p, q), got ell={ell}, p={p}, q={q}")
+    rng = random.Random(seed)
+    coords = {v: _xy(p, v) for v in range(p * q)}
+    tris: set[tuple[int, int, int]] = set()
+    third: dict[tuple[int, int], int] = {}
+
+    def add(t: tuple[int, int, int]) -> None:
+        t = rot_min_first(t)
+        tris.add(t)
+        a, b, c = t
+        third[(a, b)] = c
+        third[(b, c)] = a
+        third[(c, a)] = b
+
+    def drop(t: tuple[int, int, int]) -> None:
+        t = rot_min_first(t)
+        tris.remove(t)
+        a, b, c = t
+        del third[(a, b)], third[(b, c)], third[(c, a)]
+
+    for cy in range(1, q):
+        for cx in range(1, p):
+            a, b = _vid(p, cx, cy), _vid(p, cx + 1, cy)
+            c, d = _vid(p, cx + 1, cy + 1), _vid(p, cx, cy + 1)
+            if rng.random() < 0.5:
+                add((a, b, c))
+                add((a, c, d))
+            else:
+                add((a, b, d))
+                add((b, c, d))
+
+    if ell > 2:
+        from bisect import insort
+
+        interior = sorted({edge_key(*k) for k in third if (k[1], k[0]) in third})
+        pt = {v: Point2(*xy) for v, xy in coords.items()}
+        for _ in range(10 * p * q):
+            u, v = interior[rng.randrange(len(interior))]
+            c = third[(u, v)]
+            d = third[(v, u)]
+            nk = edge_key(c, d)
+            cx_, cy_ = coords[c]
+            dx_, dy_ = coords[d]
+            if abs(cx_ - dx_) > ell - 1 or abs(cy_ - dy_) > ell - 1:
+                continue
+            if nk in third or (nk[1], nk[0]) in third:
+                continue
+            if orient2d(pt[c], pt[d], pt[u]) * orient2d(pt[c], pt[d], pt[v]) >= 0:
+                continue
+            if orient2d(pt[u], pt[v], pt[c]) * orient2d(pt[u], pt[v], pt[d]) >= 0:
+                continue
+            drop((u, v, c))
+            drop((v, u, d))
+            add((c, u, d))
+            add((d, v, c))
+            interior.remove((u, v))
+            insort(interior, nk)
+
+    T = PlaneTriangulation(
+        range(p * q),
+        sorted(tris),
+        _rect_boundary(p, q),
+        coords,
+    )
+    errs = validate(T)
+    if errs:
+        raise InvariantViolation(f"generated grid invalid: {errs[0]}")
+    return GridTriangulation(p, q, ell, T)
 
 
 # -- diagonals and regions (reference for PeelEngine.chord_sides) ----------------

@@ -310,6 +310,33 @@ def test_verify_derives_each_fact_of_a_lift_once(monkeypatch, label):
     assert sorted(neighbour_sets) == [3, len(points)]
 
 
+@pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
+def test_lift_audit_takes_its_depths_in_one_pass(monkeypatch, label):
+    # the lift's height assert and check_grid_bounds read one depth profile,
+    # kept on the sequence; plain lift makes that same one pass
+    if label == "stacked-160":
+        doc = run(["gen-stacked", "160", "--seed", "0"])[1]
+    else:
+        doc = write_triangulation(
+            PlaneTriangulation(range(200), [(0, i, i + 1) for i in range(1, 199)], range(200))
+        )
+    n = read_triangulation(doc).G.n
+    profiled = []
+    real_profile = griddiam._profile
+
+    def count_profile(G, order):
+        profiled.append(G.n)
+        return real_profile(G, order)
+
+    monkeypatch.setattr(griddiam, "_profile", count_profile)
+    code, _, err = run(["lift", "--audit"], doc)
+    assert code == EXIT_OK and err.count("PASS ") == 3, err
+    assert profiled == [n]
+    profiled.clear()
+    assert run(["lift"], doc)[0] == EXIT_OK
+    assert profiled == [n]
+
+
 def test_embed_at_n_2000():
     # size smoke test: the fan is all boundary (tau = n, long links at the
     # apex), the stacked disk is all interior; embed runs its per-step audit

@@ -204,6 +204,17 @@ def test_cli_outputs_match_golden_digests():
     assert not changed, f"CLI output changed for: {changed}"
 
 
+# sha256 of the stdout of gen-grid 64 64 3 --seed 1, taken before the
+# generator flipped at the drawn rank and the chord floods stopped early
+GEN_GRID_64_DIGEST = "402bbc47ed6c6d19d00dbb71f2866b52b05c18c0ba3e1ad3d1d4be7126eb9504"
+
+
+def test_gen_grid_64x64_matches_its_pinned_digest():
+    code, out, _ = run(["gen-grid", "64", "64", "3", "--seed", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_GRID_64_DIGEST
+
+
 BENCH_GOLDEN: dict[str, str] = {
     "bench --max-n 30": "16f9b8a57b549a708d53ee61305885698954138c4695b842e5e6ae34adabe85b",
     "bench --max-n 30 --seed 3": "f32d92ef55720a384693b21f1c7298400845c527bf45684d0e3da5315d36b2c0",

@@ -152,6 +152,28 @@ def test_gen_grid_bad_params():
         uniform_grid_triangulation(1, 5)
 
 
+# (p, q, ell, seed): ell = 2 draws the cell diagonals only, ell > 2 flips too
+REFERENCE_CASES = [
+    (p, q, ell, seed)
+    for p in range(4, 12)
+    for q in (p, p + 2)
+    for ell in (2, 3, 4)
+    for seed in range(3)
+]
+
+
+def test_gen_grid_matches_the_reference_generator():
+    # flipping at the drawn rank, with the face map as the only record of the
+    # faces, must draw the same numbers and so build the same triangulation
+    assert len(REFERENCE_CASES) == 144
+    for p, q, ell, seed in REFERENCE_CASES:
+        got = gen_grid_triangulation(p, q, ell, seed).T
+        want = oracles.gen_grid_triangulation_reference(p, q, ell, seed).T
+        assert got.triangles == want.triangles, (p, q, ell, seed)
+        assert got.boundary == want.boundary, (p, q, ell, seed)
+        assert got.coords == want.coords, (p, q, ell, seed)
+
+
 def test_uniform_grid():
     gt = uniform_grid_triangulation(4, 3)
     assert not validate(gt.T)
@@ -282,6 +304,32 @@ def test_grid_shedding_snapshots_only_the_final_triangle(monkeypatch):
     monkeypatch.setattr(tri.PeelEngine, "snapshot", counting)
     grid_shedding(gen_grid_triangulation(32, 32, 3, seed=1))
     assert calls[0] == 1
+
+
+def test_grid_shedding_chord_floods_stop_at_the_first_inadmissible_vertex(monkeypatch):
+    # every vertex a chord flood pops reads its neighbour set once; floods
+    # that cover each whole side pop 63,138 vertices on this grid
+    import shedpoly.triangulation as tri
+
+    popped = [0]
+    real = tri.PeelEngine.chord_sides
+
+    class CountedReads(dict):
+        def __getitem__(self, x):
+            popped[0] += 1
+            return dict.__getitem__(self, x)
+
+    def counting(self, *args):
+        nbrs = self.nbrs
+        self.nbrs = CountedReads(nbrs)
+        try:
+            return real(self, *args)
+        finally:
+            self.nbrs = nbrs
+
+    monkeypatch.setattr(tri.PeelEngine, "chord_sides", counting)
+    grid_shedding(gen_grid_triangulation(32, 32, 3, seed=1))
+    assert 0 < popped[0] <= 10_000, popped[0]
 
 
 def test_grid_shedding_refuses_a_disk_that_is_not_its_lattice():

@@ -403,10 +403,14 @@ def peel_part_way(G, steps, seed):
     return peel
 
 
-def assert_chord_sides_match_the_dual_split(peel) -> int:
+def assert_chord_sides_match_the_dual_split(peel, bad=None) -> int:
     """Every diagonal of the current prefix splits the same way under the
     engine's vertex flood and the oracle's face flood; returns how many
-    diagonals there were."""
+    diagonals there were.
+
+    With a set ``bad`` of inadmissible vertices, the flood under the
+    predicate "not in bad" must also return each side that avoids bad as
+    the full dual-split side, and every other side as None."""
     H = peel.snapshot()
     diags = oracles.diagonals(H)
     for u, v in diags:
@@ -414,6 +418,10 @@ def assert_chord_sides_match_the_dual_split(peel) -> int:
         # the left of u -> v is bounded by the arc v, succ(v), ..., pred(u)
         assert peel.chord_sides(u, v) == (right, left), (u, v)
         assert peel.chord_sides(v, u) == (left, right), (u, v)
+        if bad is not None:
+            left, right = (None if side & bad else side for side in (left, right))
+            assert peel.chord_sides(u, v, lambda w: w not in bad) == (right, left), (u, v)
+            assert peel.chord_sides(v, u, lambda w: w not in bad) == (left, right), (u, v)
     return len(diags)
 
 
@@ -424,7 +432,9 @@ def test_chord_sides_square_and_part_way_peels():
     seen = 0
     for G in (gen_grid_triangulation(12, 12, 3, 0).T, gen_stacked(60, 4), polygon_disk(12, 20, 3)):
         for steps in (0, G.n // 4, G.n // 2, G.n - 4):
-            seen += assert_chord_sides_match_the_dual_split(peel_part_way(G, steps, steps))
+            peel = peel_part_way(G, steps, steps)
+            bad = frozenset(sorted(peel.vertices)[steps % 7 :: 11])
+            seen += assert_chord_sides_match_the_dual_split(peel, bad)
     assert seen > 100
 
 
@@ -452,6 +462,25 @@ def test_chord_sides_match_the_dual_split_on_stacked_disks(n, seed, percent):
     G = gen_stacked(n, seed)
     peel = peel_part_way(G, percent * (G.n - 3) // 100, seed)
     assert_chord_sides_match_the_dual_split(peel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=st.booleans(),
+    n=st.integers(5, 14),
+    seed=st.integers(0, 10**6),
+    percent=st.integers(0, 100),
+    nbad=st.integers(0, 4),
+)
+def test_chord_sides_under_a_predicate_drop_exactly_the_rejected_sides(
+    grid, n, seed, percent, nbad
+):
+    # a side comes back whole when all its vertices pass, else as None
+    G = gen_grid_triangulation(n, n, 3, seed).T if grid else gen_stacked(8 * n, seed)
+    peel = peel_part_way(G, percent * (G.n - 3) // 100, seed)
+    live = sorted(peel.vertices)
+    bad = frozenset(random.Random(seed).sample(live, min(nbad, len(live))))
+    assert_chord_sides_match_the_dual_split(peel, bad)
 
 
 # -- work counts: a peel is linear in n -------------------------------------------
