@@ -22,7 +22,11 @@ orientation and cycle heads it derives from them; it deletes no vertex.
 Left and right are read off the boundary-cycle orientation, never from
 vertex labels, so the only normalization ever needed is mirroring the
 instance when its contracted tree is left-heavy (and negating x afterward).
-The mirrored sequence is the same history with every link reversed.
+The mirrored sequence is the same history with every link reversed, and its
+reduction is the same reduction with left and right exchanged
+(ReducedStructure.mirrored): the drawing mirrors the reduction, not rebuilds
+it.  It still draws in the mirrored frame, because the floor and ceil of the
+placement rules are not symmetric under x -> -x.
 """
 
 from __future__ import annotations
@@ -356,17 +360,19 @@ def grid_embed(
     The first failure is therefore the one a full scan of G_i's boundary
     would report.  A link that is not a run of the tracked chain raises
     PropertyViolation(i, "correspondence").
+
+    The trees are built and reduced once, over G.  When the contracted tree
+    is left-heavy (m > m'), the drawing runs over a.mirrored() with the
+    mirrored reduction, rs.mirrored(): mirror the reduction, not rebuild
+    it.  The frame stays mirrored, since rounding by floor and ceil is not
+    symmetric under x -> -x; x is negated at the end.
     """
     n = G.n
     rs = reduce_trees(build_shedding_trees(G, a), a)
     m, mp = rs.internal_counts()
     mirrored = m > mp
-    # the sequence in the construction frame: over mirror(G) when mirrored
-    work = a.mirrored() if mirrored else a
-    if mirrored:
-        rs = reduce_trees(build_shedding_trees(work.G, work), work)
-        m, mp = rs.internal_counts()
-        assert m <= mp
+    # the sequence and its reduction in the construction frame
+    work, rs = (a.mirrored(), rs.mirrored()) if mirrored else (a, rs)
     rt = build_reduced_triangulation(rs)
     tpl = make_template(rt, n)
     zmap = {key: rt.psi[rs.rep[key]] for key in rs.store.by_key}

@@ -121,6 +121,33 @@ class ReducedStructure:
         root_rank = order.index(self.store.root.key)
         return root_rank, len(order) - 1 - root_rank
 
+    def mirrored(self) -> "ReducedStructure":
+        """The reduction of a.mirrored(), read off this reduction of a.
+
+        The mirrored sequence keeps the order and reverses every link, the
+        base link base_lr included.  Reversing w_1..w_k exchanges the roles
+        of (w_1, w_2) and (w_{k-1}, w_k), so build_shedding_trees hangs the
+        same undirected key a_i w_k under the same parent w_{k-1} w_k, now
+        as a left child, and a_i w_1 under w_1 w_2 as a right child: the
+        same nodes, steps and parents, with left and right exchanged.  R,
+        rho and h depend only on the step degrees, which are link sizes;
+        rep depends only on steps and parents.  So they are shared, each
+        pairs[q] = (p, l, r) becomes (p, r, l), and the in-order of the
+        contracted tree, left and right exchanged at every node, is this
+        one reversed; it is handed over, not traversed again.  Every
+        hypothesis check of reduce_trees reads the same facts, so it holds
+        for the mirror exactly when it held here.
+
+        The store is shared and keeps its unswapped child links and
+        ``created`` pairs.  Nothing downstream reads them: past
+        reduce_trees, the library reads only store.n, store.root.key and
+        the keys of store.by_key, which the mirror leaves as they are.
+        """
+        pairs = {q: (p, r, l) for q, (p, l, r) in self.pairs.items()}
+        out = ReducedStructure(self.store, self.R, self.rho, self.h, self.rep, pairs)
+        out.__dict__["internal_inorder"] = self.internal_inorder[::-1]
+        return out
+
     @cached_property
     def internal_inorder(self) -> list[EdgeKey]:
         """Keys of internal nodes of T*_n, in in-order (left subtree, node,

@@ -174,6 +174,12 @@ def validate(G: PlaneTriangulation) -> list[Violation]:
     of faces around every vertex, and connectivity.  Together these certify
     that the complex is a triangulated disk with the declared boundary.
 
+    The checks read G's own cached maps, G.third(), G.boundary_succ(),
+    G.boundary_pred() and G.adjacency(), and build no map of their own, so
+    a peel of G that follows copies the face map validate already built.
+    The face map is built only once the faces are known to be well formed
+    and distinct.
+
     The verdict is a pure function of the frozen value G, so the checks run
     once per instance (_validate) and every call returns a fresh list equal
     to the first one.
@@ -204,47 +210,44 @@ def _validate(G: PlaneTriangulation) -> list[Violation]:
         out.append(Violation("bad-face", "duplicate face"))
         return out
 
-    directed: dict[tuple[int, int], int] = {}
-    for a, b, c in G.triangles:
-        for e in ((a, b), (b, c), (c, a)):
-            if e in directed:
-                out.append(Violation("orientation", f"directed edge {e} in two triangles"))
-                return out
-            directed[e] = 1
+    third = G.third()
+    if len(third) < 3 * len(G.triangles):
+        # a directed edge of two triangles; name the first one met
+        met: set[tuple[int, int]] = set()
+        for a, b, c in G.triangles:
+            for e in ((a, b), (b, c), (c, a)):
+                if e in met:
+                    out.append(Violation("orientation", f"directed edge {e} in two triangles"))
+                    return out
+                met.add(e)
 
     cyc = G.boundary
     b = len(cyc)
     if b < 3 or len(set(cyc)) != b or not set(cyc) <= verts:
         out.append(Violation("bad-boundary", f"boundary cycle {cyc} not simple"))
         return out
-    for i in range(b):
-        u, v = cyc[i], cyc[(i + 1) % b]
-        if (u, v) not in directed:
+    bsucc, bpred = G.boundary_succ(), G.boundary_pred()
+    for u, v in bsucc.items():
+        if (u, v) not in third:
             out.append(
                 Violation("bad-boundary", f"boundary step {u}->{v} not a ccw triangle edge")
             )
             return out
-        if (v, u) in directed:
+        if (v, u) in third:
             out.append(
                 Violation("bad-boundary", f"boundary edge {u}-{v} has triangles on both sides")
             )
             return out
 
-    # undirected edge census: boundary edges border 1 triangle, interior 2
-    und: dict[tuple[int, int], int] = {}
-    for e in directed:
-        k = edge_key(*e)
-        und[k] = und.get(k, 0) + 1
-    bedges = {edge_key(cyc[i], cyc[(i + 1) % b]) for i in range(b)}
-    for e, cnt in und.items():
-        if e in bedges:
-            if cnt != 1:
-                out.append(Violation("bad-boundary", f"boundary edge {e} in {cnt} triangles"))
-                return out
-        elif cnt != 2:
-            out.append(Violation("open-edge", f"interior edge {e} in {cnt} triangle(s)"))
+    # edge census: every boundary edge now borders exactly one triangle, so
+    # an edge in one triangle that is not a boundary step is an open edge
+    for u, v in third:
+        if (v, u) not in third and bsucc.get(u) != v:
+            out.append(Violation("open-edge", f"interior edge {edge_key(u, v)} in 1 triangle(s)"))
             return out
 
+    # with every interior edge in two triangles, #e = (3 #t + b) / 2, so
+    # #t = 2n - b - 2 gives #e = 3n - b - 3
     if len(G.triangles) != 2 * n - b - 2:
         out.append(
             Violation(
@@ -252,32 +255,21 @@ def _validate(G: PlaneTriangulation) -> list[Violation]:
             )
         )
         return out
-    if len(und) != 3 * n - b - 3:
-        out.append(Violation("euler", f"#edges={len(und)} != 3n-b-3={3 * n - b - 3}"))
-        return out
 
-    # single fan (boundary vertex) / single cycle (interior vertex) of faces
-    succ_at: dict[int, dict[int, int]] = {v: {} for v in verts}
-    for a2, b2, c2 in G.triangles:
-        succ_at[a2][b2] = c2
-        succ_at[b2][c2] = a2
-        succ_at[c2][a2] = b2
-    bset = set(cyc)
-    bsucc = {cyc[i]: cyc[(i + 1) % b] for i in range(b)}
-    bpred = {v: u for u, v in bsucc.items()}
+    # single fan (boundary vertex) / single cycle (interior vertex) of faces:
+    # around v, the face on (v, w) turns w into third[(v, w)]
     adj = G.adjacency()
     for v in G.vertices:
         nbrs = adj[v]
         if not nbrs:
             out.append(Violation("disconnected", f"isolated vertex {v}"))
             return out
-        rot = succ_at[v]
-        if v in bset:
+        if v in bsucc:
             start, stop = bsucc[v], bpred[v]
             seen = {start}
             w = start
             while w != stop:
-                w = rot.get(w, -1)
+                w = third.get((v, w), -1)
                 if w < 0 or w in seen:
                     out.append(Violation("pinched-vertex", f"faces at {v} are not a single fan"))
                     return out
@@ -288,12 +280,12 @@ def _validate(G: PlaneTriangulation) -> list[Violation]:
         else:
             start = next(iter(nbrs))
             seen = {start}
-            w = rot.get(start, -1)
+            w = third.get((v, start), -1)
             while w >= 0 and w != start:
                 if w in seen:
                     break
                 seen.add(w)
-                w = rot.get(w, -1)
+                w = third.get((v, w), -1)
             if w != start or seen != nbrs:
                 out.append(
                     Violation("pinched-vertex", f"faces at interior {v} are not a single cycle")

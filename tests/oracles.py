@@ -16,7 +16,8 @@ split of a disk along a diagonal that the engine's chord flood is compared
 with, and an OFF verify that shares nothing between its certificates, for
 the verify that parses the surface disk once, and the lattice grid
 generator with its search-and-remove flips, for the one that flips at the
-drawn rank.
+drawn rank, and the disk validator that builds its own maps and edge
+census, for the one that reads the disk's cached face map.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from shedpoly.triangulation import (
     NoSheddingVertex,
     PlaneTriangulation,
     SheddingSequence,
+    Violation,
     deletion_trace,
     edge_key,
     mirror,
@@ -642,6 +644,151 @@ def rational_embed(
         if audit and chain.first_fault(ai, coords) is not None:
             raise EmptyRegion(f"step {i}: prefix chain lost strict convexity")
     return coords
+
+
+# -- the disk validator (reference for triangulation.validate) -----------------
+
+
+def validate_reference(G: PlaneTriangulation) -> list[Violation]:
+    """triangulation._validate as it was before it read G's cached maps:
+    it builds its own directed-edge set, per-vertex rotations, boundary
+    successor and predecessor maps and an undirected edge census, and runs
+    every census and Euler check in full.  validate must return exactly
+    this list, code and detail, on every input."""
+    out: list[Violation] = []
+    verts = set(G.vertices)
+    n = len(verts)
+    if len(G.vertices) != len(set(G.vertices)):
+        out.append(Violation("bad-vertices", "duplicate vertex ids"))
+        return out
+    if n < 3:
+        out.append(Violation("too-small", f"n={n} < 3"))
+        return out
+
+    for t in G.triangles:
+        if len(set(t)) != 3 or not set(t) <= verts:
+            out.append(Violation("bad-face", f"triangle {t} malformed"))
+            return out
+    face_sets = [frozenset(t) for t in G.triangles]
+    if len(set(face_sets)) != len(face_sets):
+        out.append(Violation("bad-face", "duplicate face"))
+        return out
+
+    directed: dict[tuple[int, int], int] = {}
+    for a, b, c in G.triangles:
+        for e in ((a, b), (b, c), (c, a)):
+            if e in directed:
+                out.append(Violation("orientation", f"directed edge {e} in two triangles"))
+                return out
+            directed[e] = 1
+
+    cyc = G.boundary
+    b = len(cyc)
+    if b < 3 or len(set(cyc)) != b or not set(cyc) <= verts:
+        out.append(Violation("bad-boundary", f"boundary cycle {cyc} not simple"))
+        return out
+    for i in range(b):
+        u, v = cyc[i], cyc[(i + 1) % b]
+        if (u, v) not in directed:
+            out.append(
+                Violation("bad-boundary", f"boundary step {u}->{v} not a ccw triangle edge")
+            )
+            return out
+        if (v, u) in directed:
+            out.append(
+                Violation("bad-boundary", f"boundary edge {u}-{v} has triangles on both sides")
+            )
+            return out
+
+    # undirected edge census: boundary edges border 1 triangle, interior 2
+    und: dict[tuple[int, int], int] = {}
+    for e in directed:
+        k = edge_key(*e)
+        und[k] = und.get(k, 0) + 1
+    bedges = {edge_key(cyc[i], cyc[(i + 1) % b]) for i in range(b)}
+    for e, cnt in und.items():
+        if e in bedges:
+            if cnt != 1:
+                out.append(Violation("bad-boundary", f"boundary edge {e} in {cnt} triangles"))
+                return out
+        elif cnt != 2:
+            out.append(Violation("open-edge", f"interior edge {e} in {cnt} triangle(s)"))
+            return out
+
+    if len(G.triangles) != 2 * n - b - 2:
+        out.append(
+            Violation(
+                "euler", f"#triangles={len(G.triangles)} != 2n-b-2={2 * n - b - 2}"
+            )
+        )
+        return out
+    if len(und) != 3 * n - b - 3:
+        out.append(Violation("euler", f"#edges={len(und)} != 3n-b-3={3 * n - b - 3}"))
+        return out
+
+    # single fan (boundary vertex) / single cycle (interior vertex) of faces
+    succ_at: dict[int, dict[int, int]] = {v: {} for v in verts}
+    for a2, b2, c2 in G.triangles:
+        succ_at[a2][b2] = c2
+        succ_at[b2][c2] = a2
+        succ_at[c2][a2] = b2
+    bset = set(cyc)
+    bsucc = {cyc[i]: cyc[(i + 1) % b] for i in range(b)}
+    bpred = {v: u for u, v in bsucc.items()}
+    adj = G.adjacency()
+    for v in G.vertices:
+        nbrs = adj[v]
+        if not nbrs:
+            out.append(Violation("disconnected", f"isolated vertex {v}"))
+            return out
+        rot = succ_at[v]
+        if v in bset:
+            start, stop = bsucc[v], bpred[v]
+            seen = {start}
+            w = start
+            while w != stop:
+                w = rot.get(w, -1)
+                if w < 0 or w in seen:
+                    out.append(Violation("pinched-vertex", f"faces at {v} are not a single fan"))
+                    return out
+                seen.add(w)
+            if seen != nbrs:
+                out.append(Violation("pinched-vertex", f"fan at {v} misses neighbors"))
+                return out
+        else:
+            start = next(iter(nbrs))
+            seen = {start}
+            w = rot.get(start, -1)
+            while w >= 0 and w != start:
+                if w in seen:
+                    break
+                seen.add(w)
+                w = rot.get(w, -1)
+            if w != start or seen != nbrs:
+                out.append(
+                    Violation("pinched-vertex", f"faces at interior {v} are not a single cycle")
+                )
+                return out
+
+    # connectivity (the fan conditions make this almost redundant, but cheap)
+    stack = [G.vertices[0]]
+    reached = {G.vertices[0]}
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if reached != verts:
+        out.append(Violation("disconnected", f"{len(verts) - len(reached)} vertices unreachable"))
+        return out
+
+    if G.coords is not None:
+        missing = verts - set(G.coords)
+        if missing:
+            out.append(Violation("bad-coords", f"coords missing for {sorted(missing)[:5]}"))
+            return out
+
+    return out
 
 
 # -- the copy-on-delete peel (reference for triangulation.PeelEngine) ----------

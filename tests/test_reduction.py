@@ -5,10 +5,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from shedpoly import embedding
 from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
 from shedpoly.embedding import grid_embed
+from shedpoly.griddiam import gen_grid_triangulation
 from shedpoly.reduction import (
     MalformedTreeSequence,
     ReducedStructure,
@@ -25,6 +29,7 @@ from shedpoly.triangulation import (
     shedding_sequence,
     validate,
 )
+from test_triangulation import base_disk, fan
 
 
 def seq_of(G):
@@ -250,7 +255,8 @@ def test_template_tree_isomorphism():
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
 def test_one_inorder_traversal_per_reduced_structure(monkeypatch, label):
     # grid_embed reads m, m' and the template's x ranks off one in-order
-    # traversal of each reduction it builds (two when it mirrors)
+    # traversal; when it mirrors, the mirrored reduction takes that in-order
+    # reversed instead of traversing again
     if label == "stacked-160":
         G = gen_stacked(160, 0)
     else:
@@ -266,8 +272,7 @@ def test_one_inorder_traversal_per_reduced_structure(monkeypatch, label):
     counted.__set_name__(ReducedStructure, "internal_inorder")
     monkeypatch.setattr(ReducedStructure, "internal_inorder", counted)
     emb = grid_embed(G, seq_of(G))
-    assert len(traversals) == 1 + emb.mirrored
-    assert len(set(traversals)) == len(traversals)
+    assert len(traversals) == 1
     assert emb.mirrored == (label == "fan-200")
 
 
@@ -307,3 +312,71 @@ def test_long_fan_trees_without_recursion():
     flat = _preorder(oracles.tree_shape(T))
     assert flat.count(1) == oracles.node_count(T)
     assert _preorder(oracles.reduced_shape(rs, n)) == flat
+
+
+# -- the mirrored reduction ------------------------------------------------------
+
+
+def assert_mirror_matches_a_fresh_reduction(a) -> bool:
+    """rs.mirrored() equals the reduction built over a.mirrored() from
+    scratch, field by field; returns whether a is left-heavy (m > m'),
+    the case grid_embed mirrors."""
+    rs = reduce_trees(build_shedding_trees(a.G, a), a)
+    w = a.mirrored()
+    fresh = reduce_trees(build_shedding_trees(w.G, w), w)
+    got = rs.mirrored()
+    assert got.store is rs.store
+    for name in ("R", "rho", "h", "rep", "pairs", "internal_inorder"):
+        assert getattr(got, name) == getattr(fresh, name), name
+    m, mp = rs.internal_counts()
+    assert got.internal_counts() == fresh.internal_counts() == (mp, m)
+    return m > mp
+
+
+def test_mirrored_reduction_matches_a_fresh_one_on_the_acceptance_corpus():
+    from test_acceptance import corpus
+
+    heavy = [assert_mirror_matches_a_fresh_reduction(item.a) for item in corpus()]
+    assert any(heavy) and not all(heavy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder", "polygon", "grid")),
+    size=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    edge=st.integers(0, 10**6),
+    flip=st.booleans(),
+)
+def test_mirrored_reduction_matches_a_fresh_one_on_random_disks(shape, size, seed, edge, flip):
+    if shape == "grid":
+        G = gen_grid_triangulation(12, 12, 2 + seed % 2, seed).T
+    else:
+        G = base_disk(shape, size, seed)
+    b = G.boundary
+    u, v = b[edge % len(b)], b[(edge + 1) % len(b)]
+    if flip:
+        u, v = v, u
+    assert_mirror_matches_a_fresh_reduction(shedding_sequence(G, u, v))
+
+
+@pytest.mark.parametrize("label", ["stacked-160-s1", "fan-200"])
+def test_grid_embed_builds_and_reduces_the_trees_once(monkeypatch, label):
+    if label == "fan-200":
+        G = fan(200)
+    else:
+        G = gen_stacked(160, 1)
+    calls = {"build": 0, "reduce": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(embedding, "build_shedding_trees", counted("build", build_shedding_trees))
+    monkeypatch.setattr(embedding, "reduce_trees", counted("reduce", reduce_trees))
+    emb = grid_embed(G, seq_of(G))
+    assert emb.mirrored
+    assert calls == {"build": 1, "reduce": 1}

@@ -29,6 +29,7 @@ from shedpoly.triangulation import (
     NoSheddingVertex,
     PeelEngine,
     PlaneTriangulation,
+    Violation,
     deletion_trace,
     mirror,
     peel_order,
@@ -512,3 +513,138 @@ def test_greedy_peel_work_grows_linearly(monkeypatch):
     for small, large in ((fan(1100), fan(2200)), (gen_stacked(500, 0), gen_stacked(1000, 0))):
         (t1, w1), (t2, w2) = work(small), work(large)
         assert t2 <= 2.5 * t1 and w2 <= 2.5 * w1, (small, t1, t2, w1, w2)
+
+
+# -- validate against the reference, and the maps it leaves behind -----------------
+
+
+def torus7(ids):
+    """The 7-vertex torus, on ids[0..6]: a closed, oriented surface with
+    #t = 2n and #e = 3n, so adding it on fresh ids keeps #t = 2n - b - 2."""
+    return [tuple(ids[(i + d) % 7] for d in f) for i in range(7) for f in ((0, 1, 3), (0, 3, 2))]
+
+
+def tetrahedron(ids):
+    """The boundary of a tetrahedron on ids[0..3], oriented."""
+    a, b, c, d = ids
+    return [(a, b, c), (a, c, d), (a, d, b), (b, d, c)]
+
+
+MUTATIONS = (
+    "drop", "duplicate", "reverse", "relabel", "rotate-boundary", "reverse-boundary",
+    "disjoint-triangle", "closed-tetrahedron", "closed-torus", "pinch",
+)
+
+
+def mutate(G, kind, r):
+    """G with one defect of the given kind, placed by the random source r:
+    a triangle dropped, duplicated, reversed or with one corner relabelled
+    (possibly to an id outside the disk); the boundary rotated or reversed;
+    a disjoint triangle or a closed surface added on fresh ids; or a
+    tetrahedron and a 7-vertex torus each glued at one vertex of G, which
+    pinches their fans at those vertices while keeping #t = 2n - b - 2."""
+    verts, tris, cyc = list(G.vertices), list(G.triangles), list(G.boundary)
+    fresh = list(range(max(verts) + 1, max(verts) + 10))
+    if not tris and kind in MUTATIONS[:4]:
+        return G
+    j = r.randrange(len(tris)) if tris else 0
+    if kind == "drop":
+        del tris[j]
+    elif kind == "duplicate":
+        tris.insert(r.randrange(len(tris) + 1), tris[j][1:] + tris[j][:1])
+    elif kind == "reverse":
+        a, b, c = tris[j]
+        tris[j] = (a, c, b)
+    elif kind == "relabel":
+        t = list(tris[j])
+        t[r.randrange(3)] = r.choice(verts + fresh[:1])
+        tris[j] = tuple(t)
+    elif kind == "rotate-boundary":
+        k = r.randrange(len(cyc))
+        cyc = cyc[k:] + cyc[:k]
+    elif kind == "reverse-boundary":
+        cyc.reverse()
+    elif kind == "disjoint-triangle":
+        verts += fresh[:3]
+        tris.append(tuple(fresh[:3]))
+    elif kind == "closed-tetrahedron":
+        verts += fresh[:4]
+        tris += tetrahedron(fresh[:4])
+    elif kind == "closed-torus":
+        verts += fresh[:7]
+        tris += torus7(fresh[:7])
+    else:
+        # sphere glued at v (chi + 1) and torus glued at u (chi - 1)
+        v, u = r.choice(verts), r.choice(verts)
+        verts += fresh
+        tris += tetrahedron([v] + fresh[:3]) + torus7([u] + fresh[3:])
+    return PlaneTriangulation(verts, tris, cyc)
+
+
+def base_disk(shape, size, seed):
+    if shape == "stacked":
+        return gen_stacked(size, seed)
+    if shape == "fan":
+        return fan(size)
+    if shape == "ladder":
+        return ladder(max(2, size // 2))
+    b = 3 + seed % (size - 2)
+    return relabel(polygon_disk(b, size - b, seed), seed)
+
+
+def assert_validate_matches_reference(G):
+    got = validate(G)
+    assert got == oracles.validate_reference(G), G
+    assert all(type(v) is Violation for v in got)
+    return got
+
+
+def test_validate_matches_the_reference_on_every_mutation():
+    # each mutation on each disk, several placements; the corpus as a whole
+    # must reach every check that a triangle list with distinct ids can fail
+    codes = set()
+    for shape in ("stacked", "fan", "ladder", "polygon"):
+        for size in (3, 4, 9, 24):
+            G = base_disk(shape, size, size)
+            assert assert_validate_matches_reference(G) == []
+            for kind in MUTATIONS:
+                for seed in range(4):
+                    H = mutate(G, kind, random.Random(seed))
+                    codes.update(v.code for v in assert_validate_matches_reference(H))
+    for H in (
+        two_triangles_pinched(),
+        PlaneTriangulation(range(2), [], (0, 1)),
+        PlaneTriangulation([0, 0, 1, 2], [(0, 1, 2)], (0, 1, 2)),
+        PlaneTriangulation(range(3), [(0, 1, 2)], (0, 1, 2), {0: (0, 0), 1: (1, 0)}),
+    ):
+        codes.update(v.code for v in assert_validate_matches_reference(H))
+    assert codes == {
+        "bad-vertices", "too-small", "bad-face", "orientation", "bad-boundary",
+        "open-edge", "euler", "pinched-vertex", "disconnected", "bad-coords",
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder", "polygon")),
+    size=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    kinds=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+)
+def test_validate_matches_the_reference_on_random_disks_and_mutations(shape, size, seed, kinds):
+    G = base_disk(shape, size, seed)
+    r = random.Random(seed)
+    for kind in kinds:
+        G = mutate(G, kind, r)
+    assert_validate_matches_reference(G)
+
+
+def test_validate_leaves_the_face_map_that_the_peel_engine_copies():
+    G = gen_stacked(40, 3)
+    assert G._third is None and G._adj is None
+    assert validate(G) == []
+    third, adj = G._third, G._adj
+    assert third is not None and adj is not None
+    engine = PeelEngine(G)
+    assert G._third is third and G._adj is adj
+    assert engine.third == third and engine.third is not third
