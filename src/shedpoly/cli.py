@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from typing import Optional, Sequence
 
 from .corpus import gen_stacked
@@ -374,7 +375,12 @@ def _add_input(sub) -> None:
                      help="input file, or - for stdin (default)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every entry() call
+    reuses it (parse_args keeps no state between calls), so in-process
+    callers do not rebuild the nine-parser tree per command.  The one
+    instance is shared; callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="shedpoly",
         description="Plane triangulations to convex integer polyhedra, with certificates.",

@@ -51,6 +51,8 @@ class LiftedPolyhedron:
     truncation they are reoriented outward (see truncate_to_polytope) and
     ``truncated`` holds the closing top triangle.  ``m`` stores, per vertex,
     the largest height among its predecessors (the m_i of the height bound).
+    verify keeps its crease verdict in the instance's ``__dict__`` (see
+    verify._strict_creases), as the cached properties below keep theirs.
     """
 
     heights: dict[int, int]

@@ -405,10 +405,16 @@ class SheddingSequence:
 
     def mirrored(self) -> "SheddingSequence":
         """The same order over mirror(G).  Reflection reverses every link,
-        and nothing else changes."""
-        return SheddingSequence(
+        and nothing else changes.
+
+        mirror(G) reverses every face, so G_3's face a_1 a_2 a_3 runs the
+        other way and the mirror's base_lr is this one reversed; it is
+        handed over, so the mirror's face map is never built for it."""
+        out = SheddingSequence(
             mirror(self.G), self.order, tuple(link[::-1] for link in self.links)
         )
+        out.__dict__["base_lr"] = self.base_lr[::-1]
+        return out
 
 
 def _cycle_from(succ: Mapping[int, int], start: int) -> tuple[int, ...]:

@@ -17,14 +17,16 @@ drawing to be a plane embedding whose bounded faces are exactly the triangles.
 Fast proofs and the fallback rule.  Three certificates would otherwise check
 all pairs: the outer-cycle crossings of check_face_isomorphic, the
 vertex-facet pairs of lift_convex_globally, and every prefix boundary in
-cli._prefix_convexity.  Each first tries an O(n) proof that can only answer
-PASS:
+cli._prefix_convexity; a fourth, check_lift_convex, would build and sort an
+edge table.  Each first tries an O(n) proof that can only answer PASS:
 
 * check_face_isomorphic: G is a valid disk drawn with every face strictly
   ccw and a strictly convex outer cycle (_convex_disk_drawing).  A strictly
   convex polygon is simple.
-* lift_convex_globally: the same predicate on the projected surface facets,
-  a strict crease across every interior edge and, for a truncated lift,
+* check_lift_convex: the crease pass (_strict_creases) over the surface
+  disk's face map finds every shared facet edge a strict crease.
+* lift_convex_globally: the same drawing predicate on the projected
+  surface facets, the crease pass's verdict and, for a truncated lift,
   every other vertex strictly below the top facet (proof in its docstring).
 * cli._prefix_convexity: the upper-chain window walk of
   embedding.first_faulty_prefix over the verifier's own re-peel proves every
@@ -38,14 +40,16 @@ the proof covers skip them.
 Shared values.  An OFF verify (cli._verify_off) builds one
 LiftedPolyhedron and reads the surface disk off it (surface_disk, parsed
 and validated once per instance); that one value goes to every certificate
-that reads a disk: the lift proof, the shedding-order re-peel and
-check_face_isomorphic.  check_grid_bounds takes its depths from
+that reads a disk: the crease pass, the lift proof, the shedding-order
+re-peel and check_face_isomorphic.  check_grid_bounds takes its depths from
 griddiam.tau_profile over the re-peel's disk, which is that same disk, so
 it reads the neighbour sets validate() already built.  validate() keeps
 its verdict on the disk, the facet planes are computed once per
 LiftedPolyhedron (facet_planes) and read by check_lift_convex, the lift
-proof and the full scan, and _convex_disk_drawing keeps its verdict on the
-disk for the projection it was asked about.  This weakens no certificate: each of these is a pure
+proof and the full scans, _convex_disk_drawing keeps its verdict on the
+disk for the projection it was asked about, and the crease verdict is one
+fact per lift, kept on it and read by check_lift_convex and the lift
+proof.  This weakens no certificate: each of these is a pure
 function of an immutable parsed value, so computing it again from the same
 input could only give the same answer and adds no independence.  A
 certificate still checks everything it checked before; it no longer
@@ -55,7 +59,7 @@ recomputes a fact another one already derived from the same bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exactgeom import (
     DegenerateFace,
@@ -330,7 +334,28 @@ def check_lift_convex(P: LiftedPolyhedron) -> Certificate:
     For two facets meeting along an edge, each one's opposite vertex must lie
     strictly on the inner side of the other's plane.  Edges on only one facet
     (the untruncated surface's rim) are skipped.
+
+    Fast proof, PASS only: when the crease pass (_strict_creases, one
+    verdict per lift, shared with lift_convex_globally's proof) finds every
+    shared edge strictly convex, the certificate passes with the pass's edge
+    count.  Otherwise the full scan runs, reporting the first violation in
+    sorted edge order.
     """
+    edges = _strict_creases(P)
+    if edges is not None:
+        return _lift_convex_passed(edges)
+    return _lift_convex_scan(P)
+
+
+def _lift_convex_passed(edges: int) -> Certificate:
+    return Certificate(
+        "lift-convex-local", True, None, f"{edges} edges, all shared ones strictly convex"
+    )
+
+
+def _lift_convex_scan(P: LiftedPolyhedron) -> Certificate:
+    """check_lift_convex's full scan: an edge -> wings table, in sorted edge
+    order, both wings of every shared edge."""
     kind = "lift-convex-local"
     try:
         facets = _facet_data(P)
@@ -355,36 +380,94 @@ def check_lift_convex(P: LiftedPolyhedron) -> Certificate:
             t, pl, side = facets[f]
             if side * above_plane(pl, *pts[w]) <= 0:
                 return _fail(kind, e, f"facets {t} and {facets[g][0]} not strictly convex across it")
-    return Certificate(kind, True, None, f"{len(wings)} edges, all shared ones strictly convex")
+    return _lift_convex_passed(len(wings))
+
+
+_CREASES = "_verify_creases"  # the crease verdict, kept in a lift's __dict__
+
+
+def _strict_creases(P: LiftedPolyhedron) -> Optional[int]:
+    """The crease pass's verdict, computed once per lift: the number of
+    distinct facet edges when every edge shared by two facets is a strict
+    crease, None when the pass gives no verdict.
+
+    The lift is a frozen value, so the verdict is kept on it (like
+    _convex_disk_drawing's on a disk); replace() makes a new lift without
+    it.  check_lift_convex and lift_convex_globally's proof both read it."""
+    memo = P.__dict__
+    if _CREASES not in memo:
+        memo[_CREASES] = _crease_pass(P)
+    return memo[_CREASES]
+
+
+def _crease_pass(P: LiftedPolyhedron) -> Optional[int]:
+    """_strict_creases's verdict, uncached.
+
+    It walks the face map of the validated surface disk: every directed
+    interior edge (u, v) of a facet tests that facet's plane against the
+    far vertex third[(v, u)] across it, so each interior edge has both
+    wings tested.  A truncated lift's top facet shares a rim edge with one
+    surface facet, and each of the two is tested against the other's far
+    vertex.  That is every test of check_lift_convex's scan.  The count is
+    the disk's edges, len(third) - (interior directed edges) / 2, plus the
+    top edges the disk lacks.
+
+    No verdict (None) when the surface is not a disk, a facet is
+    degenerate, the top is not exactly one of the facets, a top edge is an
+    interior edge of the disk (it would be on three facets), or a crease
+    is not strict: the scan then reports as it always did.
+    """
+    try:
+        disk = P.surface_disk  # validated
+        planes = P.facet_planes
+    except (ParseError, DegenerateFace):
+        return None
+    top = P.truncated
+    surface, far = planes, {}
+    if top is not None:
+        if len(planes) != len(disk.triangles) + 1:
+            return None
+        k = P.facets.index(top)
+        top_plane, surface = planes[k], planes[:k] + planes[k + 1:]
+        a, b, c = top
+        far = {(a, b): c, (b, a): c, (b, c): a, (c, b): a, (c, a): b, (a, c): b}
+    pts = P.points
+    third = disk.third()
+    interior = 0
+    for t, pl in zip(disk.triangles, surface):
+        for u, v, w in ((t[0], t[1], t[2]), (t[1], t[2], t[0]), (t[2], t[0], t[1])):
+            x = third.get((v, u))
+            if x is not None:
+                interior += 1
+                if above_plane(pl, *pts[x]) <= 0:
+                    return None
+            elif (u, v) in far and (
+                above_plane(pl, *pts[far[(u, v)]]) <= 0
+                or above_plane(top_plane, *pts[w]) >= 0
+            ):
+                return None
+    edges = len(third) - interior // 2
+    if top is not None:
+        for u, v in ((a, b), (b, c), (c, a)):
+            fwd, back = (u, v) in third, (v, u) in third
+            if fwd and back:
+                return None
+            if not (fwd or back):
+                edges += 1
+    return edges
 
 
 def _convex_lift(P: LiftedPolyhedron) -> bool:
     """The O(n) proof behind lift_convex_globally's PASS; False means only
     that this proof does not apply."""
-    top = P.truncated
-    try:
-        disk = P.surface_disk  # validated
-    except ParseError:
+    if _strict_creases(P) is None:
         return False
     pts = P.points
-    if not _convex_disk_drawing(disk, {v: (p.x, p.y) for v, p in pts.items()}):
+    if not _convex_disk_drawing(P.surface_disk, {v: (p.x, p.y) for v, p in pts.items()}):
         return False
-    try:
-        facets = _facet_data(P)
-    except DegenerateFace:  # only the top facet can be degenerate here
-        return False
-    third = disk.third()
-    surface_planes = [pl for _, pl, side in facets if side == 1]
-    for t, pl in zip(disk.triangles, surface_planes):
-        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            x = third.get((v, u))
-            if u < v and x is not None and above_plane(pl, *pts[x]) <= 0:
-                return False
+    top = P.truncated
     if top is not None:
-        top_planes = [pl for _, pl, side in facets if side == -1]
-        if not top_planes:  # the proof covers only a top that is a facet
-            return False
-        pl = top_planes[0]
+        pl = P.facet_planes[P.facets.index(top)]
         if any(above_plane(pl, *p) >= 0 for v, p in pts.items() if v not in top):
             return False
     return True
@@ -428,6 +511,11 @@ def lift_convex_globally(P: LiftedPolyhedron) -> Certificate:
     same statement for the top facet, and plane_through is exact, so a
     facet's own vertices lie on its plane.  That is the whole all-pairs
     statement.
+
+    (2) is read off the crease verdict that check_lift_convex passes on
+    (_strict_creases, one pass per lift).  That pass tests both wings of
+    every interior edge and the top facet's rim creases too, so it asks
+    more than (2), never less.
 
     Otherwise the full scan runs: O(facets x vertices), pure integer
     (d = det*z - A*x - B*y - D has the sign of the vertex's height over the

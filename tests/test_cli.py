@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import subprocess
 import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shedpoly import griddiam, lifting, triangulation, verify
+from shedpoly import cli, griddiam, lifting, triangulation, verify
 from shedpoly.cli import (
     EXIT_CERT,
     EXIT_DOMAIN,
@@ -211,6 +214,40 @@ def test_usage_errors_exit_2():
 def test_help_exits_0():
     code, out, _ = run(["--help"])
     assert code == EXIT_OK
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_flag_between_commands():
+    drawn = run(["embed"], write_triangulation(gen_stacked(12, 3)))[1]
+    fresh = subprocess.run(  # a process of its own, with a parser of its own
+        [sys.executable, "-m", "shedpoly.cli", "lift"], input=drawn, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert fresh.returncode == EXIT_OK
+    truncated = run(["lift", "--truncate"], drawn)
+    assert truncated[0] == EXIT_OK and truncated[1] != fresh.stdout
+    assert run(["lift"], drawn) == (EXIT_OK, fresh.stdout, "")
+
+
+def test_reused_parser_still_rejects_bad_usage():
+    doc = write_triangulation(split_square())
+    assert run(["diameter", "--exact", "--grid"], doc)[0] == EXIT_USAGE
+    code, out, _ = run(["diameter"], doc)
+    assert code == EXIT_OK and out.strip().isdigit()
+    assert run(["diameter", "--exact", "--grid"], doc)[0] == EXIT_USAGE
+    assert run(["no-such-command"])[0] == EXIT_USAGE
+
+
+def test_help_twice_gives_the_same_text():
+    first, second = run(["--help"]), run(["--help"])
+    assert first[0] == EXIT_OK and "gen-grid" in first[1]
+    assert second == first
 
 
 def test_parse_errors_exit_3():

@@ -22,6 +22,7 @@ from shedpoly.reduction import (
 )
 from shedpoly.triangulation import (
     PlaneTriangulation,
+    SheddingSequence,
     deletion_trace,
     edge_key,
     mirror,
@@ -380,3 +381,21 @@ def test_grid_embed_builds_and_reduces_the_trees_once(monkeypatch, label):
     emb = grid_embed(G, seq_of(G))
     assert emb.mirrored
     assert calls == {"build": 1, "reduce": 1}
+
+
+@pytest.mark.parametrize("label", ["stacked-160-s1", "fan-200"])
+def test_grid_embed_builds_no_face_map_of_the_mirror(monkeypatch, label):
+    # the mirrored sequence takes its base_lr reversed from the original's,
+    # so nothing reads mirror(G)'s face map
+    G = fan(200) if label == "fan-200" else gen_stacked(160, 1)
+    mirrors = []
+    real = SheddingSequence.mirrored
+
+    def capture(self):
+        mirrors.append(real(self))
+        return mirrors[-1]
+
+    monkeypatch.setattr(SheddingSequence, "mirrored", capture)
+    emb = grid_embed(G, seq_of(G))
+    assert emb.mirrored and len(mirrors) == 1
+    assert mirrors[0].G._third is None

@@ -29,6 +29,7 @@ from shedpoly.triangulation import (
     NoSheddingVertex,
     PeelEngine,
     PlaneTriangulation,
+    SheddingSequence,
     Violation,
     deletion_trace,
     mirror,
@@ -229,6 +230,29 @@ def test_mirrored_sequence_matches_fresh_peel_of_mirror():
         G = gen_stacked(n, n)
         a = shedding_sequence(G, 0, 1)
         assert a.mirrored() == deletion_trace(mirror(G), a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder", "polygon", "grid")),
+    size=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    edge=st.integers(0, 10**6),
+    flip=st.booleans(),
+)
+def test_mirrored_sequence_hands_over_the_base_a_fresh_one_derives(shape, size, seed, edge, flip):
+    if shape == "grid":
+        G = gen_grid_triangulation(6, 6, 2 + seed % 2, seed).T
+    else:
+        G = base_disk(shape, size, seed)
+    b = G.boundary
+    u, v = b[edge % len(b)], b[(edge + 1) % len(b)]
+    if flip:
+        u, v = v, u
+    a = shedding_sequence(G, u, v)
+    w = a.mirrored()
+    assert w.base_lr == a.base_lr[::-1] and w.G._third is None
+    assert w.base_lr == SheddingSequence(mirror(G), w.order, w.links).base_lr
 
 
 def test_trace_rejects_bad_sequence():

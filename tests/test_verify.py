@@ -22,7 +22,7 @@ from shedpoly.corpus import (
     two_triangles_pinched,
 )
 from shedpoly.embedding import grid_embed
-from shedpoly.exactgeom import Point2, Point3, orient2d
+from shedpoly.exactgeom import Point2, Point3, orient2d, plane_through
 from shedpoly.fileio import ParseError, read_off, write_triangulation
 from shedpoly.griddiam import (
     gen_grid_triangulation,
@@ -556,6 +556,7 @@ def test_verify_reports_equal_full_scan_reports_on_tampered_documents(monkeypatc
     fast = {label: golden_run(["verify"], doc) for label, doc in docs.items()}
     # every certificate takes its full scan
     monkeypatch.setattr(verify, "_convex_disk_drawing", lambda G, coords: False)
+    monkeypatch.setattr(verify, "_crease_pass", lambda P: None)
     monkeypatch.setattr(cli, "first_faulty_prefix", lambda coords, a: (3, None))
     for label, doc in docs.items():
         assert golden_run(["verify"], doc) == fast[label], label
@@ -587,6 +588,7 @@ def test_benchmark_shaped_outputs_take_only_the_fast_proofs(monkeypatch, label, 
         doc = write_triangulation(ladder(100))
     monkeypatch.setattr(verify, "_face_isomorphic_scan", _refuse)
     monkeypatch.setattr(verify, "_lift_convex_globally_scan", _refuse)
+    monkeypatch.setattr(verify, "_lift_convex_scan", _refuse)
     monkeypatch.setattr(cli, "check_projectively_convex", _refuse)
     code, drawn, audit = golden_run(["embed", "--audit"], doc)
     assert code == 0 and "FAIL" not in audit
@@ -717,3 +719,126 @@ def test_verify_off_equals_the_unshared_reference_on_tampered_lifts(which, tampe
         comments.append(f"top {b} {c} {a}" if up else f"top {a} {b} {c}")
     text = _off_text(points, facets, comments)
     assert _outcome(cli._verify_off, text) == _outcome(oracles.verify_off_unshared, text)
+
+
+# -- the crease pass: one verdict per lift for both lift certificates -------------
+
+
+def assert_lift_paths_agree(P):
+    """Both lift certificates equal their full scans exactly (kind, passed,
+    witness and detail); returns the crease pass's verdict on P."""
+    assert check_lift_convex(P) == verify._lift_convex_scan(P)
+    assert lift_convex_globally(P) == verify._lift_convex_globally_scan(P)
+    return verify._strict_creases(P)
+
+
+def benchmark_shaped_lifts():
+    """fan-200, ladder-100x2, stacked-160 (plain and truncated) and a 12x12
+    grid, each drawn and lifted along the sequence the CLI uses."""
+    for label, G in (("fan-200", fan(200)), ("ladder-100x2", ladder(100)),
+                     ("stacked-160", gen_stacked(160, 0))):
+        emb, a = embed_of(G)
+        P = lift(emb, a)
+        yield label, P
+        if len(G.boundary) == 3:
+            yield f"{label} truncated", truncate_to_polytope(P, emb)
+    gt = gen_grid_triangulation(12, 12, 3, 0)
+    a = grid_shedding(gt).sequence
+    yield "grid-12x12-l3", lift(grid_embed(gt.T, a), a)
+
+
+def test_lift_certificates_equal_their_full_scans_on_the_corpus():
+    from test_acceptance import corpus
+
+    lifts = list(benchmark_shaped_lifts())
+    for item in corpus():
+        lifts.append((item.label, item.P))
+        if len(item.G.boundary) == 3 and item.G.n > 3:
+            lifts.append((f"{item.label} truncated", truncate_to_polytope(item.P, item.emb)))
+    for label, P in lifts:
+        # replace() gives a lift with no kept verdict, planes or disk
+        edges = assert_lift_paths_agree(replace(P))
+        assert edges is not None and check_lift_convex(P).passed, label
+
+
+def _scaled_heights(P, k):
+    pts = {v: Point3(p.x, p.y, k * p.z) for v, p in P.points.items()}
+    return replace(P, heights={v: p.z for v, p in pts.items()}, points=pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder", "grid")),
+    size=st.integers(4, 30),
+    seed=st.integers(0, 10**6),
+    truncate=st.booleans(),
+    mutation=st.sampled_from(("raise", "lower", "flat", "collinear", "top")),
+    pick=st.integers(0, 10**6),
+    amount=st.sampled_from((1, 7, 10**6)),
+)
+def test_crease_pass_equals_the_full_scan_on_mutated_lifts(
+    shape, size, seed, truncate, mutation, pick, amount
+):
+    if shape == "grid":
+        gt = gen_grid_triangulation(4 + size % 5, 4 + seed % 5, 2 + seed % 2, seed)
+        G, a = gt.T, grid_shedding(gt).sequence
+        emb = grid_embed(G, a)
+    else:
+        G = {"stacked": gen_stacked, "fan": lambda k, s: fan(k),
+             "ladder": lambda k, s: ladder(max(2, k // 2))}[shape](size, seed)
+        emb, a = embed_of(G)
+    P = lift(emb, a)
+    if truncate and len(G.boundary) == 3:
+        P = truncate_to_polytope(P, emb)
+    assert assert_lift_paths_agree(P) is not None
+    third = P.surface_disk.third()
+    interior = [e for e in third if e[::-1] in third]
+    u, v = interior[pick % len(interior)]
+    x = third[(v, u)]  # the far vertex across (u, v) from its facet u v w
+    w = third[(u, v)]
+    if mutation in ("raise", "lower"):
+        z = P.points[x].z
+        P = _with_height(P, x, z + amount if mutation == "raise" else z - amount)
+    elif mutation == "flat":  # x onto the plane of u v w, exactly
+        det, A, B, D = plane_through(P.points[u], P.points[v], P.points[w])
+        X, Y, _ = P.points[x]
+        P = _with_height(_scaled_heights(P, det), x, A * X + B * Y + D)
+    elif mutation == "collinear":  # w onto the midpoint of u v
+        coords = {t: (2 * p.x, 2 * p.y) for t, p in P.points.items()}
+        coords[w] = (P.points[u].x + P.points[v].x, P.points[u].y + P.points[v].y)
+        P = _moved(P, coords)
+    else:  # a top comment naming a facet that is not the boundary triangle
+        others = [t for t in P.facets if t != P.truncated]
+        P = replace(P, truncated=others[pick % len(others)])
+    edges = assert_lift_paths_agree(P)
+    if mutation in ("flat", "collinear", "top"):
+        assert edges is None  # no verdict: the scan reports
+    if mutation == "flat":
+        assert not check_lift_convex(P).passed
+    elif mutation == "collinear":
+        assert check_lift_convex(P).detail == "degenerate facet"
+
+
+@pytest.mark.parametrize("label, calls", [("fan-200", 394), ("stacked-160", 1105)])
+def test_off_verify_tests_each_crease_once(monkeypatch, label, calls):
+    # one crease pass per lift: both wings of every interior edge (2 x 197
+    # on fan-200); truncated stacked-160 adds the three top creases twice and
+    # its 157 vertices under the top (2 x 471 + 2 x 3 + 157).  Testing the
+    # creases in check_lift_convex and again in the lift proof took 591 and
+    # 1576 calls.
+    if label == "fan-200":
+        off = golden_run(["lift"], write_triangulation(fan(200)))[1]
+    else:
+        doc = golden_run(["gen-stacked", "160", "--seed", "0"])[1]
+        off = golden_run(["lift", "--truncate"], golden_run(["embed"], doc)[1])[1]
+    tested = []
+    real = verify.above_plane
+
+    def counting(*args):
+        tested.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "above_plane", counting)
+    code, out, _ = golden_run(["verify"], off)
+    assert code == 0 and out.count("PASS ") == 7
+    assert len(tested) == calls
