@@ -255,7 +255,7 @@ def _verify_off(text: str) -> list[Certificate]:
     top = _off_comment(comments, "top")
     aorder = _off_comment(comments, "a")
     if top is not None:
-        key = rot_min_first(top)
+        key = rot_min_first(top) if top else None  # an empty comment names no face
         match = [t for t in facets if rot_min_first(t) == key]
         if len(match) != 1:
             raise ParseError(f"'top' comment names a missing face {top}")
@@ -332,35 +332,25 @@ def cmd_verify(args) -> int:
     return _emit_report(certs, sys.stdout)
 
 
-def _bench_stacked(label: str, n: int, seed: int) -> str:
-    G = gen_stacked(n, seed)
-    a = shedding_sequence(G, G.boundary[0], G.boundary[1])
+def _bench_row(label: str, G: PlaneTriangulation, a: SheddingSequence, tau: int) -> str:
     emb = grid_embed(G, a)
     P = lift(emb, a)
-    tau = tau_profile(G, a).tau
     return f"{label} n={G.n} tau={tau} width={emb.width} height={emb.height} zbits={P.height_bits()}"
-
-
-def _bench_grid(label: str, p: int, q: int, ell: int, seed: int) -> str:
-    gt = gen_grid_triangulation(p, q, ell, seed)
-    plan = grid_shedding(gt)
-    emb = grid_embed(gt.T, plan.sequence)
-    P = lift(emb, plan.sequence)
-    return (
-        f"{label} n={gt.T.n} tau={plan.tau} width={emb.width} "
-        f"height={emb.height} zbits={P.height_bits()}"
-    )
 
 
 def cmd_bench(args) -> int:
     rows = 0
     for n in (10, 25, 50, 100, 200):
         if n <= args.max_n:
-            print(_bench_stacked(f"stacked-{n}", n, args.seed))
+            G = gen_stacked(n, args.seed)
+            a = shedding_sequence(G, G.boundary[0], G.boundary[1])
+            print(_bench_row(f"stacked-{n}", G, a, tau_profile(G, a).tau))
             rows += 1
     for p, q, ell in ((4, 4, 2), (5, 5, 3), (8, 6, 2), (10, 10, 3), (12, 12, 3)):
         if p * q <= args.max_n:
-            print(_bench_grid(f"grid-{p}x{q}-l{ell}", p, q, ell, args.seed))
+            gt = gen_grid_triangulation(p, q, ell, args.seed)
+            plan = grid_shedding(gt)
+            print(_bench_row(f"grid-{p}x{q}-l{ell}", gt.T, plan.sequence, plan.tau))
             rows += 1
     if not rows:
         raise UsageError(f"--max-n {args.max_n} leaves nothing to benchmark")
@@ -464,7 +454,6 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
         BoundaryNotTriangle,
         NotSequentiallyConvex,
         GeometryError,
-        ValueError,
     ) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

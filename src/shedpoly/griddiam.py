@@ -370,9 +370,6 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
     batches_del_order: list[frozenset[int]] = []
     stage_of: dict[int, int] = {}
 
-    def stopped(i: int, w: int) -> Exception:
-        return InvariantViolation(f"batch member {w} stopped shedding")
-
     def greatest_shedding_in(region: set[int]) -> int:
         cands = [w for w in region if peel.is_shedding(w)]
         if not cands:
@@ -387,9 +384,10 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         the diagonal argument is applied to is the greatest *admissible* one
         (cand_ok); the block top itself can be tucked under a rim edge that
         enters the block from the side, and an interior vertex meets no
-        diagonal.  A generator: yields the round's batch members, which the
-        peel loop deletes.  Everything a round decides is read from the
-        engine before the first of its members is deleted.
+        diagonal.  Everything a round decides is read from the engine before
+        the first of its members is deleted; then the round deletes its batch
+        itself, checking just before each deletion that the member still
+        sheds.
 
         region_ok(w) says whether w may lie in a carve region, and a side of
         a diagonal is admissible when all its vertices may.  Only batch
@@ -442,7 +440,9 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                         )
             for w in reversed(batch):
                 stage_of[w] = label
-                yield w
+                if not peel.is_shedding(w):
+                    raise InvariantViolation(f"batch member {w} stopped shedding")
+                peel.delete(w)
             batches_del_order.append(frozenset(batch))
             for region in regions:
                 region.difference_update(batch)
@@ -454,7 +454,7 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         return row[v] > 1 and peel.on_boundary(v)
 
     stage1_blocks = [group_cols[i] for i in range(1, imax + 1) if i % 4 == 1]
-    peel.run(run_stage(stage1_blocks, ell, stage1_cand, stage1_ok, 1), stopped)
+    run_stage(stage1_blocks, ell, stage1_cand, stage1_ok, 1)
     for v in T.vertices:
         if col[v] in far_cols and v not in live:
             raise InvariantViolation(f"far-column vertex {v} deleted in stage 1")
@@ -497,7 +497,7 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
     def stage2_cand(v) -> bool:
         return row[v] > 2 * ell
 
-    peel.run(run_stage(stage2_blocks, 2 * ell, stage2_cand, stage2_ok, 2), stopped)
+    run_stage(stage2_blocks, 2 * ell, stage2_cand, stage2_ok, 2)
     for v in live:
         if row[v] > 2 * ell:
             raise InvariantViolation(f"vertex {v} above row 2*ell after stage 2")
@@ -509,16 +509,11 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         stage_of[w] = 3
         batches_del_order.append(frozenset((w,)))
 
+    # permutations of a sorted list come in lexicographic order, so this is
+    # the smallest triple whose first two vertices span an original boundary edge
     base_edges = T.boundary_edges()
     final = sorted(live)
-    order = None
-    if edge_key(final[0], final[1]) in base_edges:
-        order = tuple(final)
-    else:
-        for bx, by, bz in sorted(permutations(final)):
-            if edge_key(bx, by) in base_edges:
-                order = (bx, by, bz)
-                break
+    order = next((t for t in permutations(final) if edge_key(t[0], t[1]) in base_edges), None)
     if order is None:
         raise InvariantViolation(f"final triangle {final} has no original boundary edge")
     for v in order:

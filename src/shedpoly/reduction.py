@@ -245,7 +245,6 @@ class ReducedTriangulation:
     Gstar: PlaneTriangulation
     m: int
     mprime: int
-    omega: dict[int, int]
     f: dict[int, int]
     g: dict[int, int]
     psi: dict[EdgeKey, tuple[int, int]]
@@ -313,4 +312,4 @@ def build_reduced_triangulation(rs: ReducedStructure) -> ReducedTriangulation:
         psi[lk] = (q - 1, f[q] - 1)
         psi[rk] = (q - 1, g[q] - 1)
 
-    return ReducedTriangulation(Gstar, m, mprime, omega, f, g, psi, rs)
+    return ReducedTriangulation(Gstar, m, mprime, f, g, psi, rs)

@@ -64,8 +64,9 @@ class PlaneTriangulation:
     coords:    optional map id -> (x, y) integer lattice point.
 
     Derived adjacency structures are built lazily and cached; treat instances
-    as frozen values (deletion returns a new instance).  validate()'s verdict
-    is cached the same way (``_verdict``).
+    as frozen values: deletions happen on a PeelEngine copy of the maps, and
+    PeelEngine.snapshot builds a new instance.  validate()'s verdict is
+    cached the same way (``_verdict``).
     """
 
     __slots__ = (
@@ -427,10 +428,6 @@ def _cycle_from(succ: Mapping[int, int], start: int) -> tuple[int, ...]:
     return tuple(cyc)
 
 
-def _not_shedding(i: int, v: int) -> Exception:
-    return InvalidTriangulation(f"a_{i} = {v} is not a shedding vertex of its prefix")
-
-
 class PeelEngine:
     """The one deletion loop behind every SheddingSequence, on a mutable disk.
 
@@ -467,12 +464,15 @@ class PeelEngine:
     the link, bn[x] can only grow, so those vertices can lose the shedding
     status but not gain it: only the link can gain it.
 
-    Each deletion first checks that the vertex is a shedding vertex of the
-    current prefix (else ``refuse(i, v)`` is raised, i the prefix size).  It
-    then appends the vertex and its link to ``removed`` and ``links``, which
-    ``sequence`` turns into a SheddingSequence.  ``chord_sides`` splits the
-    current prefix along a chord, and ``snapshot`` builds the current prefix
-    as an immutable PlaneTriangulation.
+    ``delete`` is the one way to delete.  It first checks that the vertex
+    is a shedding vertex of the current prefix G_i (else it raises
+    InvalidTriangulation naming a_i), then appends the vertex and its link
+    to ``removed`` and ``links``, which ``sequence`` turns into a
+    SheddingSequence.  A chooser that depends on the current prefix reads
+    the engine and calls ``delete`` itself (``peel_smallest``, or the
+    grid schedule's batches).  ``chord_sides`` splits the current prefix
+    along a chord, and ``snapshot`` builds the current prefix as an
+    immutable PlaneTriangulation.
     """
 
     def __init__(self, G: PlaneTriangulation):
@@ -514,7 +514,7 @@ class PeelEngine:
         return tuple(link)
 
     def chord_sides(
-        self, v: int, u: int, ok: Optional[Callable[[int], bool]] = None
+        self, v: int, u: int, ok: Callable[[int], bool]
     ) -> tuple[Optional[set[int]], Optional[set[int]]]:
         """The vertices strictly on either side of the chord v u, an interior
         edge with both ends on the boundary: first the side that holds
@@ -534,26 +534,26 @@ class PeelEngine:
         chord, so each side stays connected once the chord's ends are
         removed.
 
-        With a predicate ``ok``, a side is wanted only when every one of its
-        vertices passes: each flood stops at the first vertex that fails
+        A side is wanted only when every one of its vertices passes the
+        predicate ``ok``: each flood stops at the first vertex that fails
         ``ok`` and that side comes back as None.  A side is not None exactly
         when all its vertices pass, and then it is the full side, so a
         caller that keeps the sides passing ``ok`` everywhere reaches the
         same verdict as one that tests each full side; the flood just does
-        not walk the rest of a side it has already ruled out.  Without
-        ``ok`` both sides are full sets.
+        not walk the rest of a side it has already ruled out.  An ``ok``
+        that always holds returns both full sides.
         """
         nbrs = self.nbrs
         sides: list[Optional[set[int]]] = []
         for start in (self.succ[v], self.pred[v]):
             side: Optional[set[int]] = {start}
             stack = [start]
-            if ok is not None and not ok(start):
+            if not ok(start):
                 side, stack = None, []
             while stack:
                 for w in nbrs[stack.pop()]:
                     if w not in side and w != v and w != u:
-                        if ok is not None and not ok(w):
+                        if not ok(w):
                             side, stack = None, []
                             break
                         side.add(w)
@@ -561,13 +561,13 @@ class PeelEngine:
             sides.append(side)
         return sides[0], sides[1]
 
-    def delete(
-        self, v: int, refuse: Callable[[int, int], Exception] = _not_shedding
-    ) -> tuple[int, ...]:
+    def delete(self, v: int) -> tuple[int, ...]:
         """Delete the shedding vertex v, record it, and return its link: the
         only vertices that can have become shedding vertices."""
         if not self.is_shedding(v):
-            raise refuse(len(self.nbrs), v)
+            raise InvalidTriangulation(
+                f"a_{len(self.nbrs)} = {v} is not a shedding vertex of its prefix"
+            )
         third, succ, pred, nbrs, bn = self.third, self.succ, self.pred, self.nbrs, self.bn
         link = self.link(v)
         for a, b in zip(link, link[1:]):
@@ -586,18 +586,6 @@ class PeelEngine:
         self.removed.append(v)
         self.links.append(link)
         return link
-
-    def run(
-        self,
-        victims: Iterable[int],
-        refuse: Callable[[int, int], Exception] = _not_shedding,
-    ) -> "PeelEngine":
-        """Delete every vertex of ``victims`` in turn.  A chooser that depends
-        on the current prefix is a generator that reads the engine: the loop
-        asks for the next vertex only after the previous one is gone."""
-        for v in victims:
-            self.delete(v, refuse)
-        return self
 
     def peel_smallest(self, key: Callable[[int], object], keep: Iterable[int] = ()) -> bool:
         """Delete the shedding vertex outside ``keep`` with the smallest key,
@@ -659,7 +647,10 @@ def peel_order(G: PlaneTriangulation, order: Sequence[int]) -> SheddingSequence:
         raise InvalidTriangulation(
             f"({order[0]},{order[1]}) is not a boundary edge of the triangulation"
         )
-    return PeelEngine(G).run(reversed(order[3:])).sequence(order[:3])
+    peel = PeelEngine(G)
+    for v in reversed(order[3:]):
+        peel.delete(v)
+    return peel.sequence(order[:3])
 
 
 def shedding_sequence(G: PlaneTriangulation, u: int, v: int) -> SheddingSequence:

@@ -845,10 +845,6 @@ def is_shedding_vertex(G: PlaneTriangulation, v: int) -> bool:
     return not any(w in bset for w in link[1:-1])
 
 
-def _not_shedding(i: int, v: int) -> Exception:
-    return InvalidTriangulation(f"a_{i} = {v} is not a shedding vertex of its prefix")
-
-
 class Peel:
     """The copy-on-delete deletion loop: a fresh PlaneTriangulation ``H`` per
     deletion.  Same checks, records and error texts as PeelEngine.
@@ -865,11 +861,13 @@ class Peel:
         self._links: list[tuple[int, ...]] = []
         self.cycles: list[tuple[int, ...]] = [G.boundary]
 
-    def run(self, victims, refuse=_not_shedding) -> "Peel":
+    def run(self, victims) -> "Peel":
         for v in victims:
             H = self.H
             if not (H.n > 3 and v in H.boundary and is_shedding_vertex(H, v)):
-                raise refuse(H.n, v)
+                raise InvalidTriangulation(
+                    f"a_{H.n} = {v} is not a shedding vertex of its prefix"
+                )
             self.H, link = delete_boundary_vertex(H, v)
             self._removed.append(v)
             self._links.append(link)

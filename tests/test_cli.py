@@ -267,6 +267,33 @@ def test_bad_off_comment_tokens_exit_3():
     assert run(["verify"], bad_top)[0] == EXIT_PARSE
 
 
+@pytest.mark.parametrize("tag", ["a", "top"])
+@pytest.mark.parametrize(
+    "mutation", ["empty", "1", "2", "4", "non-integer", "repeated", "duplicate", "out-of-range"]
+)
+def test_mutated_off_comments_exit_3_or_4(tag, mutation):
+    # a bad 'a' or 'top' comment is a malformed document or a failed
+    # certificate, never a domain error or a crash
+    lines = fuzz_documents()[4].splitlines()  # a truncated lift: it has both comments
+    (i,) = [i for i, line in enumerate(lines) if line.split()[:2] == ["#", tag]]
+    ids = lines[i].split()[2:]
+    new = {
+        "empty": [],
+        "1": ids[:1],
+        "2": ids[:2],
+        "4": ids[:3] + ["3"],
+        "non-integer": ids[:1] + ["x"] + ids[2:],
+        "repeated": ids,
+        "duplicate": ids[:1] + ids[:-1],
+        "out-of-range": ids[:-1] + ["99"],
+    }[mutation]
+    lines[i] = " ".join(["#", tag] + new)
+    if mutation == "repeated":
+        lines.insert(i, lines[i])
+    code, _, err = run(["verify"], "\n".join(lines) + "\n")
+    assert code in (EXIT_PARSE, EXIT_CERT), (code, err)
+
+
 def test_each_command_peels_once(monkeypatch):
     import shedpoly.triangulation as tri
 
