@@ -67,7 +67,6 @@ class ScaledTemplate:
     """The template triangulation stretched onto the working grid:
     z_q = (alpha * x(a*_q), beta * y(a*_q)) with alpha = 2n^2+n+1, beta = 2n*alpha."""
 
-    n: int
     alpha: int
     beta: int
     rt: ReducedTriangulation
@@ -78,7 +77,7 @@ def make_template(rt: ReducedTriangulation, n: int) -> ScaledTemplate:
     alpha = 2 * n * n + n + 1
     beta = 2 * n * alpha
     z = {vid: (alpha * x, beta * y) for vid, (x, y) in rt.Gstar.coords.items()}
-    return ScaledTemplate(n, alpha, beta, rt, z)
+    return ScaledTemplate(alpha, beta, rt, z)
 
 
 # -- placement cases (pure helpers) --------------------------------------------
@@ -163,10 +162,6 @@ class GridEmbedding:
     template: ScaledTemplate
     mirrored: bool
     audit: Optional[tuple[AuditRecord, ...]]
-
-    @property
-    def n(self) -> int:
-        return self.G.n
 
     def bbox(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self.coords.values()]

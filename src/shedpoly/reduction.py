@@ -7,11 +7,15 @@ the node for w_1 w_2, and a_i w_k as the *right* child of the node for
 w_{k-1} w_k.  Contracting every node created at a step of degree > 2 leaves a
 full binary tree whose shape is realizable by a small convex triangulation on
 a lattice parabola -- the template that the integer-grid embedding tracks.
+
+Both run forward over the steps the store records, as the paper's process
+does: each node's representative is its own or its parent's, and each
+template vertex takes the ends of the edge it is placed over from its parent
+and is inserted between them in the in-order (ReducedStructure.layout).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -117,8 +121,8 @@ class ReducedStructure:
     def internal_counts(self) -> tuple[int, int]:
         """(m, m'): internal nodes strictly left/right of the root in the final
         contracted tree's in-order traversal."""
-        order = self.internal_inorder
-        root_rank = order.index(self.store.root.key)
+        order = self.layout[2]
+        root_rank = order.index(3)
         return root_rank, len(order) - 1 - root_rank
 
     def mirrored(self) -> "ReducedStructure":
@@ -131,10 +135,13 @@ class ReducedStructure:
         as a left child, and a_i w_1 under w_1 w_2 as a right child: the
         same nodes, steps and parents, with left and right exchanged.  R,
         rho and h depend only on the step degrees, which are link sizes;
-        rep depends only on steps and parents.  So they are shared, each
-        pairs[q] = (p, l, r) becomes (p, r, l), and the in-order of the
-        contracted tree, left and right exchanged at every node, is this
-        one reversed; it is handed over, not traversed again.  Every
+        rep depends only on steps and parents.  So they are shared, and
+        each pairs[q] = (p, l, r) becomes (p, r, l).
+
+        The layout is handed over with its sides exchanged, not laid out
+        again.  An edge that ends at (x, y) here ends at (y, x) there, with
+        the base vertices 1 and 2 exchanged: f and g trade places, 1 <-> 2
+        applied to both, and the in-order is this one reversed.  Every
         hypothesis check of reduce_trees reads the same facts, so it holds
         for the mirror exactly when it held here.
 
@@ -145,33 +152,56 @@ class ReducedStructure:
         """
         pairs = {q: (p, r, l) for q, (p, l, r) in self.pairs.items()}
         out = ReducedStructure(self.store, self.R, self.rho, self.h, self.rep, pairs)
-        out.__dict__["internal_inorder"] = self.internal_inorder[::-1]
+        f, g, order = self.layout
+        base = {1: 2, 2: 1}
+        out.__dict__["layout"] = (
+            {q: base.get(v, v) for q, v in g.items()},
+            {q: base.get(v, v) for q, v in f.items()},
+            order[::-1],
+        )
         return out
 
     @cached_property
-    def internal_inorder(self) -> list[EdgeKey]:
-        """Keys of internal nodes of T*_n, in in-order (left subtree, node,
-        right).  Traversed once per instance; read, never modify."""
-        kids = {pk: (lk, rk) for pk, lk, rk in self.pairs.values()}
-        out: list[EdgeKey] = []
-        stack: list[EdgeKey] = []
-        key: Optional[EdgeKey] = self.store.root.key
-        while stack or key is not None:
-            while key is not None:
-                stack.append(key)
-                key = kids[key][0] if key in kids else None
-            key = stack.pop()
-            if key in kids:
-                out.append(key)
-                key = kids[key][1]
-            else:
-                key = None
-        return out
+    def layout(self) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
+        """(f, g, order): template vertex q >= 3 is placed over the edge
+        f[q] g[q], and order lists q = 3..|R| in the in-order of the
+        internal nodes of T*_n, q standing for the node that turns internal
+        at template step q (the root at q = 3).
+
+        Laid out forward, once per instance; read, never modify.  The
+        root's edge ends at the base vertices (1, 2).  The node that turns
+        internal at step q gives its ends to f[q], g[q]; its left child then
+        ends at (f[q], q) and its right child at (q, g[q]).  The ends of a
+        leaf are its nearest internals to the left and right in the
+        in-order so far, since a node's own subtree is created later.  So
+        inserting q between f[q] and g[q], in a successor map that starts
+        1 -> 2, lays out the final in-order.
+        """
+        ends = {self.store.root.key: (1, 2)}
+        succ = {1: 2}
+        f: dict[int, int] = {}
+        g: dict[int, int] = {}
+        for q in range(3, len(self.R) + 1):
+            pk, lk, rk = self.pairs[q]
+            fq, gq = f[q], g[q] = ends[pk]
+            ends[lk], ends[rk] = (fq, q), (q, gq)
+            succ[fq], succ[q] = q, gq
+        order = []
+        q = succ[1]
+        while q != 2:
+            order.append(q)
+            q = succ[q]
+        return f, g, tuple(order)
 
 
 def reduce_trees(store: TreeStore, a: SheddingSequence) -> ReducedStructure:
     """Contract every tree edge whose child node was created at a step of
-    degree > 2.  Returns the bookkeeping the template construction needs."""
+    degree > 2.  Returns the bookkeeping the template construction needs.
+
+    Representatives run forward over the steps: a node created at a
+    reduced step is its own, any other node takes its parent's, and the
+    parent was created earlier.  A reduced step has a two-vertex link, so
+    both of its new nodes hang under the one node of edge w_1 w_2."""
     n = store.n
     R = [1, 2, 3] + [i for i in range(4, n + 1) if a.degrees[i - 1] == 2]
     rset = set(R)
@@ -183,39 +213,24 @@ def reduce_trees(store: TreeStore, a: SheddingSequence) -> ReducedStructure:
             cnt += 1
         h.append(cnt)
 
-    rep_cache: dict[EdgeKey, EdgeKey] = {}
-
-    def rep(node: TreeNode) -> EdgeKey:
-        chain = []
-        while node.step not in rset:
-            chain.append(node.key)
-            node = node.parent
-        for k in chain:
-            rep_cache[k] = node.key
-        rep_cache[node.key] = node.key
-        return node.key
-
-    for nd in store.by_key.values():
-        rep(nd)
-
+    root = store.root.key
+    rep: dict[EdgeKey, EdgeKey] = {root: root}
     pairs: dict[int, tuple[EdgeKey, EdgeKey, EdgeKey]] = {}
     seen_parents: set[EdgeKey] = set()
-    for i in R:
-        if i < 3:
-            continue
+    for i in range(3, n + 1):
         nu, nup = store.created[i]
-        pk = rep(nu.parent)
-        pk2 = rep(nup.parent)
-        if pk != pk2:
-            raise MalformedTreeSequence(
-                f"step {i}: the two new nodes contract to different parents"
-            )
+        if i not in rset:
+            rep[nu.key] = rep[nu.parent.key]
+            rep[nup.key] = rep[nup.parent.key]
+            continue
+        rep[nu.key], rep[nup.key] = nu.key, nup.key
+        pk = rep[nu.parent.key]
         if pk in seen_parents:
             raise MalformedTreeSequence(f"step {i}: parent {pk} already internal")
         seen_parents.add(pk)
         pairs[rho[i]] = (pk, nu.key, nup.key)
 
-    rs = ReducedStructure(store, tuple(R), rho, tuple(h), rep_cache, pairs)
+    rs = ReducedStructure(store, tuple(R), rho, tuple(h), rep, pairs)
 
     # hypothesis checks: every contracted tree is the right size and full;
     # got runs through the node count of T*_i for i = 2..n
@@ -270,41 +285,13 @@ def build_reduced_triangulation(rs: ReducedStructure) -> ReducedTriangulation:
     if m > mprime:
         raise MalformedTreeSequence(f"left-heavy tree (m={m} > m'={mprime}); mirror the instance")
 
-    inorder = rs.internal_inorder
-    rank_of_key = {k: r for r, k in enumerate(inorder)}
-    # creation order: q = 3 is the root, q >= 4 from pairs
-    key_of_q = {3: rs.store.root.key}
-    for q, (pk, _, _) in rs.pairs.items():
-        if q >= 4:
-            key_of_q[q] = pk
-    omega = {q: 3 + rank_of_key[key_of_q[q]] for q in range(3, Rn + 1)}
-
-    # f/g: nearest already-present internal to the left/right in the in-order,
-    # defaulting to the base vertices 1 and 2
-    f: dict[int, int] = {}
-    g: dict[int, int] = {}
-    present: list[tuple[int, int]] = []  # sorted (omega, q); omega is injective
-    for q in range(3, Rn + 1):
-        w = omega[q]
-        j = bisect_left(present, (w,))
-        f[q] = present[j - 1][1] if j > 0 else 1
-        g[q] = present[j][1] if j < len(present) else 2
-        present.insert(j, (w, q))
-
+    f, g, order = rs.layout
+    x = {1: -(mprime + 1), 2: mprime + 1}
+    x.update((q, r - m) for r, q in enumerate(order))
     ytop = comb(mprime + 2, 2)
-
-    def point(q: int) -> tuple[int, int]:
-        if q == 1:
-            return (-(mprime + 1), 0)
-        if q == 2:
-            return (mprime + 1, 0)
-        k = omega[q] - m - 3
-        return (k, ytop - comb(abs(k) + 1, 2))
-
-    coords = {q - 1: point(q) for q in range(1, Rn + 1)}
+    coords = {q - 1: (x[q], ytop - comb(abs(x[q]) + 1, 2)) for q in range(1, Rn + 1)}
     tris = [(f[q] - 1, g[q] - 1, q - 1) for q in range(3, Rn + 1)]
-    chain = sorted(range(3, Rn + 1), key=lambda q: -omega[q])
-    boundary = (0, 1) + tuple(q - 1 for q in chain)
+    boundary = (0, 1) + tuple(q - 1 for q in reversed(order))
     Gstar = PlaneTriangulation(range(Rn), tris, boundary, coords)
 
     psi: dict[EdgeKey, tuple[int, int]] = {rs.store.root.key: (0, 1)}

@@ -30,7 +30,7 @@ from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 class InvalidTriangulation(Exception):
@@ -347,12 +347,6 @@ class SheddingSequence:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.order)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

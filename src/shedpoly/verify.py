@@ -552,9 +552,9 @@ def _lift_convex_globally_scan(P: LiftedPolyhedron) -> Certificate:
 
 def check_grid_bounds(obj: Union[LiftedPolyhedron, Mapping[int, XY]], n: int) -> Certificate:
     """Bounding-box dimensions against the 4n^3 x 8n^5 grid, and, for a lift,
-    the maximum height against (500 n^8)^tau (tau <= n, so the (500 n^8)^n
-    ceiling is implied).  Accepts a lift or a coordinate mapping, such as a
-    drawing's coords.
+    the extent of the heights (max - min) against (500 n^8)^tau (tau <= n,
+    so the (500 n^8)^n ceiling is implied).  Accepts a lift or a coordinate
+    mapping, such as a drawing's coords.
 
     tau is griddiam.tau_profile of the lift's sequence over the disk it was
     peeled from.  In an OFF verify that disk is the surface disk parsed from
@@ -584,8 +584,8 @@ def check_grid_bounds(obj: Union[LiftedPolyhedron, Mapping[int, XY]], n: int) ->
         if tau > n:
             return _fail(kind, ("tau", tau, n), "depth exceeds vertex count")
         zbound = (500 * n**8) ** tau
-        zmax = max(heights.values())
-        if zmax > zbound:
-            return _fail(kind, ("z", zmax, zbound), "height exceeds (500n^8)^tau")
-        detail += f", z {zmax} <= (500n^8)^{tau}"
+        dz = max(heights.values()) - min(heights.values())
+        if dz > zbound:
+            return _fail(kind, ("z", dz, zbound), "height exceeds (500n^8)^tau")
+        detail += f", z {dz} <= (500n^8)^{tau}"
     return Certificate(kind, True, None, detail)

@@ -17,13 +17,17 @@ with, and an OFF verify that shares nothing between its certificates, for
 the verify that parses the surface disk once, and the lattice grid
 generator with its search-and-remove flips, for the one that flips at the
 drawn rank, and the disk validator that builds its own maps and edge
-census, for the one that reads the disk's cached face map.
+census, for the one that reads the disk's cached face map, and the
+after-the-fact reduction layout (a parent-chain chase for each node's
+representative, a stack walk for the in-order, a bisect search for each
+template vertex's ends), for the one that runs forward over the steps.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from dataclasses import replace
 from itertools import permutations
@@ -1130,6 +1134,64 @@ def reduced_shape(rs, i: int):
     """Nested-tuple form of the contracted tree T*_i, as tree_shape."""
     kids = {pk: (lk, rk) for q, (pk, lk, rk) in rs.pairs.items() if rs.R[q - 1] <= i}
     return _shape(rs.store.root.key, lambda k: kids.get(k, (None, None)))
+
+
+def reference_rep(store, R) -> dict:
+    """Each node key of the store mapped to its representative in the
+    contracted tree: the nearest ancestor-or-self created at a step of R,
+    found by chasing parent links."""
+    rset = set(R)
+    out = {}
+    for nd in store.by_key.values():
+        top = nd
+        while top.step not in rset:
+            top = top.parent
+        out[nd.key] = top.key
+    return out
+
+
+def reference_inorder(rs) -> list:
+    """Keys of the internal nodes of T*_n in in-order, walked with a stack
+    over the contracted tree's child pairs."""
+    kids = {pk: (lk, rk) for pk, lk, rk in rs.pairs.values()}
+    out, stack = [], []
+    key = rs.store.root.key
+    while stack or key is not None:
+        while key is not None:
+            stack.append(key)
+            key = kids[key][0] if key in kids else None
+        key = stack.pop()
+        if key in kids:
+            out.append(key)
+            key = kids[key][1]
+        else:
+            key = None
+    return out
+
+
+def reference_layout(rs):
+    """(f, g, order) of the template: each template vertex q >= 3 ranked by
+    its internal node's in-order position, f[q] and g[q] its nearest
+    earlier-placed neighbours in that rank (base vertices 1 and 2 by
+    default), found by bisect; order lists q by rank."""
+    rank = {k: r for r, k in enumerate(reference_inorder(rs))}
+    key_of_q = {3: rs.store.root.key}
+    key_of_q.update((q, pk) for q, (pk, _, _) in rs.pairs.items() if q >= 4)
+    f, g, present = {}, {}, []
+    for q in range(3, len(rs.R) + 1):
+        w = rank[key_of_q[q]]
+        j = bisect_left(present, (w,))
+        f[q] = present[j - 1][1] if j > 0 else 1
+        g[q] = present[j][1] if j < len(present) else 2
+        present.insert(j, (w, q))
+    return f, g, tuple(q for _, q in present)
+
+
+def reference_internal_counts(rs) -> tuple[int, int]:
+    """(m, m'): internals left and right of the root in reference_inorder."""
+    order = reference_inorder(rs)
+    r = order.index(rs.store.root.key)
+    return r, len(order) - 1 - r
 
 
 def max_height(P) -> int:

@@ -510,6 +510,24 @@ def test_certificate_failures_exit_4():
     assert "FAIL" in out
 
 
+def test_grid_bounds_measure_the_z_extent():
+    # scaling a lift's heights by 10^3000 and shifting its top to 0 keeps
+    # every crease strict and every height at most 0; only the extent,
+    # about 10^3005, shows that the lift exceeds (500n^8)^tau
+    off = run(["lift"], run(["gen-stacked", "12", "--seed", "1"])[1])[1]
+    lines = off.splitlines()
+    at = next(i for i, l in enumerate(lines) if l and l[0] not in "#O")
+    rows = range(at + 1, at + 1 + int(lines[at].split()[0]))
+    top = max(int(lines[k].split()[2]) for k in rows)
+    for k in rows:
+        x, y, z = lines[k].split()
+        lines[k] = f"{x} {y} {10**3000 * (int(z) - top)}"
+    code, out, _ = run(["verify"], "\n".join(lines) + "\n")
+    assert code == EXIT_CERT
+    fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL grid-bounds"), fails
+
+
 def test_verify_rejects_unknown_document():
     code, _, err = run(["verify"], "PLY\n0 0 0\n")
     assert code == EXIT_PARSE
@@ -544,11 +562,12 @@ FUZZ_COMMANDS = (
 
 @st.composite
 def mutated_documents(draw):
-    """One document with one line dropped, duplicated or swapped, one integer
-    token changed, or the text cut short."""
+    """One document with one line dropped, duplicated or swapped, one token
+    dropped from one line, one integer token changed, or the text cut
+    short."""
     docs = fuzz_documents()
     doc = docs[draw(st.integers(0, len(docs) - 1))]
-    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "integer", "truncate")))
+    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "shorten", "integer", "truncate")))
     if kind == "truncate":
         return doc[: draw(st.integers(0, len(doc) - 1))]
     if kind == "integer":
@@ -557,6 +576,12 @@ def mutated_documents(draw):
         value = draw(st.one_of(st.integers(-2, 30), st.just(int(tok.group()) + 1)))
         return doc[: tok.start()] + str(value) + doc[tok.end() :]
     lines = doc.splitlines()
+    if kind == "shorten":
+        i = draw(st.sampled_from([i for i, l in enumerate(lines) if l.split()]))
+        tokens = lines[i].split()
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+        lines[i] = " ".join(tokens)
+        return "\n".join(lines) + "\n"
     i = draw(st.integers(0, len(lines) - 1))
     if kind == "drop":
         del lines[i]

@@ -12,7 +12,7 @@ import oracles
 from shedpoly import embedding
 from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
 from shedpoly.embedding import grid_embed
-from shedpoly.griddiam import gen_grid_triangulation
+from shedpoly.griddiam import gen_grid_triangulation, grid_shedding
 from shedpoly.reduction import (
     MalformedTreeSequence,
     ReducedStructure,
@@ -255,23 +255,23 @@ def test_template_tree_isomorphism():
 
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
 def test_one_inorder_traversal_per_reduced_structure(monkeypatch, label):
-    # grid_embed reads m, m' and the template's x ranks off one in-order
-    # traversal; when it mirrors, the mirrored reduction takes that in-order
-    # reversed instead of traversing again
+    # grid_embed reads m, m' and the template's x ranks off one layout;
+    # when it mirrors, the mirrored reduction takes that layout with its
+    # sides exchanged instead of laying out again
     if label == "stacked-160":
         G = gen_stacked(160, 0)
     else:
         G = PlaneTriangulation(range(200), [(0, i, i + 1) for i in range(1, 199)], range(200))
     traversals = []
-    real = ReducedStructure.internal_inorder.func
+    real = ReducedStructure.layout.func
 
     def count(rs):
         traversals.append(id(rs))
         return real(rs)
 
     counted = functools.cached_property(count)
-    counted.__set_name__(ReducedStructure, "internal_inorder")
-    monkeypatch.setattr(ReducedStructure, "internal_inorder", counted)
+    counted.__set_name__(ReducedStructure, "layout")
+    monkeypatch.setattr(ReducedStructure, "layout", counted)
     emb = grid_embed(G, seq_of(G))
     assert len(traversals) == 1
     assert emb.mirrored == (label == "fan-200")
@@ -327,7 +327,7 @@ def assert_mirror_matches_a_fresh_reduction(a) -> bool:
     fresh = reduce_trees(build_shedding_trees(w.G, w), w)
     got = rs.mirrored()
     assert got.store is rs.store
-    for name in ("R", "rho", "h", "rep", "pairs", "internal_inorder"):
+    for name in ("R", "rho", "h", "rep", "pairs", "layout"):
         assert getattr(got, name) == getattr(fresh, name), name
     m, mp = rs.internal_counts()
     assert got.internal_counts() == fresh.internal_counts() == (mp, m)
@@ -359,6 +359,43 @@ def test_mirrored_reduction_matches_a_fresh_one_on_random_disks(shape, size, see
     if flip:
         u, v = v, u
     assert_mirror_matches_a_fresh_reduction(shedding_sequence(G, u, v))
+
+
+def assert_forward_reduction_matches_the_reference(rs):
+    assert rs.rep == oracles.reference_rep(rs.store, rs.R)
+    f, g, order = rs.layout
+    assert (f, g, order) == oracles.reference_layout(rs)
+    key_of_q = {q: pk for q, (pk, _, _) in rs.pairs.items()}
+    key_of_q[3] = rs.store.root.key
+    assert [key_of_q[q] for q in order] == oracles.reference_inorder(rs)
+    assert rs.internal_counts() == oracles.reference_internal_counts(rs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder", "grid", "grid-staged")),
+    size=st.integers(3, 60),
+    seed=st.integers(0, 10**6),
+    edge=st.integers(0, 10**6),
+    flip=st.booleans(),
+)
+def test_forward_reduction_matches_the_reference(shape, size, seed, edge, flip):
+    # representatives, template ends, in-order and (m, m') against the
+    # parent-chain chase, stack walk and bisect layout, plain and mirrored;
+    # grid-staged takes the grid's own three-stage schedule
+    if shape.startswith("grid"):
+        gt = gen_grid_triangulation(4 + size % 9, 4 + seed % 9, 2 + seed % 2, seed)
+        G = gt.T
+    else:
+        G = base_disk(shape, size, seed)
+    b = G.boundary
+    u, v = b[edge % len(b)], b[(edge + 1) % len(b)]
+    if flip:
+        u, v = v, u
+    a = grid_shedding(gt).sequence if shape == "grid-staged" else shedding_sequence(G, u, v)
+    rs = reduce_trees(build_shedding_trees(G, a), a)
+    assert_forward_reduction_matches_the_reference(rs)
+    assert_forward_reduction_matches_the_reference(rs.mirrored())
 
 
 @pytest.mark.parametrize("label", ["stacked-160-s1", "fan-200"])
