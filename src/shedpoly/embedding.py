@@ -356,7 +356,9 @@ def grid_embed(
     would report.  A link that is not a run of the tracked chain raises
     PropertyViolation(i, "correspondence").
 
-    The trees are built and reduced once, over G.  When the contracted tree
+    The trees are built and reduced once, over G, and the drawing reads the
+    reduction as laid out: rs.zmap is the edge correspondence, and rs.f,
+    rs.g give each degree-2 step's template face.  When the contracted tree
     is left-heavy (m > m'), the drawing runs over a.mirrored() with the
     mirrored reduction, rs.mirrored(): mirror the reduction, not rebuild
     it.  The frame stays mirrored, since rounding by floor and ceil is not
@@ -370,7 +372,7 @@ def grid_embed(
     work, rs = (a.mirrored(), rs.mirrored()) if mirrored else (a, rs)
     rt = build_reduced_triangulation(rs)
     tpl = make_template(rt, n)
-    zmap = {key: rt.psi[rs.rep[key]] for key in rs.store.by_key}
+    zmap = rs.zmap
 
     lb, rb = work.base_lr
     a3 = a.order[2]
@@ -389,7 +391,7 @@ def grid_embed(
             case = "high"
         else:
             q = rs.rho[i]
-            fq, gq = rt.f[q], rt.g[q]
+            fq, gq = rs.f[q], rs.g[q]
             ek = edge_key(ws[0], ws[1])
             if set(zmap[ek]) != {fq - 1, gq - 1}:
                 raise PropertyViolation(

@@ -384,10 +384,11 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
         the diagonal argument is applied to is the greatest *admissible* one
         (cand_ok); the block top itself can be tucked under a rim edge that
         enters the block from the side, and an interior vertex meets no
-        diagonal.  Everything a round decides is read from the engine before
-        the first of its members is deleted; then the round deletes its batch
-        itself, checking just before each deletion that the member still
-        sheds.
+        diagonal.  When that vertex lies on row ymin or below and neither
+        side of its diagonal is admissible, the block sits out the round.
+        Everything a round decides is read from the engine before the first
+        of its members is deleted; then the round deletes its batch itself,
+        checking just before each deletion that the member still sheds.
 
         region_ok(w) says whether w may lie in a carve region, and a side of
         a diagonal is admissible when all its vertices may.  Only batch
@@ -424,6 +425,8 @@ def grid_shedding(gt: GridTriangulation) -> SheddingPlan:
                     raise InvariantViolation(f"{vk} neither sheds nor meets a diagonal")
                 uk = max(partners)
                 good = [S for S in peel.chord_sides(vk, uk, region_ok) if S is not None]
+                if not good and row[vk] <= ymin:
+                    continue
                 if len(good) != 1:
                     raise InvariantViolation(
                         f"diagonal ({vk},{uk}) has {len(good)} admissible sides"

@@ -18,9 +18,11 @@ the verify that parses the surface disk once, and the lattice grid
 generator with its search-and-remove flips, for the one that flips at the
 drawn rank, and the disk validator that builds its own maps and edge
 census, for the one that reads the disk's cached face map, and the
-after-the-fact reduction layout (a parent-chain chase for each node's
-representative, a stack walk for the in-order, a bisect search for each
-template vertex's ends), for the one that runs forward over the steps.
+shedding trees as linked node objects with their after-the-fact
+reduction (a parent-chain chase for each node's representative, a stack
+walk for the in-order, a bisect search for each template vertex's ends,
+each node's template edge read through its representative), for the flat
+store and the one forward pass that lays out the template from the links.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from shedpoly.griddiam import (
     _xy,
 )
 from shedpoly.lifting import LiftedPolyhedron
+from shedpoly.reduction import MalformedTreeSequence
 from shedpoly.triangulation import (
     InvalidTriangulation,
     NoSheddingVertex,
@@ -1098,15 +1101,109 @@ def _shape(root, children):
     return done[root]
 
 
-class SheddingTree(NamedTuple):
-    """View of the tree T_i: the nodes of the shared store with step <= i."""
+class TreeNode:
+    """A node of the reference shedding trees: an undirected boundary edge
+    with the step that created it and its parent and child links."""
 
-    store: object
+    __slots__ = ("key", "step", "parent", "left", "right")
+
+    def __init__(self, key, step: int, parent):
+        self.key = key
+        self.step = step
+        self.parent = parent
+        self.left = None
+        self.right = None
+
+    def __repr__(self) -> str:
+        return f"TreeNode({self.key}, step={self.step})"
+
+
+class TreeStore:
+    """Reference node store for the whole family T_2..T_n: T_i is the set of
+    nodes created at a step <= i."""
+
+    def __init__(self, root_key, n: int):
+        self.n = n
+        self.root = TreeNode(root_key, 2, None)
+        self.by_key = {root_key: self.root}
+        # created[i] = (left-attached node, right-attached node) for step i >= 3
+        self.created = {}
+
+    def add_pair(self, i: int, nu_key, xi_key, nup_key, xip_key):
+        xi = self.by_key[xi_key]
+        xip = self.by_key[xip_key]
+        if nu_key in self.by_key or nup_key in self.by_key:
+            raise MalformedTreeSequence(f"edge node created twice at step {i}")
+        if xi.left is not None or xip.right is not None:
+            raise MalformedTreeSequence(f"child slot already taken at step {i}")
+        nu = TreeNode(nu_key, i, xi)
+        nup = TreeNode(nup_key, i, xip)
+        xi.left = nu
+        xip.right = nup
+        self.by_key[nu_key] = nu
+        self.by_key[nup_key] = nup
+        self.created[i] = (nu, nup)
+
+
+def reference_trees(a: SheddingSequence) -> TreeStore:
+    """The shedding trees of a as linked node objects: a_i w_1 the left child
+    of w_1 w_2 and a_i w_k the right child of w_{k-1} w_k, the link of a_3
+    being a.base_lr."""
+    store = TreeStore(edge_key(*a.order[:2]), a.n)
+    for i, (ai, link) in enumerate(zip(a.order[2:], (a.base_lr,) + a.links), start=3):
+        store.add_pair(
+            i,
+            edge_key(ai, link[0]),
+            edge_key(link[0], link[1]),
+            edge_key(ai, link[-1]),
+            edge_key(link[-2], link[-1]),
+        )
+    return store
+
+
+class ReferenceReduction(NamedTuple):
+    """The contraction of a reference store: the index set R of steps of
+    degree <= 2, rho its ranks, h[i-1] = #{r in R : r <= i}, each node's
+    representative, and pairs[q] = (reduced parent, left node, right node)
+    keys for template step q >= 3."""
+
+    store: TreeStore
+    R: tuple
+    rho: dict
+    h: tuple
+    rep: dict
+    pairs: dict
+
+    @property
+    def n(self) -> int:
+        return self.store.n
+
+
+def reference_reduction(a: SheddingSequence) -> ReferenceReduction:
+    """The contraction of reference_trees(a), every field tabulated from its
+    definition, representatives by reference_rep's parent chase."""
+    store = reference_trees(a)
+    n = store.n
+    R = (1, 2, 3) + tuple(i for i in range(4, n + 1) if a.degrees[i - 1] == 2)
+    rho = {i: q for q, i in enumerate(R, start=1)}
+    h = tuple(sum(1 for r in R if r <= i) for i in range(1, n + 1))
+    rep = reference_rep(store, R)
+    pairs = {}
+    for i in R[2:]:
+        nu, nup = store.created[i]
+        pairs[rho[i]] = (rep[nu.parent.key], nu.key, nup.key)
+    return ReferenceReduction(store, R, rho, h, rep, pairs)
+
+
+class SheddingTree(NamedTuple):
+    """View of the tree T_i: the nodes of a reference store with step <= i."""
+
+    store: TreeStore
     upto: int
 
 
-def shedding_trees(store) -> tuple[SheddingTree, ...]:
-    """The views T_2..T_n of a reduction.TreeStore, T_i at index i - 2."""
+def shedding_trees(store: TreeStore) -> tuple[SheddingTree, ...]:
+    """The views T_2..T_n of a reference TreeStore, T_i at index i - 2."""
     return tuple(SheddingTree(store, i) for i in range(2, store.n + 1))
 
 
@@ -1126,7 +1223,7 @@ def node_count(T) -> int:
 
 
 def h_of(rs, i: int) -> int:
-    """h(i) = #{r in R : r <= i}, as reduce_trees tabulated it."""
+    """h(i) = #{r in R : r <= i} of a ReferenceReduction."""
     return rs.h[i - 1]
 
 
@@ -1185,6 +1282,18 @@ def reference_layout(rs):
         g[q] = present[j][1] if j < len(present) else 2
         present.insert(j, (w, q))
     return f, g, tuple(q for _, q in present)
+
+
+def reference_zmap(rs) -> dict:
+    """Each node key mapped to the template edge of its representative: the
+    root to (0, 1), the left and right nodes of template step q to
+    (q-1, f[q]-1) and (q-1, g[q]-1), 0-based."""
+    f, g, _ = reference_layout(rs)
+    psi = {rs.store.root.key: (0, 1)}
+    for q, (_, lk, rk) in rs.pairs.items():
+        psi[lk] = (q - 1, f[q] - 1)
+        psi[rk] = (q - 1, g[q] - 1)
+    return {key: psi[r] for key, r in rs.rep.items()}
 
 
 def reference_internal_counts(rs) -> tuple[int, int]:

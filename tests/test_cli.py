@@ -61,6 +61,18 @@ def test_pipeline_grid_5_5_3_seed7_exits_zero():
     assert "FAIL" not in rep and "FAIL" not in audit
 
 
+@pytest.mark.parametrize("grid", [("14", "7", "4", "72"), ("10", "6", "4", "35")])
+def test_pipeline_on_grids_whose_stage_1_block_top_sits_on_row_l(grid):
+    # gen-grid once raised "diagonal ... has 0 admissible sides" on these
+    p, q, ell, seed = grid
+    c1, gen, _ = run(["gen-grid", p, q, ell, "--seed", seed])
+    c2, emb, _ = run(["embed"], gen)
+    c3, off, _ = run(["lift"], emb)
+    c4, rep, _ = run(["verify"], off)
+    assert (c1, c2, c3, c4) == (EXIT_OK,) * 4
+    assert rep.count("PASS") == len(rep.splitlines()) == 7
+
+
 def test_pipeline_is_byte_deterministic():
     assert pipeline(7) == pipeline(7)
     assert pipeline(3) == pipeline(3)

@@ -229,7 +229,10 @@ def test_grid_shedding_5x5_ell3():
 
 
 def test_grid_shedding_assorted():
-    for p, q, ell, seed in ((2, 2, 2, 0), (3, 6, 2, 4), (6, 3, 3, 9), (10, 4, 2, 2), (8, 8, 3, 13)):
+    # 14x7 and 10x6 (l = 4): a stage-1 block whose greatest admissible
+    # vertex lies on row l, with no admissible side, sits out the round
+    grids = ((2, 2, 2, 0), (3, 6, 2, 4), (6, 3, 3, 9), (10, 4, 2, 2), (8, 8, 3, 13))
+    for p, q, ell, seed in grids + ((14, 7, 4, 72), (10, 6, 4, 35)):
         gt = gen_grid_triangulation(p, q, ell, seed)
         plan = grid_shedding(gt)
         check_plan(gt, plan)

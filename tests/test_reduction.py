@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import comb
 
@@ -15,7 +14,6 @@ from shedpoly.embedding import grid_embed
 from shedpoly.griddiam import gen_grid_triangulation, grid_shedding
 from shedpoly.reduction import (
     MalformedTreeSequence,
-    ReducedStructure,
     build_reduced_triangulation,
     build_shedding_trees,
     reduce_trees,
@@ -38,10 +36,12 @@ def seq_of(G):
 
 
 def pipeline(G, a=None):
+    """(a, the reference trees T_2..T_n, the reference reduction, the
+    library's reduction)."""
     a = a or seq_of(G)
-    store = build_shedding_trees(G, a)
-    rs = reduce_trees(store, a)
-    return a, oracles.shedding_trees(store), rs
+    ref = oracles.reference_reduction(a)
+    rs = reduce_trees(build_shedding_trees(G, a), a)
+    return a, oracles.shedding_trees(ref.store), ref, rs
 
 
 def instances():
@@ -57,7 +57,7 @@ def instances():
 
 
 def test_triangle_tree():
-    a, trees, _ = pipeline(triangle())
+    a, trees, _, rs = pipeline(triangle())
     assert len(trees) == 2
     t3 = trees[-1]
     assert oracles.node_count(t3) == 3
@@ -65,10 +65,13 @@ def test_triangle_tree():
     assert root.key == (0, 1)
     assert root.left.key == edge_key(2, 0)
     assert root.right.key == edge_key(2, 1)
+    assert rs.store.root == (0, 1)
+    assert rs.store.by_key == {(0, 1): 2, (0, 2): 3, (1, 2): 3}
+    assert rs.store.created == {3: ((0, 2), (0, 1), (1, 2), (0, 1))}
 
 
 def test_square_tree():
-    a, trees, _ = pipeline(split_square())
+    a, trees, _, rs = pipeline(split_square())
     t4 = trees[-1]
     assert a.order == (0, 1, 2, 3)
     assert oracles.node_count(t4) == 5
@@ -76,11 +79,13 @@ def test_square_tree():
     xi = t4.store.by_key[(0, 2)]
     assert xi.left.key == (0, 3) and xi.left.step == 4
     assert xi.right.key == (2, 3) and xi.right.step == 4
+    assert rs.store.created[4] == ((0, 3), (0, 2), (2, 3), (0, 2))
+    assert rs.store.by_key[(0, 3)] == rs.store.by_key[(2, 3)] == 4
 
 
 def test_tree_node_counts():
     for G in instances():
-        a, trees, _ = pipeline(G)
+        a, trees, _, _ = pipeline(G)
         for tree in trees:
             assert oracles.node_count(tree) == 1 + 2 * (tree.upto - 2)
 
@@ -88,12 +93,12 @@ def test_tree_node_counts():
 def test_tree_matches_prefix_trees():
     # T_i of (G, a) equals the full tree of the prefix instance (G_i, a[:i])
     G = gen_stacked(12, 99)
-    a, trees, _ = pipeline(G)
+    a, trees, _, _ = pipeline(G)
 
     for i in (5, 8, 12):
         P = oracles.induced_disk(G, a.order[:i])
         pref = peel_order(P, a.order[:i])
-        ptrees = oracles.shedding_trees(build_shedding_trees(P, pref))
+        ptrees = oracles.shedding_trees(oracles.reference_trees(pref))
         assert oracles.tree_shape(ptrees[-1]) == oracles.tree_shape(trees[i - 2])
 
 
@@ -102,25 +107,28 @@ def test_tree_matches_prefix_trees():
 
 def test_reduce_all_degree_two_is_identity():
     G = split_square()
-    a, trees, rs = pipeline(G)
+    a, trees, ref, rs = pipeline(G)
     assert a.degrees == (0, 1, 2, 2)
-    assert rs.R == (1, 2, 3, 4)
+    assert rs.rho == {1: 1, 2: 2, 3: 3, 4: 4}
     for i in range(2, 5):
-        assert oracles.reduced_shape(rs, i) == oracles.tree_shape(trees[i - 2])
+        assert oracles.reduced_shape(ref, i) == oracles.tree_shape(trees[i - 2])
 
 
 def test_reduce_stacked_k4():
     G = stacked_k4()
-    a, trees, rs = pipeline(G)
+    a, trees, ref, rs = pipeline(G)
     assert a.degrees == (0, 1, 2, 3)
-    assert rs.R == (1, 2, 3)
-    assert rs.h == (1, 2, 3, 3)
-    assert oracles.reduced_node_count(rs.store, rs.R, 4) == 3
+    assert ref.R == (1, 2, 3) and rs.rho == {1: 1, 2: 2, 3: 3}
+    assert ref.h == (1, 2, 3, 3)
+    assert oracles.reduced_node_count(ref.store, ref.R, 4) == 3
     # T*_4 collapses to T_3
-    assert oracles.reduced_shape(rs, 4) == oracles.tree_shape(trees[1])
-    # the contracted step-4 nodes represent the surviving step-3 edges
-    assert rs.rep[(0, 2)] == (0, 3)
-    assert rs.rep[(1, 2)] == (1, 3)
+    assert oracles.reduced_shape(ref, 4) == oracles.tree_shape(trees[1])
+    # the contracted step-4 nodes represent the surviving step-3 edges and
+    # carry their template edges
+    assert ref.rep[(0, 2)] == (0, 3)
+    assert ref.rep[(1, 2)] == (1, 3)
+    assert rs.zmap[(0, 2)] == rs.zmap[(0, 3)] == (2, 0)
+    assert rs.zmap[(1, 2)] == rs.zmap[(1, 3)] == (2, 1)
 
 
 def full_binary(shape) -> bool:
@@ -134,44 +142,47 @@ def full_binary(shape) -> bool:
 
 def test_reduced_trees_full_binary():
     for G in instances():
-        _, _, rs = pipeline(G)
-        for i in range(2, rs.n + 1):
-            assert full_binary(oracles.reduced_shape(rs, i))
-            expected = 1 if i == 2 else 1 + 2 * (oracles.h_of(rs, i) - 2)
-            assert oracles.reduced_node_count(rs.store, rs.R, i) == expected
+        _, _, ref, _ = pipeline(G)
+        for i in range(2, ref.n + 1):
+            assert full_binary(oracles.reduced_shape(ref, i))
+            expected = 1 if i == 2 else 1 + 2 * (oracles.h_of(ref, i) - 2)
+            assert oracles.reduced_node_count(ref.store, ref.R, i) == expected
 
 
-def test_size_check_names_the_first_tree_a_missing_node_shrinks():
-    # Drop one node of the store, created at a reduced step i (the root for
-    # i = 2): reduce_trees must report the first short T*_j exactly as the
-    # node count of every contracted tree, recounted from scratch, does.
-    for G in (split_square(), pentagon_fan(), gen_stacked(16, 13), gen_stacked(30, 14)):
-        a, _, rs = pipeline(G)
-        for i in rs.R[1:]:
-            store = build_shedding_trees(G, a)
-            node = store.root if i == 2 else store.created[i][0]
-            del store.by_key[node.key]
-            want = None
-            for j in range(2, rs.n + 1):
-                got = oracles.reduced_node_count(store, rs.R, j)
-                expect = 1 if j == 2 else 1 + 2 * (oracles.h_of(rs, j) - 2)
-                if got != expect:
-                    want = f"T*_{j} has {got} nodes, expected {expect}"
-                    break
-            assert want is not None and want.startswith(f"T*_{i} ")
-            with pytest.raises(MalformedTreeSequence) as info:
-                reduce_trees(store, a)
-            assert str(info.value) == want
+def test_malformed_stores_are_refused_with_their_messages():
+    # (0, 2) turns internal at step 5 through its contracted child (0, 3);
+    # step 6 hangs a second degree-2 pair under its other contracted child
+    from types import SimpleNamespace
+
+    from shedpoly.reduction import TreeStore
+
+    store = TreeStore((0, 1), 6)
+    store.add_pair(3, (0, 2), (0, 1), (1, 2), (0, 1))
+    store.add_pair(4, (0, 3), (0, 2), (2, 3), (0, 2))
+    store.add_pair(5, (0, 4), (0, 3), (3, 4), (0, 3))
+    store.add_pair(6, (2, 5), (2, 3), (3, 5), (2, 3))
+    with pytest.raises(MalformedTreeSequence, match=r"^step 6: parent \(0, 2\) already internal$"):
+        reduce_trees(store, SimpleNamespace(degrees=(0, 1, 2, 3, 2, 2)))
+    for args, msg in (
+        (((0, 4), (1, 2), (7, 8), (1, 2)), "edge node created twice at step 7"),
+        (((7, 8), (1, 2), (7, 8), (1, 2)), "edge node created twice at step 7"),
+        (((7, 8), (0, 1), (7, 9), (1, 2)), "child slot already taken at step 7"),
+        (((7, 8), (1, 2), (7, 9), (0, 2)), "child slot already taken at step 7"),
+    ):
+        with pytest.raises(MalformedTreeSequence, match=f"^{msg}$"):
+            store.add_pair(7, *args)
 
 
 def test_rho_h_consistency():
     for G in instances():
-        _, _, rs = pipeline(G)
-        assert rs.R[:3] == (1, 2, 3)
-        for i in rs.R:
-            assert oracles.h_of(rs, i) == rs.rho[i]
-        for i in range(1, rs.n + 1):
-            assert oracles.h_of(rs, i) == sum(1 for r in rs.R if r <= i)
+        a, _, ref, rs = pipeline(G)
+        R = tuple(rs.rho)
+        assert R[:3] == (1, 2, 3) and R == ref.R
+        assert R[3:] == tuple(i for i in range(4, a.n + 1) if a.degrees[i - 1] == 2)
+        for i in R:
+            assert oracles.h_of(ref, i) == rs.rho[i]
+        for i in range(1, ref.n + 1):
+            assert oracles.h_of(ref, i) == sum(1 for r in R if r <= i)
 
 
 # -- reduced triangulation -------------------------------------------------------
@@ -179,7 +190,7 @@ def test_rho_h_consistency():
 
 def test_base_case_coordinates():
     for G in (triangle(), stacked_k4()):
-        _, _, rs = pipeline(G)
+        *_, rs = pipeline(G)
         rt = build_reduced_triangulation(rs)
         assert rt.size == 3
         assert rt.m == 0 and rt.mprime == 0
@@ -193,7 +204,7 @@ def mirrored_pipeline(G):
 
 
 def rt_for(G):
-    _, _, rs = pipeline(G)
+    *_, rs = pipeline(G)
     try:
         return build_reduced_triangulation(rs)
     except MalformedTreeSequence:
@@ -202,7 +213,7 @@ def rt_for(G):
 
 def test_left_heavy_raises_and_mirror_recovers():
     G = pentagon_fan()
-    _, _, rs = pipeline(G)
+    *_, rs = pipeline(G)
     assert rs.internal_counts() == (2, 0)
     with pytest.raises(MalformedTreeSequence):
         build_reduced_triangulation(rs)
@@ -243,49 +254,52 @@ def test_template_tree_isomorphism():
     # the shedding trees of G* replay the distinct contracted trees of G
     for G in instances():
         rt = rt_for(G)
-        rs = rt.rs
+        a, _, ref, _ = pipeline(G)
         astar = peel_order(rt.Gstar, range(rt.size))
-        star_trees = oracles.shedding_trees(build_shedding_trees(rt.Gstar, astar))
-        for i in range(2, rs.n + 1):
-            h = oracles.h_of(rs, i) if i >= 3 else 1
-            if i == 2:
-                continue
-            assert oracles.reduced_shape(rs, i) == oracles.tree_shape(star_trees[h - 2]), (repr(G), i)
+        star_trees = oracles.shedding_trees(oracles.reference_trees(astar))
+        m, mp = oracles.reference_internal_counts(ref)
+        if m > mp:
+            ref = oracles.reference_reduction(a.mirrored())
+        for i in range(3, ref.n + 1):
+            h = oracles.h_of(ref, i)
+            assert oracles.reduced_shape(ref, i) == oracles.tree_shape(star_trees[h - 2]), (repr(G), i)
 
 
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
 def test_one_inorder_traversal_per_reduced_structure(monkeypatch, label):
-    # grid_embed reads m, m' and the template's x ranks off one layout;
-    # when it mirrors, the mirrored reduction takes that layout with its
-    # sides exchanged instead of laying out again
+    # grid_embed reads m, m' and the template's x ranks off the one in-order
+    # that reduce_trees lays out; when it mirrors, the template takes that
+    # in-order reversed instead of laying out again
     if label == "stacked-160":
         G = gen_stacked(160, 0)
     else:
         G = PlaneTriangulation(range(200), [(0, i, i + 1) for i in range(1, 199)], range(200))
-    traversals = []
-    real = ReducedStructure.layout.func
+    reduced, templated = [], []
 
-    def count(rs):
-        traversals.append(id(rs))
-        return real(rs)
+    def on_reduce(store, a):
+        reduced.append(reduce_trees(store, a))
+        return reduced[-1]
 
-    counted = functools.cached_property(count)
-    counted.__set_name__(ReducedStructure, "layout")
-    monkeypatch.setattr(ReducedStructure, "layout", counted)
+    def on_template(rs):
+        templated.append(rs)
+        return build_reduced_triangulation(rs)
+
+    monkeypatch.setattr(embedding, "reduce_trees", on_reduce)
+    monkeypatch.setattr(embedding, "build_reduced_triangulation", on_template)
     emb = grid_embed(G, seq_of(G))
-    assert len(traversals) == 1
+    assert len(reduced) == len(templated) == 1
     assert emb.mirrored == (label == "fan-200")
+    order = reduced[0].order
+    assert templated[0].order == (order[::-1] if emb.mirrored else order)
 
 
 def test_template_edge_lookup():
     G = stacked_k4()
-    a, trees, rs = pipeline(G)
-    rt = build_reduced_triangulation(rs)
+    a, _, ref, rs = pipeline(G)
     corr = grid_embed(G, a).correspondence
     # the contracted step-4 edges (0, 2) and (1, 2) inherit their ancestors' template edges
     want = {(0, 1): (0, 1), (0, 3): (2, 0), (1, 3): (2, 1), (0, 2): (2, 0), (1, 2): (2, 1)}
-    for key, z in want.items():
-        assert rt.psi[rs.rep[key]] == corr[key] == z, key
+    assert rs.zmap == corr == oracles.reference_zmap(ref) == want
 
 
 def _preorder(shape) -> list[int]:
@@ -308,11 +322,12 @@ def test_long_fan_trees_without_recursion():
     # are chains about a thousand levels deep
     n = 1100
     G = PlaneTriangulation(range(n), [(0, i, i + 1) for i in range(1, n - 1)], range(n))
-    a, trees, rs = pipeline(G)
+    a, trees, ref, rs = pipeline(G)
     T = trees[-1]
     flat = _preorder(oracles.tree_shape(T))
     assert flat.count(1) == oracles.node_count(T)
-    assert _preorder(oracles.reduced_shape(rs, n)) == flat
+    assert _preorder(oracles.reduced_shape(ref, n)) == flat
+    assert len(rs.order) == n - 2
 
 
 # -- the mirrored reduction ------------------------------------------------------
@@ -327,7 +342,8 @@ def assert_mirror_matches_a_fresh_reduction(a) -> bool:
     fresh = reduce_trees(build_shedding_trees(w.G, w), w)
     got = rs.mirrored()
     assert got.store is rs.store
-    for name in ("R", "rho", "h", "rep", "pairs", "layout"):
+    assert got.store.by_key == fresh.store.by_key
+    for name in ("rho", "f", "g", "order", "zmap"):
         assert getattr(got, name) == getattr(fresh, name), name
     m, mp = rs.internal_counts()
     assert got.internal_counts() == fresh.internal_counts() == (mp, m)
@@ -361,14 +377,20 @@ def test_mirrored_reduction_matches_a_fresh_one_on_random_disks(shape, size, see
     assert_mirror_matches_a_fresh_reduction(shedding_sequence(G, u, v))
 
 
-def assert_forward_reduction_matches_the_reference(rs):
-    assert rs.rep == oracles.reference_rep(rs.store, rs.R)
-    f, g, order = rs.layout
-    assert (f, g, order) == oracles.reference_layout(rs)
-    key_of_q = {q: pk for q, (pk, _, _) in rs.pairs.items()}
-    key_of_q[3] = rs.store.root.key
-    assert [key_of_q[q] for q in order] == oracles.reference_inorder(rs)
-    assert rs.internal_counts() == oracles.reference_internal_counts(rs)
+def assert_forward_reduction_matches_the_reference(rs, a):
+    """The flat store and the forward layout of rs against the node objects,
+    parent-chain chase, stack in-order and bisect layout of the reference
+    reduction of a."""
+    ref = oracles.reference_reduction(a)
+    assert rs.store.root == ref.store.root.key
+    assert rs.store.by_key == {k: nd.step for k, nd in ref.store.by_key.items()}
+    assert rs.rho == ref.rho
+    assert (rs.f, rs.g, rs.order) == oracles.reference_layout(ref)
+    key_of_q = {q: pk for q, (pk, _, _) in ref.pairs.items()}
+    key_of_q[3] = ref.store.root.key
+    assert [key_of_q[q] for q in rs.order] == oracles.reference_inorder(ref)
+    assert rs.zmap == oracles.reference_zmap(ref)
+    assert rs.internal_counts() == oracles.reference_internal_counts(ref)
 
 
 @settings(max_examples=200, deadline=None)
@@ -380,8 +402,8 @@ def assert_forward_reduction_matches_the_reference(rs):
     flip=st.booleans(),
 )
 def test_forward_reduction_matches_the_reference(shape, size, seed, edge, flip):
-    # representatives, template ends, in-order and (m, m') against the
-    # parent-chain chase, stack walk and bisect layout, plain and mirrored;
+    # the store, rho, template ends, in-order, template edges and (m, m')
+    # against the reference trees and layout, plain and mirrored;
     # grid-staged takes the grid's own three-stage schedule
     if shape.startswith("grid"):
         gt = gen_grid_triangulation(4 + size % 9, 4 + seed % 9, 2 + seed % 2, seed)
@@ -394,8 +416,8 @@ def test_forward_reduction_matches_the_reference(shape, size, seed, edge, flip):
         u, v = v, u
     a = grid_shedding(gt).sequence if shape == "grid-staged" else shedding_sequence(G, u, v)
     rs = reduce_trees(build_shedding_trees(G, a), a)
-    assert_forward_reduction_matches_the_reference(rs)
-    assert_forward_reduction_matches_the_reference(rs.mirrored())
+    assert_forward_reduction_matches_the_reference(rs, a)
+    assert_forward_reduction_matches_the_reference(rs.mirrored(), a.mirrored())
 
 
 @pytest.mark.parametrize("label", ["stacked-160-s1", "fan-200"])

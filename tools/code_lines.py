@@ -6,13 +6,15 @@ body.  Usage::
 
     python3 tools/code_lines.py [PATH ...]
 
-PATH is a file or a directory searched for ``*.py``; the default is
-``src``.  Prints the total, or with several paths one count per path and
-the total.  Standard library only.
+PATH is a file or a directory searched for ``*.py``; the default is the
+repository's ``src``, wherever the script is run from.  Prints the total,
+or with several paths one count per path and the total; a missing PATH
+exits 2.  Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -59,7 +61,13 @@ def count(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    paths = [Path(p) for p in argv] or [Path("src")]
+    ap = argparse.ArgumentParser(description="Count the code lines of Python sources.")
+    ap.add_argument("paths", nargs="*", type=Path, metavar="PATH")
+    paths = ap.parse_args(argv).paths or [Path(__file__).resolve().parent.parent / "src"]
+    for p in paths:
+        if not p.exists():
+            print(f"code_lines.py: no such file or directory: {p}", file=sys.stderr)
+            return 2
     counts = [count(p) for p in paths]
     if len(paths) > 1:
         for p, c in zip(paths, counts):
