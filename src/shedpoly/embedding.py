@@ -358,7 +358,11 @@ def grid_embed(
 
     The trees are built and reduced once, over G, and the drawing reads the
     reduction as laid out: rs.zmap is the edge correspondence, and rs.f,
-    rs.g give each degree-2 step's template face.  When the contracted tree
+    rs.g give each degree-2 step's template face.  A degree-2 step needs no
+    check that the two agree: its link edge w_1 w_2 is the parent node of
+    the step's two new nodes, and reduce_trees gives that node's zmap entry
+    in the same pass as f and g, as the template edge with ends (f[q] - 1,
+    g[q] - 1), q = rho[i]; rs.mirrored() maps both sides alike.  When the contracted tree
     is left-heavy (m > m'), the drawing runs over a.mirrored() with the
     mirrored reduction, rs.mirrored(): mirror the reduction, not rebuild
     it.  The frame stays mirrored, since rounding by floor and ceil is not
@@ -392,11 +396,6 @@ def grid_embed(
         else:
             q = rs.rho[i]
             fq, gq = rs.f[q], rs.g[q]
-            ek = edge_key(ws[0], ws[1])
-            if set(zmap[ek]) != {fq - 1, gq - 1}:
-                raise PropertyViolation(
-                    i, "correspondence", f"Z({ek})={zmap[ek]} but template face is ({fq},{gq})"
-                )
             pt = place_degree_two(wpts[0], wpts[1], tpl.z[fq - 1], tpl.z[gq - 1], tpl.z[q - 1])
             case = "two"
         if not wpts[0][0] < pt[0] < wpts[-1][0]:

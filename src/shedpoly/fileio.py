@@ -17,17 +17,21 @@ The writer emits a canonical form -- vertices ascending, each triangle rotated
 smallest-id-first and triangles sorted, the boundary cycle rotated to start at
 its smallest id -- so any canonically written document round-trips
 byte-identically through read + write.  A document only parses if the result
-validates as a triangulated disk.
+validates as a triangulated disk.  Each line's integers go through plain
+int(); only a line it rejects is re-read token by token to name the bad one.
 
 Mesh export is plain OFF (counts line with the true edge count, exact decimal
 integer coordinates of arbitrary length, faces as index triples); the shedding
 order and the truncation facet travel in ``#`` comment lines so a lift is
 self-describing.  OBJ export carries identical data for viewers that prefer it.
+Reading faces back, one face map (triangulation.face_map) gives the edge count
+and the boundary, and becomes the rebuilt disk's third().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .exactgeom import Point3
@@ -36,6 +40,7 @@ from .triangulation import (
     InvalidTriangulation,
     PlaneTriangulation,
     SheddingSequence,
+    face_map,
     peel_order,
     rot_min_first,
     validate,
@@ -101,15 +106,21 @@ def read_triangulation(text: str) -> TriangulationFile:
         if tag == "v":
             if len(rest) != 3:
                 raise ParseError(f"v line needs id x y, got {toks}")
-            vid = _int(rest[0], "vertex id")
+            try:
+                vid, x, y = map(int, rest)
+            except ValueError:
+                vid, x, y = _int(rest[0], "vertex id"), _int(rest[1], "x"), _int(rest[2], "y")
             if vid in coords:
                 raise ParseError(f"vertex {vid} has two coordinate lines")
-            coords[vid] = (_int(rest[1], "x"), _int(rest[2], "y"))
+            coords[vid] = (x, y)
         elif tag == "t":
             if len(rest) != 3:
                 raise ParseError(f"t line needs three ids, got {toks}")
-            a, b, c = (_int(r, "triangle id") for r in rest)
-            if len({a, b, c}) != 3:
+            try:
+                a, b, c = map(int, rest)
+            except ValueError:
+                a, b, c = (_int(r, "triangle id") for r in rest)
+            if a == b or b == c or a == c:
                 raise ParseError(f"degenerate triangle {a} {b} {c}")
             triangles.append((a, b, c))
         elif tag == "b":
@@ -129,7 +140,7 @@ def read_triangulation(text: str) -> TriangulationFile:
         raise ParseError("no triangles")
     if boundary is None:
         raise ParseError("no boundary line")
-    vertices = sorted({v for t in triangles for v in t})
+    vertices = sorted(set(chain.from_iterable(triangles)))
     if len(vertices) != header["n"]:
         raise ParseError(
             f"header says n={header['n']} but triangles use {len(vertices)} vertices"
@@ -194,14 +205,17 @@ class MeshExport:
         return self.text
 
 
+def _open_edges(third: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """The directed edges of a face map whose reverse is in no face."""
+    return [(u, v) for u, v in third if (v, u) not in third]
+
+
 def _edge_count(facets: Sequence[tuple[int, int, int]]) -> int:
-    return len(
-        {
-            (u, v) if u < v else (v, u)
-            for t in facets
-            for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-        }
-    )
+    """Undirected edges of faces without a repeated corner: an edge in faces
+    on both sides is two directed edges of the face map, one on a single
+    side is one directed edge with no reverse."""
+    third = face_map(facets)
+    return (len(third) + len(_open_edges(third))) // 2
 
 
 def export_off(P: LiftedPolyhedron) -> MeshExport:
@@ -218,7 +232,12 @@ def export_off(P: LiftedPolyhedron) -> MeshExport:
         lines.append("# a " + " ".join(str(index[v]) for v in P.sequence.order))
     if P.truncated is not None:
         lines.append("# top " + " ".join(str(index[v]) for v in P.truncated))
-    nv, nf, ne = len(ids), len(P.facets), _edge_count(P.facets)
+    if P.sequence is None:
+        ne = _edge_count(P.facets)
+    else:  # Euler on the lifted disk; a top facet's edges are its boundary
+        G = P.sequence.G
+        ne = 3 * G.n - len(G.boundary) - 3
+    nv, nf = len(ids), len(P.facets)
     lines.append(f"{nv} {nf} {ne}")
     for v in ids:
         p = P.points[v]
@@ -244,7 +263,10 @@ def export_obj(P: LiftedPolyhedron) -> str:
 def read_off(
     text: str,
 ) -> tuple[dict[int, Point3], tuple[tuple[int, int, int], ...], list[str]]:
-    """Parse an OFF document: points by 0-based index, faces, comment lines."""
+    """Parse an OFF document: points by 0-based index, faces, comment lines.
+
+    A nonzero edge count on the counts line must equal the faces' edges,
+    counted on their face map (_edge_count)."""
     comments = [
         s.lstrip("#").strip()
         for s in text.splitlines()
@@ -281,25 +303,32 @@ def read_off(
         if a not in points or b not in points or c not in points or a == b or b == c or a == c:
             raise ParseError(f"face indices out of range: {t}")
         facets.append(t)  # type: ignore[arg-type]
-    if ne != 0 and ne != _edge_count(facets):
-        raise ParseError(f"counts line says {ne} edges, faces give {_edge_count(facets)}")
+    if ne != 0 and ne != (true_ne := _edge_count(facets)):
+        raise ParseError(f"counts line says {ne} edges, faces give {true_ne}")
     return points, tuple(facets), comments
 
 
 def disk_from_facets(facets: Sequence[tuple[int, int, int]]) -> PlaneTriangulation:
     """Rebuild the triangulated disk whose ccw faces are the given triples.
 
-    The boundary cycle is derived from scratch: a directed edge whose reverse
-    belongs to no face is a boundary edge, and those edges must chain into a
-    single cycle.  The result must pass validate().
+    One face map of the triples (triangulation.face_map) does all the work:
+    a directed edge whose reverse is in no face is a boundary edge, those
+    edges must chain into a single cycle, and the map becomes the disk's
+    third(), which validate() reads instead of building its own.  The
+    result must pass validate().
     """
-    directed = {(t[j], t[(j + 1) % 3]) for t in facets for j in range(3)}
-    succ: dict[int, int] = {}
-    for u, v in directed:
-        if (v, u) not in directed:
-            if u in succ:
-                raise ParseError(f"vertex {u} has two outgoing boundary edges")
-            succ[u] = v
+    third = face_map(facets)
+    opened = _open_edges(third)
+    succ = dict(opened)
+    if len(succ) < len(opened):
+        # name the vertex that the set of directed edges meets twice first
+        directed = {(t[j], t[(j + 1) % 3]) for t in facets for j in range(3)}
+        tails: set[int] = set()
+        for u, v in directed:
+            if (v, u) not in directed:
+                if u in tails:
+                    raise ParseError(f"vertex {u} has two outgoing boundary edges")
+                tails.add(u)
     if not succ:
         raise ParseError("faces form a closed surface, not a disk")
     start = min(succ)
@@ -315,8 +344,8 @@ def disk_from_facets(facets: Sequence[tuple[int, int, int]]) -> PlaneTriangulati
             raise ParseError("boundary edges form more than one cycle")
     if len(cyc) != len(succ):
         raise ParseError("boundary edges form more than one cycle")
-    vertices = sorted({v for t in facets for v in t})
-    G = PlaneTriangulation(vertices, facets, cyc)
+    G = PlaneTriangulation(dict(third.keys()), facets, cyc)
+    G._third = third
     bad = validate(G)
     if bad:
         raise ParseError(f"faces do not form a triangulated disk: {bad[0].code}")

@@ -6,10 +6,11 @@ of the previous prefix.  Because every drawing prefix is in convex position
 with respect to the base edge, the highest of those planes above a_i is the
 plane of a face across one of its link edges, so the lift reads k_i - 1
 faces for a vertex with k_i link vertices (the argument is in lift's
-docstring).  We take the greedy minimal height and *assert* the closed-form
+docstring).  We take the greedy minimal height and *check* the closed-form
 ceilings (499*n^8*m_i + 1 per step, (500*n^8)^tau for the tallest height)
 instead of constructing with them; the per-vertex (500*n^8)^depth bound
-follows from the per-step one.
+follows from the per-step one.  A ceiling that fails raises
+embedding.PropertyViolation, an implementation bug, also under python -O.
 
 Heights are exact Python ints; they can grow to thousands of bits on deep
 instances, which is fine.  The links come from the SheddingSequence itself,
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from .embedding import GridEmbedding, first_faulty_prefix
+from .embedding import GridEmbedding, PropertyViolation, first_faulty_prefix
 from .exactgeom import Plane, Point3, above_plane, floor_plane, plane_through
 from .griddiam import tau_profile
 from .triangulation import PlaneTriangulation, SheddingSequence, rot_min_first
@@ -85,8 +86,10 @@ class LiftedPolyhedron:
         when the lift is truncated.
 
         Computed once per instance, like facet_planes; an OFF verify and
-        verify's lift proof read this one disk.  Raises fileio.ParseError
-        when the surface facets do not form a triangulated disk.
+        verify's lift proof read this one disk, whose one face map
+        (built by disk_from_facets) found its boundary and is its third().
+        Raises fileio.ParseError when the surface facets do not form a
+        triangulated disk.
         """
         from .fileio import disk_from_facets  # fileio imports this module
 
@@ -137,8 +140,9 @@ def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
     highest plane is the highest floor, the same number a scan of every face
     around the link would find.
 
-    The per-step ceiling h(a_i) <= 499*n^8*m_i + 1 is asserted, and so is
-    max h <= B^tau with B = 500*n^8.  The per-vertex bound h(v) <= B^depth(v)
+    The per-step ceiling h(a_i) <= 499*n^8*m_i + 1 is checked, and so is
+    max h <= B^tau with B = 500*n^8; either failing raises
+    PropertyViolation.  The per-vertex bound h(v) <= B^depth(v)
     needs no check of its own.  The link of a_i is exactly its set of
     earlier neighbours, so depth(a_i) = 1 + the largest depth on the link,
     and by induction m_i <= B^(depth(a_i) - 1); then
@@ -166,11 +170,13 @@ def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
         )
         heights[v] = hv
         m[v] = max(heights[u] for u in link)
-        assert hv <= height_bound(n, m[v]), (
-            f"height {hv} of vertex {v} exceeds 499*n^8*m+1 with m={m[v]}"
-        )
-
-    assert max(heights.values()) <= (500 * n**8) ** tau_profile(G, a).tau
+        if hv > height_bound(n, m[v]):
+            raise PropertyViolation(
+                i, "height", f"height {hv} of vertex {v} exceeds 499*n^8*m+1 with m={m[v]}"
+            )
+    tau = tau_profile(G, a).tau
+    if max(heights.values()) > (500 * n**8) ** tau:
+        raise PropertyViolation(n, "height", f"a height exceeds (500*n^8)^tau with tau={tau}")
 
     points = {w: point(w) for w in G.vertices}
     return LiftedPolyhedron(
@@ -187,7 +193,8 @@ def truncate_to_polytope(P: LiftedPolyhedron, emb: GridEmbedding) -> LiftedPolyh
 
     Requires the drawing's outer face to be a triangle; the closing plane runs
     through the three lifted boundary vertices, and every other lifted vertex
-    must fall strictly below it (a consequence of convexity, asserted here).
+    must fall strictly below it (a consequence of convexity, checked here:
+    PropertyViolation otherwise).
     The returned facets are oriented outward: the surface triangles flipped to
     face downward, plus the top triangle as seen from above.
     """
@@ -206,9 +213,10 @@ def truncate_to_polytope(P: LiftedPolyhedron, emb: GridEmbedding) -> LiftedPolyh
     for v in G.vertices:
         if v in (b1, b2, b3):
             continue
-        assert above_plane(top_plane, *P.points[v]) < 0, (
-            f"vertex {v} does not lie strictly below the closing plane"
-        )
+        if above_plane(top_plane, *P.points[v]) >= 0:
+            raise PropertyViolation(
+                G.n, "truncation", f"vertex {v} does not lie strictly below the closing plane"
+            )
     lower = tuple(rot_min_first((t[2], t[1], t[0])) for t in P.facets)
     top = rot_min_first((b1, b2, b3))
     return replace(P, facets=lower + (top,), truncated=top)

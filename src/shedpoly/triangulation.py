@@ -26,10 +26,12 @@ with.
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
@@ -50,6 +52,17 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def face_map(triangles: Iterable[Sequence[int]]) -> dict[tuple[int, int], int]:
+    """Directed edge (u, v) -> the third vertex of the triangle (u, v, w);
+    a directed edge of two triangles keeps the later one."""
+    m: dict[tuple[int, int], int] = {}
+    for a, b, c in triangles:
+        m[(a, b)] = c
+        m[(b, c)] = a
+        m[(c, a)] = b
+    return m
+
+
 def rot_min_first(t: Sequence[int]) -> tuple[int, ...]:
     """The cyclic rotation of t that starts at its smallest entry."""
     j = t.index(min(t))
@@ -63,7 +76,8 @@ class PlaneTriangulation:
     boundary:  simple cycle of boundary vertex ids, ccw (interior on the left).
     coords:    optional map id -> (x, y) integer lattice point.
 
-    Derived adjacency structures are built lazily and cached; treat instances
+    Derived maps are built lazily and cached (the neighbour sets by
+    validate(), so only a valid disk has them); treat instances
     as frozen values: deletions happen on a PeelEngine copy of the maps, and
     PeelEngine.snapshot builds a new instance.  validate()'s verdict is
     cached the same way (``_verdict``).
@@ -128,22 +142,14 @@ class PlaneTriangulation:
     def third(self) -> dict[tuple[int, int], int]:
         """Directed edge (u,v) -> the third vertex of the ccw triangle containing it."""
         if self._third is None:
-            m: dict[tuple[int, int], int] = {}
-            for a, b, c in self.triangles:
-                m[(a, b)] = c
-                m[(b, c)] = a
-                m[(c, a)] = b
-            self._third = m
+            self._third = face_map(self.triangles)
         return self._third
 
     def adjacency(self) -> dict[int, set[int]]:
-        if self._adj is None:
-            adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-            for a, b, c in self.triangles:
-                adj[a].update((b, c))
-                adj[b].update((a, c))
-                adj[c].update((a, b))
-            self._adj = adj
+        """Neighbour sets.  validate()'s fan walks build them, so only a
+        valid disk has them; any other G raises InvalidTriangulation."""
+        if self._adj is None and validate(self):
+            raise InvalidTriangulation("no neighbour sets: not a triangulated disk")
         return self._adj
 
     def boundary_succ(self) -> dict[int, int]:
@@ -175,11 +181,28 @@ def validate(G: PlaneTriangulation) -> list[Violation]:
     of faces around every vertex, and connectivity.  Together these certify
     that the complex is a triangulated disk with the declared boundary.
 
-    The checks read G's own cached maps, G.third(), G.boundary_succ(),
-    G.boundary_pred() and G.adjacency(), and build no map of their own, so
-    a peel of G that follows copies the face map validate already built.
-    The face map is built only once the faces are known to be well formed
-    and distinct.
+    One pass reads the faces.  G.third() (built once, or handed over by
+    fileio.disk_from_facets) is the face map; a directed edge of two faces
+    shows as len(third) < 3 #t.  Then the walk around each vertex v steps
+    from w to third[(v, w)], from succ(v) until pred(v) on the boundary and
+    from any neighbour back to it inside.  That step is injective
+    (third[(v, w)] = x gives third[(x, v)] = w), so no walk loops.  A
+    vertex is good iff its walk closes and visits every face at v, and
+    then the walk met exactly v's neighbours; so the faces visited over all
+    vertices, against 3 #t, stand in for comparing each walk with a
+    neighbour set, and the walks leave the neighbour sets on G.  Only when
+    that count falls short are the faces at each vertex counted.
+
+    Two checks run only once a later one has failed, as their faults
+    always show there.  The edge census: when every walk is good, every
+    edge has faces on both sides but the boundary edges.  Well-formed,
+    distinct faces: a face repeated with the same orientation puts a
+    directed edge in two faces; a face and its reverse give each corner a
+    walk of two faces, which no boundary fan holds, so the three corners
+    are interior and cut off from the boundary; a repeated corner cuts a
+    part off likewise, and a corner off the vertex set leaves faces
+    unwalked.  So each failure is the first one the checks above find in
+    their order (tests/oracles.validate_reference).
 
     The verdict is a pure function of the frozen value G, so the checks run
     once per instance (_validate) and every call returns a fresh list equal
@@ -191,127 +214,124 @@ def validate(G: PlaneTriangulation) -> list[Violation]:
 
 
 def _validate(G: PlaneTriangulation) -> list[Violation]:
-    """validate()'s checks, uncached."""
-    out: list[Violation] = []
+    """validate()'s checks, uncached: the faces are checked for being well
+    formed and distinct only when _disk_fault finds a fault, and then
+    first, as the checks' order has it."""
     verts = set(G.vertices)
     n = len(verts)
-    if len(G.vertices) != len(set(G.vertices)):
-        out.append(Violation("bad-vertices", "duplicate vertex ids"))
-        return out
+    if len(G.vertices) != n:
+        return [Violation("bad-vertices", "duplicate vertex ids")]
     if n < 3:
-        out.append(Violation("too-small", f"n={n} < 3"))
-        return out
+        return [Violation("too-small", f"n={n} < 3")]
+    bad = _disk_fault(G, verts)
+    if bad is None:
+        return []
+    tris = G.triangles
+    for t in tris:
+        if len(set(t)) != 3 or not verts.issuperset(t):
+            return [Violation("bad-face", f"triangle {t} malformed")]
+    if len(set(map(frozenset, tris))) != len(tris):
+        return [Violation("bad-face", "duplicate face")]
+    return [bad]
 
-    for t in G.triangles:
-        if len(set(t)) != 3 or not set(t) <= verts:
-            out.append(Violation("bad-face", f"triangle {t} malformed"))
-            return out
-    face_sets = [frozenset(t) for t in G.triangles]
-    if len(set(face_sets)) != len(face_sets):
-        out.append(Violation("bad-face", "duplicate face"))
-        return out
 
-    third = G.third()
-    if len(third) < 3 * len(G.triangles):
+def _open_edge(third: dict, bsucc: dict) -> Optional[Violation]:
+    """The edge census: every boundary edge borders exactly one triangle
+    once the boundary steps pass, so an edge in one triangle that is not a
+    boundary step is an open edge; the first one in face order."""
+    for u, v in third:
+        if (v, u) not in third and bsucc.get(u) != v:
+            return Violation("open-edge", f"interior edge {edge_key(u, v)} in 1 triangle(s)")
+    return None
+
+
+def _disk_fault(G: PlaneTriangulation, verts: set[int]) -> Optional[Violation]:
+    """The first fault from the orientation check on, or None; on a valid
+    disk it leaves the neighbour sets on G (see validate)."""
+    tris, third = G.triangles, G.third()
+    if len(third) < 3 * len(tris):
         # a directed edge of two triangles; name the first one met
         met: set[tuple[int, int]] = set()
-        for a, b, c in G.triangles:
+        for a, b, c in tris:
             for e in ((a, b), (b, c), (c, a)):
                 if e in met:
-                    out.append(Violation("orientation", f"directed edge {e} in two triangles"))
-                    return out
+                    return Violation("orientation", f"directed edge {e} in two triangles")
                 met.add(e)
 
     cyc = G.boundary
     b = len(cyc)
-    if b < 3 or len(set(cyc)) != b or not set(cyc) <= verts:
-        out.append(Violation("bad-boundary", f"boundary cycle {cyc} not simple"))
-        return out
+    if b < 3 or len(set(cyc)) != b or not verts.issuperset(cyc):
+        return Violation("bad-boundary", f"boundary cycle {cyc} not simple")
     bsucc, bpred = G.boundary_succ(), G.boundary_pred()
     for u, v in bsucc.items():
         if (u, v) not in third:
-            out.append(
-                Violation("bad-boundary", f"boundary step {u}->{v} not a ccw triangle edge")
-            )
-            return out
+            return Violation("bad-boundary", f"boundary step {u}->{v} not a ccw triangle edge")
         if (v, u) in third:
-            out.append(
-                Violation("bad-boundary", f"boundary edge {u}-{v} has triangles on both sides")
-            )
-            return out
+            return Violation("bad-boundary", f"boundary edge {u}-{v} has triangles on both sides")
 
-    # edge census: every boundary edge now borders exactly one triangle, so
-    # an edge in one triangle that is not a boundary step is an open edge
-    for u, v in third:
-        if (v, u) not in third and bsucc.get(u) != v:
-            out.append(Violation("open-edge", f"interior edge {edge_key(u, v)} in 1 triangle(s)"))
-            return out
-
-    # with every interior edge in two triangles, #e = (3 #t + b) / 2, so
-    # #t = 2n - b - 2 gives #e = 3n - b - 3
-    if len(G.triangles) != 2 * n - b - 2:
-        out.append(
-            Violation(
-                "euler", f"#triangles={len(G.triangles)} != 2n-b-2={2 * n - b - 2}"
-            )
+    if len(tris) != 2 * len(verts) - b - 2:
+        return _open_edge(third, bsucc) or Violation(
+            "euler", f"#triangles={len(tris)} != 2n-b-2={2 * len(verts) - b - 2}"
         )
-        return out
 
-    # single fan (boundary vertex) / single cycle (interior vertex) of faces:
-    # around v, the face on (v, w) turns w into third[(v, w)]
-    adj = G.adjacency()
+    # the walk around v: the face on (v, w) turns w into third[(v, w)]
+    out = dict(third.keys())  # v -> the head of one directed edge out of v
+    get = third.get
+    adj: dict[int, set[int]] = {}
+    seen = 0  # faces walked, over all vertices
+    fault = None
     for v in G.vertices:
-        nbrs = adj[v]
-        if not nbrs:
-            out.append(Violation("disconnected", f"isolated vertex {v}"))
-            return out
+        w = out.get(v)
+        if w is None:
+            fault = Violation("disconnected", f"isolated vertex {v}")
+            break
         if v in bsucc:
-            start, stop = bsucc[v], bpred[v]
-            seen = {start}
-            w = start
-            while w != stop:
-                w = third.get((v, w), -1)
-                if w < 0 or w in seen:
-                    out.append(Violation("pinched-vertex", f"faces at {v} are not a single fan"))
-                    return out
-                seen.add(w)
-            if seen != nbrs:
-                out.append(Violation("pinched-vertex", f"fan at {v} misses neighbors"))
-                return out
-        else:
-            start = next(iter(nbrs))
-            seen = {start}
-            w = third.get((v, start), -1)
-            while w >= 0 and w != start:
-                if w in seen:
-                    break
-                seen.add(w)
-                w = third.get((v, w), -1)
-            if w != start or seen != nbrs:
-                out.append(
-                    Violation("pinched-vertex", f"faces at interior {v} are not a single cycle")
-                )
-                return out
-
-    # connectivity (the fan conditions make this almost redundant, but cheap)
-    stack = [G.vertices[0]]
-    reached = {G.vertices[0]}
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if reached != verts:
-        out.append(Violation("disconnected", f"{len(verts) - len(reached)} vertices unreachable"))
-        return out
-
-    if G.coords is not None:
-        missing = verts - set(G.coords)
-        if missing:
-            out.append(Violation("bad-coords", f"coords missing for {sorted(missing)[:5]}"))
-            return out
-
-    return out
+            w = bsucc[v]
+        ring = [w]
+        x = get((v, w))
+        while x is not None and x != w:
+            ring.append(x)
+            x = get((v, x))
+        if v in bsucc:
+            if ring[-1] != bpred[v]:
+                fault = Violation("pinched-vertex", f"faces at {v} are not a single fan")
+                break
+            seen -= 1
+        elif x is None:
+            fault = Violation("pinched-vertex", f"faces at interior {v} are not a single cycle")
+            break
+        seen += len(ring)
+        adj[v] = set(ring)
+    if fault is None and seen == 3 * len(tris):
+        # connectivity (the fan conditions make this almost redundant, but cheap)
+        stack = [G.vertices[0]]
+        reached = {G.vertices[0]}
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if reached != verts:
+            return Violation("disconnected", f"{len(verts) - len(reached)} vertices unreachable")
+        if G.coords is not None:
+            missing = verts - set(G.coords)
+            if missing:
+                return Violation("bad-coords", f"coords missing for {sorted(missing)[:5]}")
+        G._adj = adj
+        return None
+    # a vertex walked before the fault (or any, with none) missed some of its faces
+    faces = Counter(chain.from_iterable(tris))
+    for v, ring in adj.items():
+        if len(ring) - (v in bsucc) != faces[v]:
+            fault = Violation(
+                "pinched-vertex",
+                f"fan at {v} misses neighbors" if v in bsucc
+                else f"faces at interior {v} are not a single cycle",
+            )
+            break
+    # no vertex short of faces: a face has a corner off the vertex set, and
+    # _validate names that face first
+    return _open_edge(third, bsucc) or fault or Violation("bad-face", "corner off the vertices")
 
 
 # -- shedding sequences and the peel engine -------------------------------------

@@ -22,7 +22,11 @@ shedding trees as linked node objects with their after-the-fact
 reduction (a parent-chain chase for each node's representative, a stack
 walk for the in-order, a bisect search for each template vertex's ends,
 each node's template edge read through its representative), for the flat
-store and the one forward pass that lays out the template from the links.
+store and the one forward pass that lays out the template from the links,
+and the document, OFF and facet readers with every token through the
+error-naming parse, a set of sorted pairs for the OFF edge count and a set
+of directed edges for the boundary, for the readers that share one face
+map with the one-pass validator.
 """
 
 from __future__ import annotations
@@ -40,7 +44,13 @@ import networkx as nx
 from shedpoly import cli
 from shedpoly.embedding import PropertyViolation, UpperChain
 from shedpoly.exactgeom import Point2, Point3, floor_plane, orient2d, plane_through
-from shedpoly.fileio import ParseError, disk_from_facets, read_off, sequence_from_order
+from shedpoly.fileio import (
+    ParseError,
+    TriangulationFile,
+    disk_from_facets,
+    read_off,
+    sequence_from_order,
+)
 from shedpoly.griddiam import (
     BadParams,
     GridTriangulation,
@@ -742,7 +752,11 @@ def validate_reference(G: PlaneTriangulation) -> list[Violation]:
     bset = set(cyc)
     bsucc = {cyc[i]: cyc[(i + 1) % b] for i in range(b)}
     bpred = {v: u for u, v in bsucc.items()}
-    adj = G.adjacency()
+    adj: dict[int, set[int]] = {v: set() for v in G.vertices}
+    for a2, b2, c2 in G.triangles:
+        adj[a2].update((b2, c2))
+        adj[b2].update((a2, c2))
+        adj[c2].update((a2, b2))
     for v in G.vertices:
         nbrs = adj[v]
         if not nbrs:
@@ -1382,3 +1396,175 @@ def verify_off_unshared(text: str) -> list[Certificate]:
         certs.append(cli._prefix_convexity(xy, seq))
         certs.append(check_grid_bounds(replace(_parse_lift(text)[0], sequence=seq), disk.n))
     return certs
+
+
+# -- the readers before the one-pass validator (references for fileio) ---------
+
+
+def _reference_lines(text: str) -> list[list[str]]:
+    out = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append(line.split())
+    return out
+
+
+def _reference_int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"{what}: expected an integer, got {tok!r}") from None
+
+
+def read_triangulation_reference(text: str) -> TriangulationFile:
+    """fileio.read_triangulation as it was before its t and v lines took
+    the plain int fast path: every token through the error-naming parse, a
+    set per triangle for the degeneracy test, and the disk checked by
+    validate_reference."""
+    lines = _reference_lines(text)
+    if not lines or lines[0][0] != "triangulation":
+        raise ParseError("first line must be a 'triangulation' header")
+    header: dict[str, int] = {}
+    for tok in lines[0][1:]:
+        key, eq, val = tok.partition("=")
+        if eq != "=" or key not in ("n", "p", "q", "l") or key in header:
+            raise ParseError(f"bad header field {tok!r}")
+        header[key] = _reference_int(val, f"header {key}")
+    if "n" not in header:
+        raise ParseError("header must declare n=<vertex count>")
+    grid_keys = {"p", "q", "l"} & set(header)
+    if grid_keys and grid_keys != {"p", "q", "l"}:
+        raise ParseError("grid header needs all of p=, q=, l=")
+
+    coords: dict[int, tuple[int, int]] = {}
+    triangles: list[tuple[int, int, int]] = []
+    boundary = order = None
+    for toks in lines[1:]:
+        tag, rest = toks[0], toks[1:]
+        if tag == "v":
+            if len(rest) != 3:
+                raise ParseError(f"v line needs id x y, got {toks}")
+            vid = _reference_int(rest[0], "vertex id")
+            if vid in coords:
+                raise ParseError(f"vertex {vid} has two coordinate lines")
+            coords[vid] = (_reference_int(rest[1], "x"), _reference_int(rest[2], "y"))
+        elif tag == "t":
+            if len(rest) != 3:
+                raise ParseError(f"t line needs three ids, got {toks}")
+            a, b, c = (_reference_int(r, "triangle id") for r in rest)
+            if len({a, b, c}) != 3:
+                raise ParseError(f"degenerate triangle {a} {b} {c}")
+            triangles.append((a, b, c))
+        elif tag == "b":
+            if boundary is not None:
+                raise ParseError("more than one boundary line")
+            boundary = tuple(_reference_int(r, "boundary id") for r in rest)
+        elif tag == "a":
+            if order is not None:
+                raise ParseError("more than one shedding-order line")
+            order = tuple(_reference_int(r, "order id") for r in rest)
+        elif tag == "triangulation":
+            raise ParseError("more than one header line")
+        else:
+            raise ParseError(f"unknown line tag {tag!r}")
+
+    if not triangles:
+        raise ParseError("no triangles")
+    if boundary is None:
+        raise ParseError("no boundary line")
+    vertices = sorted({v for t in triangles for v in t})
+    if len(vertices) != header["n"]:
+        raise ParseError(
+            f"header says n={header['n']} but triangles use {len(vertices)} vertices"
+        )
+    if coords and sorted(coords) != vertices:
+        raise ParseError("coordinate lines must cover exactly the vertices used")
+    if order is not None and sorted(order) != vertices:
+        raise ParseError("shedding order is not a permutation of the vertices")
+    grid = None
+    if grid_keys:
+        grid = (header["p"], header["q"], header["l"])
+        if grid[0] * grid[1] != header["n"]:
+            raise ParseError(f"grid header {grid[0]}x{grid[1]} does not match n={header['n']}")
+    G = PlaneTriangulation(vertices, triangles, boundary, coords or None)
+    bad = validate_reference(G)
+    if bad:
+        raise ParseError(f"not a triangulated disk: {bad[0].code}: {bad[0].detail}")
+    return TriangulationFile(G, order, grid)
+
+
+def edge_count_reference(facets) -> int:
+    """Undirected edges of the faces, as a set of sorted pairs."""
+    return len(
+        {
+            (u, v) if u < v else (v, u)
+            for t in facets
+            for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+        }
+    )
+
+
+def read_off_reference(text: str):
+    """fileio.read_off as it was before its edge count came from a face
+    map: the count is a set of sorted vertex pairs."""
+    comments = [s.lstrip("#").strip() for s in text.splitlines() if s.lstrip().startswith("#")]
+    lines = _reference_lines(text)
+    if not lines or lines[0] != ["OFF"]:
+        raise ParseError("not an OFF document (missing OFF header line)")
+    if len(lines) < 2 or len(lines[1]) != 3:
+        raise ParseError("missing counts line")
+    nv, nf, ne = (_reference_int(tok, "counts") for tok in lines[1])
+    body = lines[2:]
+    if len(body) != nv + nf:
+        raise ParseError(f"expected {nv} vertex and {nf} face lines, got {len(body)}")
+    points = {}
+    for i, toks in enumerate(body[:nv]):
+        if len(toks) != 3:
+            raise ParseError(f"vertex line needs x y z, got {toks}")
+        points[i] = Point3(*(_reference_int(tok, "coordinate") for tok in toks))
+    facets = []
+    for toks in body[nv:]:
+        if len(toks) != 4 or toks[0] != "3":
+            raise ParseError(f"face line must read '3 i j k', got {toks}")
+        t = tuple(_reference_int(tok, "face index") for tok in toks[1:])
+        a, b, c = t
+        if a not in points or b not in points or c not in points or a == b or b == c or a == c:
+            raise ParseError(f"face indices out of range: {t}")
+        facets.append(t)
+    if ne != 0 and ne != edge_count_reference(facets):
+        raise ParseError(f"counts line says {ne} edges, faces give {edge_count_reference(facets)}")
+    return points, tuple(facets), comments
+
+
+def disk_from_facets_reference(facets) -> PlaneTriangulation:
+    """fileio.disk_from_facets as it was before one face map did its work:
+    the boundary from a set of directed edges, and validate_reference on a
+    disk that builds its own face map."""
+    directed = {(t[j], t[(j + 1) % 3]) for t in facets for j in range(3)}
+    succ: dict[int, int] = {}
+    for u, v in directed:
+        if (v, u) not in directed:
+            if u in succ:
+                raise ParseError(f"vertex {u} has two outgoing boundary edges")
+            succ[u] = v
+    if not succ:
+        raise ParseError("faces form a closed surface, not a disk")
+    start = min(succ)
+    cyc = [start]
+    while True:
+        nxt = succ.get(cyc[-1])
+        if nxt is None:
+            raise ParseError("boundary walk broke off")
+        if nxt == start:
+            break
+        cyc.append(nxt)
+        if len(cyc) > len(succ):
+            raise ParseError("boundary edges form more than one cycle")
+    if len(cyc) != len(succ):
+        raise ParseError("boundary edges form more than one cycle")
+    G = PlaneTriangulation(sorted({v for t in facets for v in t}), facets, cyc)
+    bad = validate_reference(G)
+    if bad:
+        raise ParseError(f"faces do not form a triangulated disk: {bad[0].code}")
+    return G

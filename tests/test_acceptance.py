@@ -24,13 +24,7 @@ import pytest
 import oracles
 from shedpoly import embedding
 from shedpoly.cli import entry
-from shedpoly.corpus import (
-    gen_stacked,
-    pentagon_fan,
-    split_square,
-    stacked_k4,
-    triangle,
-)
+from shedpoly.corpus import gen_stacked
 from shedpoly.embedding import GridEmbedding, grid_embed
 from shedpoly.exactgeom import Point2, Point3
 from shedpoly.griddiam import (
@@ -55,6 +49,7 @@ from shedpoly.verify import (
     check_projectively_convex,
     lift_convex_globally,
 )
+from shapes import pentagon_fan, split_square, stacked_k4, triangle
 
 STACKED_NS = (4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 18, 24, 32, 45, 64, 90, 128, 180)
 STACKED_SEEDS = range(6)

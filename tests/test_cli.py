@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shedpoly import cli, griddiam, lifting, triangulation, verify
+from shedpoly import cli, fileio, griddiam, lifting, triangulation, verify
 from shedpoly.cli import (
     EXIT_CERT,
     EXIT_DOMAIN,
@@ -23,12 +23,13 @@ from shedpoly.cli import (
     EXIT_USAGE,
     entry,
 )
-from shedpoly.corpus import gen_stacked, split_square, triangle
+from shedpoly.corpus import gen_stacked
 from shedpoly.fileio import read_off, read_triangulation, sequence_from_order, write_triangulation
 from shedpoly.griddiam import GridTriangulation, grid_shedding, min_tau_exhaustive
 from shedpoly.triangulation import PlaneTriangulation
 from shedpoly.verify import check_grid_bounds
 from test_triangulation import polygon_disk, relabel
+from shapes import split_square, triangle
 
 
 def run(argv, stdin_text=""):
@@ -339,21 +340,49 @@ def test_each_command_peels_once(monkeypatch):
             assert len(calls) == n - 3, (argv, n, len(calls))
 
 
+def count_face_maps_and_neighbour_sets(monkeypatch):
+    """Record G.n for every face map built (triangulation.face_map) and for
+    every validate run that leaves neighbour sets on a G that had none."""
+    face_maps, neighbour_sets = [], []
+    real_face_map, real_validate = triangulation.face_map, triangulation._validate
+
+    def count_face_map(triangles):
+        m = real_face_map(triangles)
+        face_maps.append(len(dict(m.keys())))
+        return m
+
+    def count_validate(G):
+        had = G._adj is not None
+        out = real_validate(G)
+        if not had and G._adj is not None:
+            neighbour_sets.append(G.n)
+        return out
+
+    monkeypatch.setattr(triangulation, "face_map", count_face_map)
+    monkeypatch.setattr(fileio, "face_map", count_face_map)
+    monkeypatch.setattr(triangulation, "_validate", count_validate)
+    return face_maps, neighbour_sets
+
+
+def stacked_or_fan(label):
+    if label == "stacked-160":
+        return run(["gen-stacked", "160", "--seed", "0"])[1]
+    return write_triangulation(
+        PlaneTriangulation(range(200), [(0, i, i + 1) for i in range(1, 199)], range(200))
+    )
+
+
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
 def test_verify_derives_each_fact_of_a_lift_once(monkeypatch, label):
     # an OFF verify validates the surface disk once (and G_3 once, in the
     # re-peel), computes each facet's plane once, and takes grid-bounds'
     # depths in one pass over the re-peeled disk, whose neighbour sets
-    # validate already built
-    if label == "stacked-160":
-        off = run(["lift", "--truncate"], run(["gen-stacked", "160", "--seed", "0"])[1])[1]
-    else:
-        fan = PlaneTriangulation(range(200), [(0, i, i + 1) for i in range(1, 199)], range(200))
-        off = run(["lift"], write_triangulation(fan))[1]
+    # validate's fan walks already built
+    off = run(["lift", "--truncate"] if label == "stacked-160" else ["lift"], stacked_or_fan(label))[1]
     points, facets, _ = read_off(off)
-    validated, planes, profiled, neighbour_sets = [], [], [], []
+    validated, planes, profiled = [], [], []
     real_validate, real_plane = triangulation._validate, lifting.plane_through
-    real_profile, real_adjacency = griddiam._profile, PlaneTriangulation.adjacency
+    real_profile = griddiam._profile
 
     def count_validate(G):
         validated.append(G.n)
@@ -363,27 +392,46 @@ def test_verify_derives_each_fact_of_a_lift_once(monkeypatch, label):
         profiled.append((G.n, G._verdict is not None))
         return real_profile(G, order)
 
-    def count_adjacency(G):
-        if G._adj is None:
-            neighbour_sets.append(G.n)
-        return real_adjacency(G)
-
     def count_plane(*pts):
         planes.append(pts)
         return real_plane(*pts)
 
     monkeypatch.setattr(triangulation, "_validate", count_validate)
+    _, neighbour_sets = count_face_maps_and_neighbour_sets(monkeypatch)
     # every module that has computed facet planes for the certificates
     monkeypatch.setattr(lifting, "plane_through", count_plane)
     monkeypatch.setattr(verify, "plane_through", count_plane, raising=False)
     monkeypatch.setattr(griddiam, "_profile", count_profile)
-    monkeypatch.setattr(PlaneTriangulation, "adjacency", count_adjacency)
     code, out, _ = run(["verify"], off)
     assert code == EXIT_OK and out.count("PASS ") == 7
     assert sorted(validated) == [3, len(points)]
     assert len(planes) == len(facets)
     assert profiled == [(len(points), True)]
     assert sorted(neighbour_sets) == [3, len(points)]
+
+
+@pytest.mark.parametrize(
+    "label,argv",
+    [
+        ("stacked-160", ["embed"]),
+        ("stacked-160", ["lift"]),
+        ("stacked-160", ["lift", "--truncate"]),
+        ("fan-200", ["embed"]),
+        ("fan-200", ["lift"]),
+    ],
+)
+def test_embed_and_lift_build_one_face_map_and_one_set_of_neighbour_sets(
+    monkeypatch, label, argv
+):
+    # the input disk's face map and neighbour sets are built once, by
+    # validate, and G_3's once more at the end of the peel; the drawing,
+    # the lift and the OFF edge count read them
+    doc = stacked_or_fan(label)
+    n = read_triangulation(doc).G.n
+    face_maps, neighbour_sets = count_face_maps_and_neighbour_sets(monkeypatch)
+    assert run(argv, doc)[0] == EXIT_OK
+    assert sorted(face_maps) == [3, n]
+    assert sorted(neighbour_sets) == [3, n]
 
 
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])

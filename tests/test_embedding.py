@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import EmptyRegion, rational_embed
 from shedpoly import embedding
-from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
+from shedpoly.corpus import gen_stacked
 from shedpoly.embedding import (
     ParallelSupportLines,
     PropertyViolation,
@@ -29,6 +29,7 @@ from shedpoly.exactgeom import Point2, orient2d
 from shedpoly.griddiam import gen_grid_triangulation, uniform_grid_triangulation
 from shedpoly.triangulation import PlaneTriangulation, edge_key, shedding_sequence
 from shedpoly.verify import check_grid_bounds
+from shapes import pentagon_fan, split_square, stacked_k4, triangle
 
 
 def instances():

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shedpoly.corpus import (
-    gen_stacked,
-    pentagon_fan,
-    split_square,
-    stacked_k4,
-    triangle,
-)
+import oracles
+
+from shedpoly.corpus import gen_stacked
 from shedpoly.embedding import grid_embed
 from shedpoly.exactgeom import Point3
 from shedpoly.fileio import (
@@ -34,6 +33,8 @@ from shedpoly.triangulation import (
     shedding_sequence,
 )
 from shedpoly.verify import check_lift_convex, lift_convex_globally
+from test_triangulation import MUTATIONS, base_disk, mutate
+from shapes import pentagon_fan, split_square, stacked_k4, triangle
 
 
 def greedy(G):
@@ -259,3 +260,77 @@ def test_disk_from_facets_rejects_non_disks():
     flipped = (split_square().triangles[0], tuple(reversed(split_square().triangles[1])))
     with pytest.raises(ParseError):
         disk_from_facets(flipped)
+
+
+# -- the one-pass readers against the parent's ---------------------------------
+
+
+def outcome(f, *args):
+    """f's result, or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 -- any difference counts
+        return (type(exc).__name__, str(exc))
+
+
+def render_document(G, r) -> str:
+    """G as a document in its own face order, with now and then a wrong n,
+    coordinates, a comment, an order line or one token spoilt."""
+    used = sorted({v for t in G.triangles for v in t})
+    lines = [f"triangulation n={len(used) if r.random() < 0.85 else G.n}"]
+    if r.random() < 0.4:
+        lines += [f"v {v} {r.randrange(-9, 9)} {v * v}" for v in used]
+    lines += [f"t {a} {b} {c}" for a, b, c in G.triangles]
+    lines.append("b " + " ".join(map(str, G.boundary)))
+    if r.random() < 0.3:
+        lines.append("a " + " ".join(map(str, r.sample(used, len(used)))))
+    if r.random() < 0.3:
+        lines.insert(r.randrange(1, len(lines) + 1), "# a comment")
+    if r.random() < 0.3:
+        i = r.randrange(1, len(lines))
+        toks = lines[i].split()
+        toks[r.randrange(1, len(toks))] = r.choice(["x", "1.5", "-", "0x1"])
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def render_off(G, r) -> str:
+    """G's faces as an OFF document over 0-based indices, with a true, zero
+    or wrong edge count, and now and then a face index out of range."""
+    used = sorted({v for t in G.triangles for v in t})
+    index = {v: i for i, v in enumerate(used)}
+    facets = [tuple(index[v] for v in t) for t in G.triangles]
+    ne = r.choice([oracles.edge_count_reference(facets), 0, 1 + len(facets)])
+    lines = ["OFF", "# top 0 1 2", f"{len(used)} {len(facets)} {ne}"]
+    lines += [f"{i} {i * i} {r.randrange(99)}" for i in range(len(used))]
+    lines += [f"3 {a} {b} {c}" for a, b, c in facets]
+    if facets and r.random() < 0.2:
+        lines[-1] = f"3 0 1 {len(used)}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from(("stacked", "fan", "ladder", "polygon")),
+    size=st.integers(3, 30),
+    seed=st.integers(0, 10**6),
+    kinds=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+)
+def test_readers_match_the_parent_readers(shape, size, seed, kinds):
+    # same disk, order and grid, or the same error text, on documents, OFF
+    # texts and facet lists of valid and mutated disks
+    G = base_disk(shape, size, seed)
+    r = random.Random(seed)
+    for kind in kinds:
+        G = mutate(G, kind, r)
+    doc = render_document(G, r)
+    assert outcome(read_triangulation, doc) == outcome(oracles.read_triangulation_reference, doc)
+    off = render_off(G, r)
+    assert outcome(read_off, off) == outcome(oracles.read_off_reference, off)
+    facets = list(G.triangles)
+    got = outcome(disk_from_facets, facets)
+    assert got == outcome(oracles.disk_from_facets_reference, facets)
+    if isinstance(got, PlaneTriangulation):  # the boundary's face map is the disk's
+        assert got.third() == {
+            (t[j], t[(j + 1) % 3]): t[(j + 2) % 3] for t in facets for j in range(3)
+        }

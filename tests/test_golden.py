@@ -15,10 +15,10 @@ import io
 import sys
 
 from shedpoly.cli import entry
-from shedpoly.corpus import pentagon_fan, split_square, stacked_k4
 from shedpoly.fileio import read_triangulation, write_triangulation
 from shedpoly.griddiam import uniform_grid_triangulation
 from shedpoly.triangulation import PlaneTriangulation, shedding_sequence
+from shapes import pentagon_fan, split_square, stacked_k4
 
 
 def run(argv, stdin_text=""):

@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 import oracles
-from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
+from shedpoly.corpus import gen_stacked
 from shedpoly.griddiam import (
     BadParams,
     GridTriangulation,
@@ -27,6 +27,7 @@ from shedpoly.triangulation import (
     shedding_sequence,
     validate,
 )
+from shapes import pentagon_fan, split_square, stacked_k4, triangle
 
 
 def seq_of(G, u=0, v=1):

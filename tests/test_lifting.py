@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 import shedpoly.lifting as lifting
-from shedpoly.corpus import (
-    gen_stacked,
-    pentagon_fan,
-    split_square,
-    stacked_k4,
-    triangle,
-)
+from shedpoly.corpus import gen_stacked
 from shedpoly.embedding import grid_embed
 from shedpoly.griddiam import gen_grid_triangulation, grid_shedding, tau_profile
 from shedpoly.lifting import (
@@ -31,6 +29,7 @@ from shedpoly.lifting import (
 from shedpoly.triangulation import PlaneTriangulation, shedding_sequence
 from test_acceptance import corpus
 from test_triangulation import fan, ladder, polygon_disk, relabel
+from shapes import pentagon_fan, split_square, stacked_k4, triangle
 
 
 def embed_of(G):
@@ -279,3 +278,30 @@ def test_truncate_needs_triangle_boundary():
     emb3, a3 = embed_of(triangle())
     with pytest.raises(BoundaryNotTriangle):
         truncate_to_polytope(lift(emb3, a3), emb3)
+
+
+def test_height_ceilings_are_checked_under_python_O():
+    # the ceilings are checks, not asserts: with height_bound patched to 0
+    # the first step's ceiling fails, also when python -O strips asserts
+    script = """
+import sys
+from shedpoly import lifting
+from shedpoly.corpus import gen_stacked
+from shedpoly.embedding import PropertyViolation, grid_embed
+from shedpoly.triangulation import shedding_sequence
+lifting.height_bound = lambda n, m: 0
+G = gen_stacked(20, 1)
+a = shedding_sequence(G, 0, 1)
+try:
+    lifting.lift(grid_embed(G, a), a)
+except PropertyViolation as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(lifting.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("step 4: property height violated: height ")

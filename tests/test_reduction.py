@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from shedpoly import embedding
-from shedpoly.corpus import gen_stacked, pentagon_fan, split_square, stacked_k4, triangle
+from shedpoly.corpus import gen_stacked
 from shedpoly.embedding import grid_embed
 from shedpoly.griddiam import gen_grid_triangulation, grid_shedding
 from shedpoly.reduction import (
@@ -29,6 +29,7 @@ from shedpoly.triangulation import (
     validate,
 )
 from test_triangulation import base_disk, fan
+from shapes import pentagon_fan, split_square, stacked_k4, triangle
 
 
 def seq_of(G):

@@ -15,14 +15,7 @@ from oracles import (
     is_shedding_vertex,
     link_of_boundary_vertex,
 )
-from shedpoly.corpus import (
-    gen_stacked,
-    pentagon_fan,
-    split_square,
-    stacked_k4,
-    triangle,
-    two_triangles_pinched,
-)
+from shedpoly.corpus import gen_stacked
 from shedpoly.griddiam import gen_grid_triangulation, uniform_grid_triangulation
 from shedpoly.triangulation import (
     InvalidTriangulation,
@@ -37,6 +30,7 @@ from shedpoly.triangulation import (
     shedding_sequence,
     validate,
 )
+from shapes import pentagon_fan, split_square, stacked_k4, triangle, two_triangles_pinched
 
 
 def sample_instances():

@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from shedpoly import cli, verify
-from shedpoly.corpus import (
-    gen_stacked,
-    pentagon_fan,
-    split_square,
-    stacked_k4,
-    triangle,
-    two_triangles_pinched,
-)
+from shedpoly.corpus import gen_stacked
 from shedpoly.embedding import grid_embed
 from shedpoly.exactgeom import Point2, Point3, orient2d, plane_through
 from shedpoly.fileio import ParseError, read_off, write_triangulation
@@ -50,6 +43,7 @@ from shedpoly.verify import (
 from test_golden import failing_documents, pentagram_wheel
 from test_golden import instances as golden_instances
 from test_golden import run as golden_run
+from shapes import pentagon_fan, split_square, stacked_k4, triangle, two_triangles_pinched
 
 
 def embed_of(G):
