@@ -17,15 +17,16 @@ The writer emits a canonical form -- vertices ascending, each triangle rotated
 smallest-id-first and triangles sorted, the boundary cycle rotated to start at
 its smallest id -- so any canonically written document round-trips
 byte-identically through read + write.  A document only parses if the result
-validates as a triangulated disk.  Each line's integers go through plain
-int(); only a line it rejects is re-read token by token to name the bad one.
+validates as a triangulated disk.  Triangle and coordinate integers go through
+plain int(); only a line it rejects is re-read token by token to name the bad
+one.
 
 Mesh export is plain OFF (counts line with the true edge count, exact decimal
 integer coordinates of arbitrary length, faces as index triples); the shedding
 order and the truncation facet travel in ``#`` comment lines so a lift is
 self-describing.  OBJ export carries identical data for viewers that prefer it.
-Reading faces back, one face map (triangulation.face_map) gives the edge count
-and the boundary, and becomes the rebuilt disk's third().
+Reading faces back into a disk, one face map (triangulation.face_map) gives
+the boundary and becomes the rebuilt disk's third().
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ def read_triangulation(text: str) -> TriangulationFile:
         if tag == "v":
             if len(rest) != 3:
                 raise ParseError(f"v line needs id x y, got {toks}")
-            try:
-                vid, x, y = map(int, rest)
-            except ValueError:
-                vid, x, y = _int(rest[0], "vertex id"), _int(rest[1], "x"), _int(rest[2], "y")
+            vid = _int(rest[0], "vertex id")
             if vid in coords:
                 raise ParseError(f"vertex {vid} has two coordinate lines")
-            coords[vid] = (x, y)
+            try:
+                coords[vid] = (int(rest[1]), int(rest[2]))
+            except ValueError:
+                coords[vid] = (_int(rest[1], "x"), _int(rest[2], "y"))
         elif tag == "t":
             if len(rest) != 3:
                 raise ParseError(f"t line needs three ids, got {toks}")
@@ -205,17 +206,14 @@ class MeshExport:
         return self.text
 
 
-def _open_edges(third: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
-    """The directed edges of a face map whose reverse is in no face."""
-    return [(u, v) for u, v in third if (v, u) not in third]
-
-
 def _edge_count(facets: Sequence[tuple[int, int, int]]) -> int:
-    """Undirected edges of faces without a repeated corner: an edge in faces
-    on both sides is two directed edges of the face map, one on a single
-    side is one directed edge with no reverse."""
-    third = face_map(facets)
-    return (len(third) + len(_open_edges(third))) // 2
+    return len(
+        {
+            (u, v) if u < v else (v, u)
+            for t in facets
+            for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+        }
+    )
 
 
 def export_off(P: LiftedPolyhedron) -> MeshExport:
@@ -232,12 +230,10 @@ def export_off(P: LiftedPolyhedron) -> MeshExport:
         lines.append("# a " + " ".join(str(index[v]) for v in P.sequence.order))
     if P.truncated is not None:
         lines.append("# top " + " ".join(str(index[v]) for v in P.truncated))
-    if P.sequence is None:
-        ne = _edge_count(P.facets)
-    else:  # Euler on the lifted disk; a top facet's edges are its boundary
-        G = P.sequence.G
-        ne = 3 * G.n - len(G.boundary) - 3
+    # Euler: the facets form a disk (V - E + F = 1), or a sphere once a top
+    # facet closes it (V - E + F = 2)
     nv, nf = len(ids), len(P.facets)
+    ne = nv + nf - (1 if P.truncated is None else 2)
     lines.append(f"{nv} {nf} {ne}")
     for v in ids:
         p = P.points[v]
@@ -265,8 +261,7 @@ def read_off(
 ) -> tuple[dict[int, Point3], tuple[tuple[int, int, int], ...], list[str]]:
     """Parse an OFF document: points by 0-based index, faces, comment lines.
 
-    A nonzero edge count on the counts line must equal the faces' edges,
-    counted on their face map (_edge_count)."""
+    A nonzero edge count on the counts line must equal the faces' edges."""
     comments = [
         s.lstrip("#").strip()
         for s in text.splitlines()
@@ -318,7 +313,7 @@ def disk_from_facets(facets: Sequence[tuple[int, int, int]]) -> PlaneTriangulati
     result must pass validate().
     """
     third = face_map(facets)
-    opened = _open_edges(third)
+    opened = [(u, v) for u, v in third if (v, u) not in third]
     succ = dict(opened)
     if len(succ) < len(opened):
         # name the vertex that the set of directed edges meets twice first

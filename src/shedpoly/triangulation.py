@@ -487,6 +487,10 @@ class PeelEngine:
     grid schedule's batches).  ``chord_sides`` splits the current prefix
     along a chord, and ``snapshot`` builds the current prefix as an
     immutable PlaneTriangulation.
+
+    The engine starts from G's neighbour sets (G.adjacency()), which only a
+    valid disk has: building it on a G that fails validate() raises
+    InvalidTriangulation.
     """
 
     def __init__(self, G: PlaneTriangulation):
@@ -672,8 +676,9 @@ def shedding_sequence(G: PlaneTriangulation, u: int, v: int) -> SheddingSequence
 
     Works backward from i = n: among boundary vertices of the current prefix
     other than u and v, deletes the smallest-id shedding vertex.  Existence is
-    guaranteed for every valid input; NoSheddingVertex firing means the input
-    was invalid or there is a bug.
+    guaranteed for every valid input, so NoSheddingVertex firing means a bug;
+    a G that is no triangulated disk raises InvalidTriangulation when the
+    PeelEngine is built, before any deletion.
     """
     if edge_key(u, v) not in G.boundary_edges():
         raise InvalidTriangulation(f"({u},{v}) is not a boundary edge")

@@ -424,8 +424,8 @@ def test_embed_and_lift_build_one_face_map_and_one_set_of_neighbour_sets(
     monkeypatch, label, argv
 ):
     # the input disk's face map and neighbour sets are built once, by
-    # validate, and G_3's once more at the end of the peel; the drawing,
-    # the lift and the OFF edge count read them
+    # validate, and G_3's once more at the end of the peel; the drawing and
+    # the lift read them, and the OFF edge count is Euler's
     doc = stacked_or_fan(label)
     n = read_triangulation(doc).G.n
     face_maps, neighbour_sets = count_face_maps_and_neighbour_sets(monkeypatch)

@@ -116,6 +116,8 @@ def test_read_is_insensitive_to_formatting_noise():
         ("triangulation n=3\nt 0 1 2\nb 0 1 2\nb 0 1 2\n", "more than one boundary"),
         ("triangulation n=3\nv 0 0 0\nt 0 1 2\nb 0 1 2\n", "cover exactly"),
         ("triangulation n=3\nv 0 0 0\nv 0 1 1\nv 1 9 9\nv 2 0 9\nt 0 1 2\nb 0 1 2\n", "two coordinate lines"),
+        ("triangulation n=3\nv 0 0 0\nv 0 x 1\nv 1 9 9\nv 2 0 9\nt 0 1 2\nb 0 1 2\n", "vertex 0 has two coordinate lines"),
+        ("triangulation n=3\nv 0 0 0\nv 0 1 x\nv 1 9 9\nv 2 0 9\nt 0 1 2\nb 0 1 2\n", "vertex 0 has two coordinate lines"),
         ("triangulation n=3\nt 0 1 2\nb 0 1 2\na 0 1\n", "permutation"),
         ("triangulation n=3 p=3 q=3 l=2\nt 0 1 2\nb 0 1 2\n", "does not match n"),
         ("triangulation n=3\nt 0 1 2\nb 0 2 1\n", "not a triangulated disk"),
@@ -275,11 +277,14 @@ def outcome(f, *args):
 
 def render_document(G, r) -> str:
     """G as a document in its own face order, with now and then a wrong n,
-    coordinates, a comment, an order line or one token spoilt."""
+    coordinates (one of them twice), a comment, an order line or one token
+    spoilt."""
     used = sorted({v for t in G.triangles for v in t})
     lines = [f"triangulation n={len(used) if r.random() < 0.85 else G.n}"]
     if r.random() < 0.4:
         lines += [f"v {v} {r.randrange(-9, 9)} {v * v}" for v in used]
+        if r.random() < 0.3:
+            lines.insert(r.randrange(2, len(lines) + 1), f"v {r.choice(used)} {r.choice('0x')} 0")
     lines += [f"t {a} {b} {c}" for a, b, c in G.triangles]
     lines.append("b " + " ".join(map(str, G.boundary)))
     if r.random() < 0.3:
