@@ -12,8 +12,9 @@ the upper chain of every prefix is strictly convex.
 The upper chain of the growing prefix lives in an :class:`UpperChain`, which
 splices in each new vertex's link, and the audit is incremental: at step i
 only the chain window around a_i can lose convexity, so each step costs O(1)
-plus the splice.  The window check rests on exactgeom.slopes_decrease, the
-one chain-convexity predicate.  first_faulty_prefix runs the same walk over a
+plus the splice.  The window is read in place from the chain's neighbour
+maps, and its check rests on exactgeom.slopes_decrease, the one
+chain-convexity predicate.  first_faulty_prefix runs the same walk over a
 finished drawing, for the lift's prefix check and the verifier's fast proof
 of prefix convexity.
 
@@ -42,7 +43,7 @@ from .reduction import (
     build_shedding_trees,
     reduce_trees,
 )
-from .triangulation import PlaneTriangulation, SheddingSequence, edge_key
+from .triangulation import PlaneTriangulation, SheddingSequence
 
 
 class ParallelSupportLines(Exception):
@@ -196,27 +197,15 @@ class UpperChain:
         """Put v in place of the link's inner vertices.  Returns False, and
         changes nothing, when the link is not a run of the chain."""
         left, right = self.left, self.right
-        if any(right.get(u) != w for u, w in zip(link, link[1:])):
-            return False
+        for j in range(1, len(link)):
+            if right.get(link[j - 1]) != link[j]:
+                return False
         for u in link[1:-1]:
             del left[u], right[u]
         w1, wk = link[0], link[-1]
         right[w1] = left[wk] = v
         left[v], right[v] = w1, wk
         return True
-
-    def window(self, v: int) -> list[int]:
-        """v and up to two chain neighbours on each side, left to right.
-
-        For an inner chain vertex v these are all the chain pairs that touch
-        one of v's two chain edges, and only those."""
-        lv, rv = self.left[v], self.right[v]
-        win = [lv, v, rv]
-        if lv in self.left:
-            win.insert(0, self.left[lv])
-        if rv in self.right:
-            win.append(self.right[rv])
-        return win
 
     def first_fault(
         self, v: int, coords: dict[int, tuple]
@@ -226,15 +215,36 @@ class UpperChain:
         x does not increase from u to w, ("slope", u, w) when the slope of
         (u, w) does not drop below the previous edge's.  None if neither.
 
-        When every chain edge and pair away from v was checked at an earlier
-        step, this finds what a scan of the whole chain would."""
-        win = self.window(v)
-        for j in range(1, len(win)):
-            u, w = win[j - 1], win[j]
-            if not coords[u][0] < coords[w][0]:
-                return "x", u, w
-            if j >= 2 and not slopes_decrease(coords[win[j - 2]], coords[u], coords[w]):
-                return "slope", u, w
+        The window, v and up to two chain neighbours on each side, is read
+        in place from the neighbour maps.  Its pairs are all the chain pairs
+        that touch one of v's two chain edges, so when every chain edge and
+        pair away from v was checked at an earlier step, this finds what a
+        scan of the whole chain would."""
+        left, right = self.left, self.right
+        lv, rv = left[v], right[v]
+        llv = left.get(lv)
+        p, q, r = coords[lv], coords[v], coords[rv]
+        if llv is not None:
+            o = coords[llv]
+            if not o[0] < p[0]:
+                return "x", llv, lv
+            if not p[0] < q[0]:
+                return "x", lv, v
+            if not slopes_decrease(o, p, q):
+                return "slope", lv, v
+        elif not p[0] < q[0]:
+            return "x", lv, v
+        if not q[0] < r[0]:
+            return "x", v, rv
+        if not slopes_decrease(p, q, r):
+            return "slope", v, rv
+        rrv = right.get(rv)
+        if rrv is not None:
+            s = coords[rrv]
+            if not r[0] < s[0]:
+                return "x", rv, rrv
+            if not slopes_decrease(q, r, s):
+                return "slope", rv, rrv
         return None
 
 
@@ -300,10 +310,11 @@ def _audit_grid_step(
         edges = ((ws[-1], v), (v, ws[0]))
         if work.heads[i - 3] == v:
             edges = edges[::-1]
+    z = tpl.z
     for u, w in edges:
         (xu, yu), (xw, yw) = coords[u], coords[w]
-        p, q = zmap[edge_key(u, w)]
-        (zxp, zyp), (zxq, zyq) = tpl.z[p], tpl.z[q]
+        p, q = zmap[(u, w) if u < w else (w, u)]
+        (zxp, zyp), (zxq, zyq) = z[p], z[q]
         dx, dy = xw - xu, yw - yu
         if dx < 0:
             dx, dy = -dx, -dy

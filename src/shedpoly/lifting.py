@@ -156,29 +156,32 @@ def lift(emb: GridEmbedding, a: SheddingSequence) -> LiftedPolyhedron:
     third = G.third()
     heights = {a.order[0]: 0, a.order[1]: 0, a.order[2]: 0}
     m = dict(heights)
-
-    def point(w: int) -> Point3:
-        return Point3(coords[w][0], coords[w][1], heights[w])
-
+    points = {w: Point3(*coords[w], 0) for w in heights}
     for i in range(4, n + 1):
         v = a.order[i - 1]
         link = a.link(i)
         x, y = coords[v]
-        hv = 1 + max(
-            floor_plane(plane_through(point(s), point(r), point(third[(s, r)])), x, y)
-            for r, s in zip(link, link[1:])
-        )
+        fmax = None
+        for r, s in zip(link, link[1:]):
+            f = floor_plane(plane_through(points[s], points[r], points[third[(s, r)]]), x, y)
+            if fmax is None or f > fmax:
+                fmax = f
+        hv = fmax + 1
+        mv = 0
+        for u in link:
+            if heights[u] > mv:
+                mv = heights[u]
         heights[v] = hv
-        m[v] = max(heights[u] for u in link)
-        if hv > height_bound(n, m[v]):
+        m[v] = mv
+        points[v] = Point3(x, y, hv)
+        if hv > height_bound(n, mv):
             raise PropertyViolation(
-                i, "height", f"height {hv} of vertex {v} exceeds 499*n^8*m+1 with m={m[v]}"
+                i, "height", f"height {hv} of vertex {v} exceeds 499*n^8*m+1 with m={mv}"
             )
     tau = tau_profile(G, a).tau
     if max(heights.values()) > (500 * n**8) ** tau:
         raise PropertyViolation(n, "height", f"a height exceeds (500*n^8)^tau with tau={tau}")
 
-    points = {w: point(w) for w in G.vertices}
     return LiftedPolyhedron(
         heights=heights,
         points=points,

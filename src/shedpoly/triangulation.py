@@ -500,7 +500,7 @@ class PeelEngine:
         self.succ: dict[int, int] = dict(G.boundary_succ())
         self.pred: dict[int, int] = dict(G.boundary_pred())
         self.bn: dict[int, int] = {
-            x: sum(w in self.succ for w in ws) for x, ws in self.nbrs.items()
+            x: len(self.succ.keys() & ws) for x, ws in self.nbrs.items()
         }
         self.removed: list[int] = []
         self.links: list[tuple[int, ...]] = []
@@ -588,17 +588,18 @@ class PeelEngine:
             )
         third, succ, pred, nbrs, bn = self.third, self.succ, self.pred, self.nbrs, self.bn
         link = self.link(v)
-        for a, b in zip(link, link[1:]):
+        # the faces (v, a, b) go right to left, and the new boundary run
+        # pred(v) = w_k .. w_1 = succ(v) is linked in as they go
+        for j in range(len(link) - 1, 0, -1):
+            a, b = link[j - 1], link[j]
             del third[(v, a)], third[(a, b)], third[(b, v)]
-        rev = link[::-1]  # the new boundary run pred(v) = w_k .. w_1 = succ(v)
-        for a, b in zip(rev, rev[1:]):
-            succ[a] = b
-            pred[b] = a
+            succ[b] = a
+            pred[a] = b
         del succ[v], pred[v], nbrs[v], bn[v]
         for w in link:
             nbrs[w].discard(v)
             bn[w] -= 1
-        for u in rev[1:-1]:
+        for u in link[1:-1]:
             for x in nbrs[u]:
                 bn[x] += 1
         self.removed.append(v)

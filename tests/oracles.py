@@ -5,7 +5,8 @@ library under test: induced subcomplexes instead of incremental deletion,
 brute-force permutation enumeration instead of guided search, networkx longest
 paths instead of the height recursion, raw formula evaluation for the
 worked coordinate examples, full Fraction scans of every prefix boundary
-instead of the incremental integer audits of the drawing and the lift, and
+instead of the incremental integer audits of the drawing and the lift, a
+scan of the chain window built as a list for the window read in place, and
 the star scan of every face around a vertex's link instead of the lift's one
 face per link edge.
 It also holds a second, rational drawing, made without the template or any
@@ -43,7 +44,14 @@ import networkx as nx
 
 from shedpoly import cli
 from shedpoly.embedding import PropertyViolation, UpperChain
-from shedpoly.exactgeom import Point2, Point3, floor_plane, orient2d, plane_through
+from shedpoly.exactgeom import (
+    Point2,
+    Point3,
+    floor_plane,
+    orient2d,
+    plane_through,
+    slopes_decrease,
+)
 from shedpoly.fileio import (
     ParseError,
     TriangulationFile,
@@ -542,6 +550,32 @@ def sequentially_convex_oracle(coords, a):
         fault = upper_chain_fault(coords, cyc, lb)
         if fault is not None:
             return f"prefix {i}: {fault}"
+    return None
+
+
+def chain_window(chain: UpperChain, v: int) -> list[int]:
+    """v and up to two chain neighbours on each side, left to right, as a
+    list: the window UpperChain.first_fault reads in place."""
+    lv, rv = chain.left[v], chain.right[v]
+    win = [lv, v, rv]
+    if lv in chain.left:
+        win.insert(0, chain.left[lv])
+    if rv in chain.right:
+        win.append(chain.right[rv])
+    return win
+
+
+def first_fault_reference(chain: UpperChain, v: int, coords):
+    """UpperChain.first_fault as a scan of the chain_window list: each edge
+    (u, w) left to right, its x test, then the slope test of the pair that
+    ends at it."""
+    win = chain_window(chain, v)
+    for j in range(1, len(win)):
+        u, w = win[j - 1], win[j]
+        if not coords[u][0] < coords[w][0]:
+            return "x", u, w
+        if j >= 2 and not slopes_decrease(coords[win[j - 2]], coords[u], coords[w]):
+            return "slope", u, w
     return None
 
 

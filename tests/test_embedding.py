@@ -475,15 +475,75 @@ def test_audit_rejects_a_link_off_the_chain():
 
 def test_upper_chain_splice_and_window():
     ch = UpperChain(0, 2, 1)
-    assert ch.window(2) == [0, 2, 1]
+    window = oracles.chain_window
+    assert window(ch, 2) == [0, 2, 1]
     assert ch.splice(3, (2, 1))
-    assert ch.window(3) == [0, 2, 3, 1]
+    assert window(ch, 3) == [0, 2, 3, 1]
     assert ch.splice(4, (0, 2, 3))
-    assert ch.window(4) == [0, 4, 3, 1]
+    assert window(ch, 4) == [0, 4, 3, 1]
     assert 2 not in ch.left and 2 not in ch.right
     assert not ch.splice(5, (3, 4))  # reversed: not a left-to-right run
     assert not ch.splice(5, (0, 3))  # skips 4
-    assert ch.window(4) == [0, 4, 3, 1]
+    assert window(ch, 4) == [0, 4, 3, 1]
+
+
+# the window ll, l, v, r, rr makes seven tests, left to right: the x test of
+# each edge, then the slope test of the pair that ends at it
+WINDOW_TESTS = (
+    ("x", (-2, -1)), ("x", (-1, 0)), ("slope", (-2, -1, 0)), ("x", (0, 1)),
+    ("slope", (-1, 0, 1)), ("x", (1, 2)), ("slope", (0, 1, 2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.integers(1, 9), st.integers(0, 4)), min_size=2, max_size=7),
+    x0=st.integers(-50, 50),
+    y0=st.integers(-50, 50),
+    top=st.integers(-20, 20),
+    pick=st.integers(0, 10**6),
+    by=st.integers(0, 3),
+)
+def test_first_fault_matches_the_window_scan(steps, x0, y0, top, pick, by):
+    # a strictly x-monotone, strictly concave chain 0..k-1: x steps dx >= 1,
+    # integer slopes that drop by at least 1 at each vertex
+    pts, slope = [(x0, y0)], top
+    for dx, drop in steps:
+        x, y = pts[-1]
+        pts.append((x + dx, y + slope * dx))
+        slope -= 1 + drop
+    k = len(pts)
+    ch = UpperChain(0, 1, k - 1)
+    for w in range(2, k - 1):
+        assert ch.splice(w, (w - 1, k - 1))
+    v = 1 + pick % (k - 2)
+    coords = dict(enumerate(pts))
+    assert ch.first_fault(v, coords) is None
+    assert oracles.first_fault_reference(ch, v, coords) is None
+    tests = [(kind, [v + d for d in at]) for kind, at in WINDOW_TESTS]
+    tests = [(kind, ids) for kind, ids in tests if ids[0] >= 0 and ids[-1] < k]
+    for j, (kind, ids) in enumerate(tests):
+        bad = plant_chain_fault(coords, kind, ids, by)
+        want = oracles.first_fault_reference(ch, v, bad)
+        assert want == (kind, ids[-2], ids[-1])
+        assert ch.first_fault(v, bad) == want
+        for kind2, ids2 in tests[j + 1 :]:  # a second fault: the order counts
+            worse = plant_chain_fault(bad, kind2, ids2, by)
+            assert ch.first_fault(v, worse) == oracles.first_fault_reference(ch, v, worse)
+
+
+def plant_chain_fault(coords, kind, ids, by):
+    """A copy of coords that fails the window test (kind, ids): for "x" the
+    edge's right end steps back to x(u) - by, for "slope" the pair's middle
+    drops to min(y) - by, so the slopes do not decrease."""
+    bad = dict(coords)
+    if kind == "x":
+        u, w = ids
+        bad[w] = (bad[u][0] - by, bad[w][1])
+    else:
+        p, q, r = ids
+        bad[q] = (bad[q][0], min(bad[p][1], bad[r][1]) - by)
+    return bad
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,16 +146,32 @@ def test_floor_ceil_fraction():
     assert 6 // 3 == 2 == ceil_div(6, 3)
 
 
-def test_package_imports_no_fractions():
-    # the pipeline is integer-only: no module of the package may import fractions
+def package_imports():
+    """(file:line, module, level) of every module imported in src/shedpoly;
+    level is 0 for an absolute import, the number of leading dots else."""
     src = Path(__file__).resolve().parents[1] / "src" / "shedpoly"
     modules = sorted(src.glob("*.py"))
     assert len(modules) >= 10
-    offenders = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Import) and any(a.name.startswith("fractions") for a in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fractions")
-    ]
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield f"{path.name}:{node.lineno}", alias.name, 0
+            elif isinstance(node, ast.ImportFrom):
+                yield f"{path.name}:{node.lineno}", node.module or "", node.level
+
+
+def test_package_imports_no_fractions():
+    # the pipeline is integer-only: no module of the package may import fractions
+    offenders = [where for where, module, _ in package_imports() if module.startswith("fractions")]
     assert not offenders, f"fractions imported at {offenders}"
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime is stdlib-only: every import is relative or a stdlib module
+    offenders = [
+        f"{where} {module}"
+        for where, module, level in package_imports()
+        if level == 0 and module.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not offenders, f"non-stdlib imports: {offenders}"

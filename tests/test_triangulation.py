@@ -25,6 +25,7 @@ from shedpoly.triangulation import (
     SheddingSequence,
     Violation,
     deletion_trace,
+    face_map,
     mirror,
     peel_order,
     shedding_sequence,
@@ -355,17 +356,14 @@ def test_engine_matches_reference_on_sample_instances_and_every_base_edge():
                 assert_engine_matches_reference(G, u, v)
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    shape=st.sampled_from(("stacked", "fan", "ladder", "polygon")),
-    size=st.integers(3, 40),
-    seed=st.integers(0, 10**6),
-    edge=st.integers(0, 10**6),
-    flip=st.booleans(),
-    sparse=st.booleans(),
-    swaps=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4),
-)
-def test_engine_matches_reference_on_random_disks(shape, size, seed, edge, flip, sparse, swaps):
+@st.composite
+def random_disks(draw):
+    """(G, u, v): a random disk, stacked, fan, ladder or stacked polygon,
+    relabelled to sparse ids or not, and a base edge (u, v) on its boundary
+    in either direction."""
+    shape = draw(st.sampled_from(("stacked", "fan", "ladder", "polygon")))
+    size = draw(st.integers(3, 40))
+    seed = draw(st.integers(0, 10**6))
     if shape == "stacked":
         G = gen_stacked(size, seed)
     elif shape == "fan":
@@ -375,12 +373,21 @@ def test_engine_matches_reference_on_random_disks(shape, size, seed, edge, flip,
     else:
         b = 3 + seed % (size - 2)
         G = polygon_disk(b, size - b, seed)
-    if sparse:
+    if draw(st.booleans()):
         G = relabel(G, seed)
     b = G.boundary
+    edge = draw(st.integers(0, 10**6))
     u, v = b[edge % len(b)], b[(edge + 1) % len(b)]
-    if flip:
-        u, v = v, u
+    return (G, v, u) if draw(st.booleans()) else (G, u, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    disk=random_disks(),
+    swaps=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4),
+)
+def test_engine_matches_reference_on_random_disks(disk, swaps):
+    G, u, v = disk
     order = list(shedding_sequence(G, u, v).order)
     bad = []
     for x, y in swaps:
@@ -388,6 +395,28 @@ def test_engine_matches_reference_on_random_disks(shape, size, seed, edge, flip,
         bad.append(tuple(order))
     bad.append(tuple(order[:-1]))
     assert_engine_matches_reference(G, u, v, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disk=random_disks())
+def test_engine_maps_agree_with_the_prefix_after_every_delete(disk):
+    # after each deletion, against G's faces on the live vertices: third is
+    # exactly their face map (and snapshot()'s), nbrs their adjacency, bn a
+    # fresh count of boundary neighbours, and pred the inverse of succ
+    G, u, v = disk
+    peel = PeelEngine(G)
+    for ai in reversed(shedding_sequence(G, u, v).order[3:]):
+        peel.delete(ai)
+        live = peel.vertices
+        faces = face_map(t for t in G.triangles if live >= set(t))
+        assert peel.third == faces == peel.snapshot().third()
+        nbrs = {w: set() for w in live}
+        for a, b in faces:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        assert peel.nbrs == nbrs
+        assert peel.bn == {w: len(ws & peel.succ.keys()) for w, ws in nbrs.items()}
+        assert peel.pred == {b: a for a, b in peel.succ.items()}
 
 
 def test_a_peel_keeps_links_not_a_copy_of_every_prefix_boundary():
