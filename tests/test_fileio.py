@@ -278,12 +278,13 @@ def outcome(f, *args):
 def render_document(G, r) -> str:
     """G as a document in its own face order, with now and then a wrong n,
     coordinates (one of them twice), a comment, an order line or one token
-    spoilt."""
+    spoilt.  A disk whose one face was dropped uses no vertex: its document
+    gets no second coordinate line, and its empty order line no spoilt id."""
     used = sorted({v for t in G.triangles for v in t})
     lines = [f"triangulation n={len(used) if r.random() < 0.85 else G.n}"]
     if r.random() < 0.4:
         lines += [f"v {v} {r.randrange(-9, 9)} {v * v}" for v in used]
-        if r.random() < 0.3:
+        if used and r.random() < 0.3:
             lines.insert(r.randrange(2, len(lines) + 1), f"v {r.choice(used)} {r.choice('0x')} 0")
     lines += [f"t {a} {b} {c}" for a, b, c in G.triangles]
     lines.append("b " + " ".join(map(str, G.boundary)))
@@ -294,8 +295,9 @@ def render_document(G, r) -> str:
     if r.random() < 0.3:
         i = r.randrange(1, len(lines))
         toks = lines[i].split()
-        toks[r.randrange(1, len(toks))] = r.choice(["x", "1.5", "-", "0x1"])
-        lines[i] = " ".join(toks)
+        if len(toks) > 1:
+            toks[r.randrange(1, len(toks))] = r.choice(["x", "1.5", "-", "0x1"])
+            lines[i] = " ".join(toks)
     return "\n".join(lines) + "\n"
 
 
