@@ -47,8 +47,9 @@ from .triangulation import PlaneTriangulation, SheddingSequence
 
 
 class ParallelSupportLines(Exception):
-    """The support edges are not x-increasing, or their slopes fail s > u;
-    must never fire on valid input."""
+    """The support edges are not x-increasing, or their slopes fail s > u,
+    or a degree-2 copy's x-extents W, D have no common sign; must never
+    fire on valid input."""
 
 
 class PropertyViolation(Exception):
@@ -129,7 +130,8 @@ def place_degree_two(
     eta_d = eta * D = (w2.y - w1.y) D + W (b1.y - b2.y).
     """
     W, D = w2[0] - w1[0], b2[0] - b1[0]
-    assert W * D > 0
+    if W * D <= 0:
+        raise ParallelSupportLines(f"x-extents W={W} and D={D} have no common sign")
     xnum = W * (apex[0] - b2[0])
     dx = xnum // D if apex[0] <= 0 else ceil_div(xnum, D)
     eta_d = (w2[1] - w1[1]) * D + W * (b1[1] - b2[1])

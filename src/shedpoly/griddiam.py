@@ -58,7 +58,7 @@ def tau_profile(G: PlaneTriangulation, a: SheddingSequence) -> TauProfile:
 
     Over the disk the sequence was peeled from (G is a.G), the profile is a
     fact of the sequence: it is computed once and kept on it, as its other
-    cached facts are, so lift's height assert and check_grid_bounds read one
+    cached facts are, so lift's height ceiling and check_grid_bounds read one
     depth pass.
     """
     if G is not a.G:
@@ -84,9 +84,9 @@ def min_tau_exhaustive(G: PlaneTriangulation, limit: int = 9) -> tuple[int, Shed
 
     Brute force over every deletion order and every admissible base triple;
     the (depth, order) pair is minimized lexicographically, so the witness is
-    deterministic.  The search branches on copies of the peel engine, and
-    only the winning order is peeled into a sequence.  Refuses instances
-    with more than ``limit`` vertices.
+    deterministic.  Each branch peels a fresh engine built on the current
+    prefix's snapshot, and only the winning order is peeled into a
+    sequence.  Refuses instances with more than ``limit`` vertices.
     """
     if G.n > limit:
         raise TooLarge(f"n={G.n} exceeds the exhaustive-search limit {limit}")
@@ -109,14 +109,15 @@ def min_tau_exhaustive(G: PlaneTriangulation, limit: int = 9) -> tuple[int, Shed
             return
         for w in sorted(H.succ):
             if H.is_shedding(w):
-                H2 = H.copy()
+                H2 = PeelEngine(H.snapshot())
                 H2.delete(w)
                 suffix.append(w)
                 search(H2, suffix)
                 suffix.pop()
 
     search(PeelEngine(G), [])
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("exhaustive search found no shedding sequence")
     return best[0], peel_order(G, best[1])
 
 
@@ -293,7 +294,9 @@ def uniform_grid_triangulation(p: int, q: int) -> GridTriangulation:
         _rect_boundary(p, q),
         {v: _xy(p, v) for v in range(p * q)},
     )
-    assert not validate(T)
+    errs = validate(T)
+    if errs:
+        raise InvariantViolation(f"generated grid invalid: {errs[0]}")
     return GridTriangulation(p, q, 2, T)
 
 

@@ -26,29 +26,30 @@ EdgeKey = tuple[int, int]
 
 
 class MalformedTreeSequence(Exception):
-    """Tree-sequence hypotheses (fresh nodes, fullness, balance) violated."""
+    """The contracted tree is left-heavy (m > m'): mirror the instance."""
 
 
 class TreeStore:
     """The family T_2..T_n as one flat record; T_i is the set of nodes (undirected
     boundary edges) created at a step <= i.  by_key maps each node to its step
     (the root to 2); created[i] = (left node, its parent, right node, its
-    parent) for i >= 3.  add_pair refuses a node created twice and a child
-    slot taken twice, so every step records exactly two fresh nodes."""
+    parent) for i >= 3.
+
+    add_pair only records: the peel engine deleted a shedding vertex at
+    every step, and that makes every step's two nodes fresh and every child
+    slot filled once.  At step i the nodes a_i w_1 and a_i w_k are edges at
+    a_i, which is not in G_{i-1}, so neither is an earlier node; they are
+    distinct because w_1 != w_k.  Their parents w_1 w_2 and w_{k-1} w_k are
+    link edges of a_i, which turn interior at step i and stay interior in
+    every later prefix, so no later step hangs a child under them again."""
 
     def __init__(self, root: EdgeKey, n: int):
         self.n = n
         self.root = root
         self.by_key: dict[EdgeKey, int] = {root: 2}
         self.created: dict[int, tuple[EdgeKey, EdgeKey, EdgeKey, EdgeKey]] = {}
-        self._slots: set[tuple[EdgeKey, int]] = set()  # (parent, 0 left / 1 right)
 
     def add_pair(self, i: int, nu: EdgeKey, xi: EdgeKey, nup: EdgeKey, xip: EdgeKey):
-        if nu == nup or nu in self.by_key or nup in self.by_key:
-            raise MalformedTreeSequence(f"edge node created twice at step {i}")
-        if (xi, 0) in self._slots or (xip, 1) in self._slots:
-            raise MalformedTreeSequence(f"child slot already taken at step {i}")
-        self._slots.update(((xi, 0), (xip, 1)))
         self.by_key[nu] = self.by_key[nup] = i
         self.created[i] = (nu, xi, nup, xip)
 
@@ -145,8 +146,17 @@ def reduce_trees(store: TreeStore, a: SheddingSequence) -> ReducedStructure:
     template vertex q over its ends f[q], g[q]; the left node ends at
     (f[q], q), the right at (q, g[q]).  The leaves of the contracted tree
     own the consecutive pairs of its in-order, so inserting q between f[q]
-    and g[q], in a successor map that starts 1 -> 2, lays out the in-order;
-    a parent whose ends are no longer consecutive is already internal.
+    and g[q], in a successor map that starts 1 -> 2, lays out the in-order.
+
+    No parent is internal already when a degree-2 step splits it.  Before
+    step i, the boundary edges of G_{i-1} other than the base edge carry
+    distinct ends (x, y), each with succ[x] = y, so no two share an x.  A
+    contracted step hands the ends of the two departing edges w_1 w_2 and
+    w_{k-1} w_k to the two new edges and drops the ends of the others; succ
+    is unchanged.  A degree-2 step splits the only edge that carries
+    (f[q], g[q]) into (f[q], q) and (q, g[q]), and only succ[f[q]] and the
+    new succ[q] change.  Both steps keep the invariant, which step 3 sets
+    up: it has degree 2 and splits the root, whose ends (1, 2) start succ.
 
     No size check is needed: add_pair records exactly two fresh nodes per
     step, so T*_i (the root and the nodes of the degree-2 steps 3..i) has
@@ -169,9 +179,6 @@ def reduce_trees(store: TreeStore, a: SheddingSequence) -> ReducedStructure:
             continue
         q = rho[i] = len(rho) + 1
         fq, gq = f[q], g[q] = ends[lp]
-        if succ[fq] != gq:
-            pk = next(k for k, e in ends.items() if e == (fq, gq) and store.by_key[k] in rho)
-            raise MalformedTreeSequence(f"step {i}: parent {pk} already internal")
         ends[left], ends[right] = (fq, q), (q, gq)
         zmap[left], zmap[right] = (q - 1, fq - 1), (q - 1, gq - 1)
         succ[fq], succ[q] = q, gq

@@ -27,7 +27,6 @@ with.
 from __future__ import annotations
 
 from collections import Counter
-from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -636,14 +635,14 @@ class PeelEngine:
         cyc = _cycle_from(self.succ, next(iter(self.succ)))
         return PlaneTriangulation(self.nbrs, tris, cyc)
 
-    def copy(self) -> "PeelEngine":
-        """An independent engine at the same prefix, over the same G."""
-        return deepcopy(self, {id(self.G): self.G})
-
     def sequence(self, base: Sequence[int]) -> SheddingSequence:
         """The finished sequence with a_1, a_2, a_3 = base, the vertices of
-        the remaining triangle."""
-        if set(base) != self.nbrs.keys() or validate(self.snapshot()):
+        the remaining triangle.
+
+        Only the vertex set is checked.  Every deletion removed a shedding
+        vertex, so every prefix down to the current one is a triangulated
+        disk, and a disk on three vertices is one triangle."""
+        if set(base) != self.nbrs.keys():
             raise InvalidTriangulation("prefix G_3 is not a triangle")
         return SheddingSequence(
             self.G,

@@ -560,7 +560,7 @@ def check_grid_bounds(obj: Union[LiftedPolyhedron, Mapping[int, XY]], n: int) ->
     peeled from.  In an OFF verify that disk is the surface disk parsed from
     these facets and peeled again along the document's order; for
     ``lift --audit`` it is the input, whose triangles are the facets, and
-    the profile is the one the lift's own height assert already kept on the
+    the profile is the one the lift's own height ceiling already kept on the
     sequence."""
     kind = "grid-bounds"
     if isinstance(obj, LiftedPolyhedron):

@@ -374,10 +374,10 @@ def stacked_or_fan(label):
 
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
 def test_verify_derives_each_fact_of_a_lift_once(monkeypatch, label):
-    # an OFF verify validates the surface disk once (and G_3 once, in the
-    # re-peel), computes each facet's plane once, and takes grid-bounds'
-    # depths in one pass over the re-peeled disk, whose neighbour sets
-    # validate's fan walks already built
+    # an OFF verify validates the surface disk once (the re-peel trusts its
+    # deletions for G_3), computes each facet's plane once, and takes
+    # grid-bounds' depths in one pass over the re-peeled disk, whose
+    # neighbour sets validate's fan walks already built
     off = run(["lift", "--truncate"] if label == "stacked-160" else ["lift"], stacked_or_fan(label))[1]
     points, facets, _ = read_off(off)
     validated, planes, profiled = [], [], []
@@ -404,10 +404,10 @@ def test_verify_derives_each_fact_of_a_lift_once(monkeypatch, label):
     monkeypatch.setattr(griddiam, "_profile", count_profile)
     code, out, _ = run(["verify"], off)
     assert code == EXIT_OK and out.count("PASS ") == 7
-    assert sorted(validated) == [3, len(points)]
+    assert sorted(validated) == [len(points)]
     assert len(planes) == len(facets)
     assert profiled == [(len(points), True)]
-    assert sorted(neighbour_sets) == [3, len(points)]
+    assert sorted(neighbour_sets) == [len(points)]
 
 
 @pytest.mark.parametrize(
@@ -424,19 +424,19 @@ def test_embed_and_lift_build_one_face_map_and_one_set_of_neighbour_sets(
     monkeypatch, label, argv
 ):
     # the input disk's face map and neighbour sets are built once, by
-    # validate, and G_3's once more at the end of the peel; the drawing and
+    # validate, and none for G_3 at the end of the peel; the drawing and
     # the lift read them, and the OFF edge count is Euler's
     doc = stacked_or_fan(label)
     n = read_triangulation(doc).G.n
     face_maps, neighbour_sets = count_face_maps_and_neighbour_sets(monkeypatch)
     assert run(argv, doc)[0] == EXIT_OK
-    assert sorted(face_maps) == [3, n]
-    assert sorted(neighbour_sets) == [3, n]
+    assert sorted(face_maps) == [n]
+    assert sorted(neighbour_sets) == [n]
 
 
 @pytest.mark.parametrize("label", ["stacked-160", "fan-200"])
 def test_lift_audit_takes_its_depths_in_one_pass(monkeypatch, label):
-    # the lift's height assert and check_grid_bounds read one depth profile,
+    # the lift's height ceiling and check_grid_bounds read one depth profile,
     # kept on the sequence; plain lift makes that same one pass
     if label == "stacked-160":
         doc = run(["gen-stacked", "160", "--seed", "0"])[1]

@@ -4,9 +4,13 @@ the rational reference drawing of tests/oracles.py."""
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +114,45 @@ def test_degree_two_worked_examples():
     # template apex left of center: x is floored, shear pulls y up here
     assert place_degree_two((-8, 3), (0, 10), (-3, 1), (1, 5), (-1, 4)) == (-4, 9)
     assert place_degree_two((-8, 3), (-2, 10), (-3, 1), (1, 5), (-1, 4)) == (-5, 8)
+
+
+def test_former_asserts_raise_under_python_O():
+    # a degree-2 copy whose x-extents have no common sign, a uniform grid
+    # that fails validate and an exhaustive search that finds no sequence
+    # each raise, also when python -O strips asserts
+    script = """
+from shedpoly import griddiam
+from shedpoly.embedding import ParallelSupportLines, place_degree_two
+from shedpoly.griddiam import InvariantViolation
+from shedpoly.triangulation import Violation
+for w2, b2 in (((0, 5), (4, 0)), ((3, 5), (-4, 0))):
+    try:
+        place_degree_two((0, 0), w2, (0, 0), b2, (2, 3))
+    except ParallelSupportLines as exc:
+        print(exc)
+G = griddiam.uniform_grid_triangulation(3, 3).T
+griddiam.permutations = lambda xs: iter(())
+try:
+    griddiam.min_tau_exhaustive(G)
+except InvariantViolation as exc:
+    print(exc)
+griddiam.validate = lambda T: [Violation("planted", "a planted violation")]
+try:
+    griddiam.uniform_grid_triangulation(3, 3)
+except InvariantViolation as exc:
+    print(exc)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(embedding.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "x-extents W=0 and D=4 have no common sign",
+        "x-extents W=3 and D=-4 have no common sign",
+        "exhaustive search found no shedding sequence",
+        "generated grid invalid: Violation(code='planted', detail='a planted violation')",
+    ]
 
 
 # small values make every rounding step matter; large ones, long integers

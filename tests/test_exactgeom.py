@@ -146,19 +146,25 @@ def test_floor_ceil_fraction():
     assert 6 // 3 == 2 == ceil_div(6, 3)
 
 
-def package_imports():
-    """(file:line, module, level) of every module imported in src/shedpoly;
-    level is 0 for an absolute import, the number of leading dots else."""
+def package_nodes():
+    """(file:line, node) for every AST node of every module in src/shedpoly."""
     src = Path(__file__).resolve().parents[1] / "src" / "shedpoly"
     modules = sorted(src.glob("*.py"))
     assert len(modules) >= 10
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    yield f"{path.name}:{node.lineno}", alias.name, 0
-            elif isinstance(node, ast.ImportFrom):
-                yield f"{path.name}:{node.lineno}", node.module or "", node.level
+            yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
+
+
+def package_imports():
+    """(file:line, module, level) of every module imported in src/shedpoly;
+    level is 0 for an absolute import, the number of leading dots else."""
+    for where, node in package_nodes():
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield where, alias.name, 0
+        elif isinstance(node, ast.ImportFrom):
+            yield where, node.module or "", node.level
 
 
 def test_package_imports_no_fractions():
@@ -175,3 +181,14 @@ def test_package_imports_only_the_standard_library():
         if level == 0 and module.split(".")[0] not in sys.stdlib_module_names
     ]
     assert not offenders, f"non-stdlib imports: {offenders}"
+
+
+def test_package_asserts_only_the_truncation_precondition():
+    # a check that must hold under python -O raises; the one assert left is
+    # truncate_to_polytope's precondition on its caller
+    found = [
+        (where.split(":")[0], ast.unparse(node.test))
+        for where, node in package_nodes()
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [("lifting.py", "P.truncated is None")]

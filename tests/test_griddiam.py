@@ -293,9 +293,9 @@ def test_grid_shedding_plans_match_the_copy_on_delete_peel():
 
 
 def test_grid_shedding_snapshots_only_the_final_triangle(monkeypatch):
-    # the carve regions come from the engine itself; the one snapshot left is
-    # sequence()'s check that G_3 is a triangle (one per carve before that:
-    # 119 on this grid)
+    # the carve regions come from the engine itself, and sequence() trusts
+    # the deletions for G_3 being a triangle: no snapshot is left (one per
+    # carve, 119 on this grid, and one for G_3 before that)
     import shedpoly.triangulation as tri
 
     calls = [0]
@@ -307,7 +307,7 @@ def test_grid_shedding_snapshots_only_the_final_triangle(monkeypatch):
 
     monkeypatch.setattr(tri.PeelEngine, "snapshot", counting)
     grid_shedding(gen_grid_triangulation(32, 32, 3, seed=1))
-    assert calls[0] == 1
+    assert calls[0] == 0
 
 
 def test_grid_shedding_chord_floods_stop_at_the_first_inadmissible_vertex(monkeypatch):
